@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .errors import InsufficientSampling, ToolkitError
 from .hamiltonian import (
+    _hamiltonian_raw,
     apply_hamiltonian,
     barrel_radius,
     pre_lagrangian,
@@ -234,9 +235,7 @@ def _invariant_checks(gen: Generator, mu0: Measure, tol_scale: float = 1.0):
     try:
         radius = barrel_radius(gen)
         G = rng.uniform(-radius, radius, size=(2000, n))
-        diffs = G[:, None, :] - G[:, :, None]
-        hvals = (gen.off_diagonal[None] * np.exp(diffs)).sum(axis=2) \
-            - gen.exit_rates[None]
+        hvals = _hamiltonian_raw(gen.off_diagonal, gen.exit_rates, G)
         yield "Hamiltonian bounded on the barrel", \
             float(np.abs(hvals).max()) - 1.0, 1e-12
     except ToolkitError:

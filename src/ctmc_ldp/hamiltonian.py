@@ -8,8 +8,10 @@ the g-tilted dynamics. The nonlinear semigroup ``V(t)f = log(e^{tQ} e^f)``
 has H as its generator and is approximated by iterating the nonlinear
 resolvent ``R(lam)f = log((I - lam*Q)^{-1} e^f)``.
 
-All evaluations go through log-sum-exp so potentials with norms up to a few
-hundred stay in range.
+Every log-space evaluation ``log(P e^f)`` is a max-shifted mat-vec,
+``c + log(P e^{f-c})`` with ``c = max f``, so potentials whose spread is
+up to several hundred stay in range. Tilted rates come from one
+broadcasting kernel, which also tilts whole stacks of potentials at once.
 """
 
 from __future__ import annotations
@@ -17,22 +19,37 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DegenerateModel, InvalidParameter, InvalidTime
 from .markov import Generator, Potential, _expm_generator, resolvent_matrix
 
 
 def _log_matrix_apply(P: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Entrywise log of P @ exp(f), computed stably."""
-    weights = np.clip(P, 0.0, None)
-    return logsumexp(np.broadcast_to(f, P.shape), axis=1, b=weights)
+    """Entrywise log of P @ exp(f) as the max-shifted c + log(P @ e^{f-c}).
+
+    Negative entries of P count as zero; a row with no weight gives -inf.
+    """
+    c = f.max()
+    with np.errstate(divide="ignore"):
+        return c + np.log(np.maximum(P, 0.0) @ np.exp(f - c))
+
+
+def _tilted_rates(rates: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """rates[..., x, y] * e^{g[..., y] - g[..., x]}, broadcast over the
+    leading axes of g (``rates`` is one matrix or one per potential).
+
+    The exponent is clipped at +-700 so every tilted rate stays finite.
+    """
+    d = g[..., None, :] - g[..., :, None]
+    np.clip(d, -700.0, 700.0, out=d)
+    np.exp(d, out=d)
+    d *= rates
+    return d
 
 
 def _hamiltonian_raw(Qoff: np.ndarray, exit_rates: np.ndarray,
                      f: np.ndarray) -> np.ndarray:
-    diff = f[None, :] - f[:, None]
-    return (Qoff * np.exp(diff)).sum(axis=1) - exit_rates
+    return _tilted_rates(Qoff, f).sum(axis=-1) - exit_rates
 
 
 def apply_hamiltonian(gen: Generator, f: Potential) -> Potential:
@@ -47,8 +64,7 @@ def apply_hamiltonian(gen: Generator, f: Potential) -> Potential:
 
 def tilted_generator(gen: Generator, g: Potential) -> Generator:
     """The generator with each rate multiplied by e^{g(y)-g(x)}."""
-    diff = g.f[None, :] - g.f[:, None]
-    Qt = gen.off_diagonal * np.exp(diff)
+    Qt = _tilted_rates(gen.off_diagonal, g.f)
     np.fill_diagonal(Qt, -Qt.sum(axis=1))
     return Generator(gen.space, Qt)
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleSpeed, MalformedModel, NumericalFailure
+from .hamiltonian import _hamiltonian_raw, _tilted_rates
 from .markov import Generator, Measure, Potential, StateSpace, _frozen
 
 SPEED_SUM_TOL = 1e-10
@@ -95,8 +96,7 @@ class LagrangianResult:
 
 def speed(gen: Generator, mu: Measure, g: Potential) -> Speed:
     """Forward speed of the g-tilted dynamics, rho(mu, g) = (A^g)' mu."""
-    diff = g.f[None, :] - g.f[:, None]
-    Qt = gen.off_diagonal * np.exp(diff)
+    Qt = _tilted_rates(gen.off_diagonal, g.f)
     np.fill_diagonal(Qt, -Qt.sum(axis=1))
     u = Qt.T @ mu.p
     u = u - u.sum() / u.size  # exact mass conservation despite FP noise
@@ -186,6 +186,7 @@ def _maximize_lagrangian(Qoff, exit_rates, mu, u, opts, gauge, initial):
     undetermined = tuple(z for z in range(n)
                          if mu[z] == 0.0 and influx[z] <= 0.0)
     free = np.array([i for i in range(n) if i not in pinned], dtype=int)
+    free_block = np.ix_(free, free)
 
     f = np.zeros(n)
     if initial is not None:
@@ -193,8 +194,7 @@ def _maximize_lagrangian(Qoff, exit_rates, mu, u, opts, gauge, initial):
         f[[i for i in pinned if i != gauge]] = 0.0
 
     def flux_at(fv):
-        d = np.clip(fv[None, :] - fv[:, None], -700.0, 700.0)
-        return base_flux * np.exp(d)
+        return _tilted_rates(base_flux, fv)
 
     def value_at(fv):
         return float(fv @ u) - (float(flux_at(fv).sum()) - base)
@@ -219,7 +219,7 @@ def _maximize_lagrangian(Qoff, exit_rates, mu, u, opts, gauge, initial):
 
         S = M + M.T
         lap = np.diag(S.sum(axis=1)) - S
-        A = lap[np.ix_(free, free)]
+        A = lap[free_block]
         g = grad[free]
         step = None
         try:
@@ -259,6 +259,88 @@ def _maximize_lagrangian(Qoff, exit_rates, mu, u, opts, gauge, initial):
 
     raise NumericalFailure(
         f"no convergence or divergence evidence within {opts.max_iters} iterations")
+
+
+def _newton_cells(Qoff, exit_rates, mus, us, opts):
+    """Cold Newton for L(mu_k, u_k) on a stack of cells at once.
+
+    Only cells that reduce to the plain case of ``_maximize_lagrangian``
+    are batched: mu_k > 0 on every state of a generator whose jump graph is
+    connected, so one flux component carries all mass, the gauge state 0
+    is the only pin, and no state is undetermined. Each batched cell keeps
+    that loop's rules: the OBJECTIVE_CAP test, then the gradient tolerance,
+    then a full Newton step accepted only when it halves the gradient
+    sup-norm and keeps the iterate within ``divergence_norm``. Flux,
+    gradient and graph-Laplacian Hessian carry a leading cell axis, and
+    each iteration makes one stacked solve.
+
+    Returns the (K,) cell values, NaN for every cell that is not batched or
+    leaves the batch (cap hit, failed or non-ascending full step, singular
+    solve, divergence, iteration cap): those need the per-cell solver.
+    """
+    K, n = mus.shape
+    values = np.full(K, np.nan)
+    if len(_flux_components((Qoff + Qoff.T) > 0.0)[1]) > 1:
+        return values
+    flux0 = mus[:, :, None] * Qoff
+    # a balance residual near the per-cell feasibility threshold, or a
+    # product underflowing to zero on a live channel, is left to that solver
+    batched = np.all(mus > 0.0, axis=1) \
+        & (np.abs(us.sum(axis=1)) <= 0.5 * STRUCTURAL_TOL) \
+        & np.all((flux0 > 0.0) == (Qoff > 0.0), axis=(1, 2))
+    cells = np.flatnonzero(batched)
+    if cells.size < K:
+        flux0 = flux0[cells]
+    u, base = us[cells], mus[cells] @ exit_rates
+    f = np.zeros((cells.size, n))
+    diag = np.arange(n - 1)
+
+    def state_at(fv):
+        """Tilted flux, gradient, its sup-norm and the objective at fv."""
+        M = _tilted_rates(flux0, fv)
+        grad = u - (M.sum(axis=1) - M.sum(axis=2))
+        value = (fv * u).sum(axis=1) - (M.sum(axis=(1, 2)) - base)
+        return M, grad, np.max(np.abs(grad[:, 1:]), axis=1), value
+
+    M, grad, grad_norm, value = state_at(f)
+    live = np.ones(cells.size, dtype=bool)
+    for _ in range(opts.max_iters):
+        # settle converged cells; capped cells, and cells whose last step
+        # was not accepted, leave the batch
+        live &= value <= OBJECTIVE_CAP
+        done = live & (grad_norm <= opts.gradient_tol)
+        values[cells[done]] = value[done]
+        live &= ~done
+        if not live.any():
+            break
+        if not live.all():
+            cells, u, base, f, grad, grad_norm = (
+                a[live] for a in (cells, u, base, f, grad, grad_norm))
+            # one (cells, n, n) array at a time, so no two copies coexist
+            flux0 = flux0[live]
+            M = M[live]
+        # graph-Laplacian Hessian of the symmetrized flux, gauge state
+        # dropped; each flux is released before the next one is built
+        S = M + M.transpose(0, 2, 1)
+        del M
+        A = -S[:, 1:, 1:]
+        A[:, diag, diag] += S.sum(axis=2)[:, 1:]
+        del S
+        g = grad[:, 1:]
+        try:
+            step = np.linalg.solve(A, g[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            break
+        del A
+        f_new = f.copy()
+        f_new[:, 1:] += step
+        M, grad, new_norm, value = state_at(f_new)
+        live = np.all(np.isfinite(step), axis=1) \
+            & ((g * step).sum(axis=1) > 0.0) \
+            & (new_norm <= 0.5 * grad_norm) \
+            & (np.max(np.abs(f_new), axis=1) <= opts.divergence_norm)
+        f, grad_norm = f_new, new_norm
+    return values
 
 
 def _boundary_flags(base_flux, f):
@@ -319,8 +401,7 @@ def dual_check(gen: Generator, mu: Measure, f: Potential,
     The left side is the closed form; the Lagrangian on the right is
     evaluated by numerical maximization, warm-started at f.
     """
-    diff = f.f[None, :] - f.f[:, None]
-    Hf = (gen.off_diagonal * np.exp(diff)).sum(axis=1) - gen.exit_rates
+    Hf = _hamiltonian_raw(gen.off_diagonal, gen.exit_rates, f.f)
     lhs = float(Hf @ mu.p)
     rho = speed(gen, mu, f)
     res = lagrangian_value(gen, mu, rho, opts=opts, initial=f.f)

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, MalformedModel, NumericalFailure
+from .hamiltonian import _log_matrix_apply
 from .lagrangian import (
     DEFAULT_OPTIONS,
     OBJECTIVE_CAP,
@@ -39,6 +40,7 @@ from .lagrangian import (
     BOUNDARY_NORM,
     SolverOptions,
     _ascend_step,
+    _newton_cells,
     _Status,
     lagrangian_value,
 )
@@ -160,29 +162,30 @@ def _maximize_conditional(P, mu, nu, opts, gauge=None):
         if hits.size:
             pin = int(hits[0])
     free = np.array([i for i in range(support.size) if i != pin], dtype=int)
+    free_block = np.ix_(free, free)
 
+    # log(PS e^f) and the tilted row laws are both taken max-shifted, so even
+    # an overshooting Newton iterate (entries in the thousands) is valued
+    # exactly and cannot pass the line search on an overstated objective
     def value_at(fv):
-        e = np.exp(np.clip(fv, -700.0, 700.0))
-        z = PS @ e
-        if np.any(z <= 0.0):
+        logz = _log_matrix_apply(PS, fv)
+        if np.any(logz == -math.inf):
             return -math.inf
-        return float(nuS @ fv) - float(muX @ np.log(z))
+        return float(nuS @ fv) - float(muX @ logz)
+
+    def weights_at(fv):
+        weighted = PS * np.exp(fv - fv.max())[None, :]
+        return weighted / weighted.sum(axis=1)[:, None]
 
     def grad_sup_at(fv):
-        e = np.exp(np.clip(fv, -700.0, 700.0))
-        weighted = PS * e[None, :]
-        W = weighted / weighted.sum(axis=1)[:, None]
-        g = nuS - muX @ W
+        g = nuS - muX @ weights_at(fv)
         return float(np.max(np.abs(g[free]))) if free.size else 0.0
 
     f = np.zeros(support.size)
     value = value_at(f)
     grad_norm = math.inf
     for it in range(1, opts.max_iters + 1):
-        e = np.exp(np.clip(f, -700.0, 700.0))
-        weighted = PS * e[None, :]
-        z = weighted.sum(axis=1)
-        W = weighted / z[:, None]
+        W = weights_at(f)
         pred = muX @ W
         grad = nuS - pred
         grad_norm = float(np.max(np.abs(grad[free]))) if free.size else 0.0
@@ -193,7 +196,7 @@ def _maximize_conditional(P, mu, nu, opts, gauge=None):
             return _Status.CONVERGED, support, f, value, it, grad_norm
 
         hess = np.diag(pred) - W.T @ (muX[:, None] * W)
-        A = hess[np.ix_(free, free)]
+        A = hess[free_block]
         g = grad[free]
         step = None
         try:
@@ -334,6 +337,13 @@ def joint_rate(gen: Generator, mu0: Measure, partition: Partition,
     total_vars = offset
     pins = np.array([b[0] for b in blocks])
     free = np.array([j for j in range(total_vars) if j not in set(pins)], dtype=int)
+    free_block = np.ix_(free, free)
+    # Hessian index blocks for each pair of times i <= j: the supports'
+    # cross block of a joint law, and the (i, j) and (j, i) Hessian blocks
+    pair_blocks = {(i, j): (np.ix_(supports[i], supports[j]),
+                            np.ix_(blocks[i], blocks[j]),
+                            np.ix_(blocks[j], blocks[i]))
+                   for i in range(k + 1) for j in range(i, k + 1)}
 
     def tilts(x):
         E = []
@@ -393,19 +403,19 @@ def joint_rate(gen: Generator, mu0: Measure, partition: Partition,
         hess = np.zeros((total_vars, total_vars))
         for i in range(k + 1):
             mi = marg[i][supports[i]]
-            hess[np.ix_(blocks[i], blocks[i])] = np.diag(mi) - np.outer(mi, mi)
+            hess[pair_blocks[i, i][1]] = np.diag(mi) - np.outer(mi, mi)
         for i in range(k + 1):
             carry = np.diag(alphas[i])
             for j in range(i + 1, k + 1):
                 carry = (carry @ Ps[j - 1]) * E[j][None, :]
                 joint = carry * betas[j][None, :]
                 joint = joint / joint.sum()  # running normalizations cancel
-                cov = (joint - np.outer(marg[i], marg[j]))[np.ix_(supports[i],
-                                                                  supports[j])]
-                hess[np.ix_(blocks[i], blocks[j])] = cov
-                hess[np.ix_(blocks[j], blocks[i])] = cov.T
+                on_support, block_ij, block_ji = pair_blocks[i, j]
+                cov = (joint - np.outer(marg[i], marg[j]))[on_support]
+                hess[block_ij] = cov
+                hess[block_ji] = cov.T
 
-        A = hess[np.ix_(free, free)]
+        A = hess[free_block]
         g = grad[free]
         step = None
         try:
@@ -476,28 +486,31 @@ def path_action(gen: Generator, path: PathGrid,
     """Integral of L(mu(s), mu'(s)) ds over the grid, cell by cell.
 
     Each cell contributes dt * L(measure at the quadrature node,
-    finite-difference speed); evaluations are warm-started along the path.
+    finite-difference speed). Cells whose measure is positive on every
+    state, on a generator with a connected jump graph, are solved together
+    by one batched Newton iteration. The rest, and any batched cell whose
+    full Newton step does not contract the gradient, diverges or meets a
+    singular Hessian, are solved cold and in cell order by
+    ``lagrangian_value``; the first infinite one ends the sweep.
     """
     if path.space != gen.space:
         raise MalformedModel("path and generator use different state spaces")
     opts = opts or DEFAULT_OPTIONS
     dt = path.dt
     m = path.measures
-    cells = np.zeros(path.K)
-    warm = None
     w = QUADRATURE_NODE
-    for k in range(path.K):
-        mid = (1.0 - w) * m[k] + w * m[k + 1]
-        u = (m[k + 1] - m[k]) / dt
-        u = u - u.sum() / u.size
-        res = lagrangian_value(gen, Measure(gen.space, mid), u,
-                               opts=opts, initial=warm)
+    mids = (1.0 - w) * m[:-1] + w * m[1:]
+    speeds = (m[1:] - m[:-1]) / dt
+    speeds = speeds - speeds.sum(axis=1, keepdims=True) / gen.size
+    values = _newton_cells(gen.off_diagonal, gen.exit_rates, mids, speeds, opts)
+    cells = dt * np.maximum(values, 0.0)
+    for k in np.flatnonzero(np.isnan(values)):
+        res = lagrangian_value(gen, Measure(gen.space, mids[k]), speeds[k],
+                               opts=opts)
         if not math.isfinite(res.value):
             cells[k] = math.inf
-            return ActionResult(math.inf, cells[:k + 1], infeasible_cell=k)
+            return ActionResult(math.inf, cells[:k + 1], infeasible_cell=int(k))
         cells[k] = dt * res.value
-        if res.maximizer is not None:
-            warm = res.maximizer.f
     return ActionResult(float(cells.sum()), cells)
 
 

@@ -29,7 +29,7 @@ from .errors import (
     InvalidParameter,
     MalformedModel,
 )
-from .hamiltonian import _log_matrix_apply, v_apply
+from .hamiltonian import _log_matrix_apply, _tilted_rates, v_apply
 from .lagrangian import SolverOptions
 from .markov import (
     Generator,
@@ -101,6 +101,30 @@ def doob_flow(gen: Generator, f: Potential, t: float, K: int) -> DoobFlow:
     return DoobFlow(gen.space, float(t), h)
 
 
+def _forward_measures(gen: Generator, mu0: Measure, flow: DoobFlow) -> np.ndarray:
+    """The (K+1, n) measures of the tilted forward equation along a flow.
+
+    Step k advances by the exponential of the generator tilted by the flow
+    at node k; all K step matrices are exponentiated as one stack.
+    """
+    Qt = _tilted_rates(gen.off_diagonal, flow.h[:-1])
+    diag = np.arange(gen.size)
+    Qt[:, diag, diag] = -Qt.sum(axis=2)
+    steps = _expm_generator(Qt, flow.dt)
+    out = np.empty((flow.K + 1, gen.size))
+    out[0] = p = mu0.p
+    for k, step in enumerate(steps, 1):
+        p = p @ step
+        low = p.min()
+        if low < -1e-9:
+            raise IntegrationFailure(
+                f"negative probability {low} at step {k}; refine the grid")
+        p = np.clip(p, 0.0, None)
+        p = p / p.sum()
+        out[k] = p
+    return out
+
+
 def doob_forward(gen: Generator, mu0: Measure, flow: DoobFlow,
                  opts: SolverOptions | None = None
                  ) -> tuple[PathGrid, ActionResult]:
@@ -112,25 +136,8 @@ def doob_forward(gen: Generator, mu0: Measure, flow: DoobFlow,
     """
     if flow.space != gen.space or mu0.space != gen.space:
         raise MalformedModel("flow, law, and generator use different state spaces")
-    K = flow.K
-    dt = flow.dt
-    Qoff = gen.off_diagonal
-    out = np.empty((K + 1, gen.size))
-    out[0] = mu0.p
-    p = mu0.p.copy()
-    for k in range(K):
-        hk = flow.h[k]
-        Qt = Qoff * np.exp(hk[None, :] - hk[:, None])
-        np.fill_diagonal(Qt, -Qt.sum(axis=1))
-        p = p @ _expm_generator(Qt, dt)
-        low = p.min()
-        if low < -1e-9:
-            raise IntegrationFailure(
-                f"negative probability {low} at step {k + 1}; refine the grid")
-        p = np.clip(p, 0.0, None)
-        p = p / p.sum()
-        out[k + 1] = p
-    path = PathGrid(gen.space, 0.0, flow.horizon, out)
+    path = PathGrid(gen.space, 0.0, flow.horizon,
+                    _forward_measures(gen, mu0, flow))
     return path, path_action(gen, path, opts=opts)
 
 

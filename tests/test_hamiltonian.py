@@ -1,5 +1,6 @@
 """Nonlinear operators: H, tilted generators, pre-Lagrangian, V(t), R(lam)."""
 
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,8 @@ from ctmc_ldp import (
     v_apply,
     validate_generator,
 )
+from ctmc_ldp.hamiltonian import _log_matrix_apply
+from ctmc_ldp.markov import _expm_generator
 from conftest import absorbing_chain, random_model, random_potential, symmetric_chain
 
 
@@ -274,3 +277,41 @@ class TestBarrelRadius:
             h = (gen.off_diagonal[None] * np.exp(diffs)).sum(axis=2) \
                 - gen.exit_rates[None]
             assert np.abs(h).max() <= 1.0 + 1e-12
+
+
+class TestKernels:
+    def test_stacked_expm_matches_per_matrix(self, rng):
+        # each matrix keeps its own uniformization rate and series length
+        gens = [random_model(rng, n_min=3, n_max=3, rate_high=h).Q
+                for h in (1e-3, 0.5, 3.0, 40.0, 2e3)]
+        gens.append(np.zeros((3, 3)))
+        stack = np.stack(gens)
+        for t in (0.0, 1e-3, 0.7, 30.0):
+            out = _expm_generator(stack, t)
+            assert out.shape == stack.shape
+            for Q, P in zip(stack, out):
+                assert np.abs(P - _expm_generator(Q, t)).max() <= 1e-14
+        grid = stack.reshape(2, 3, 3, 3)
+        assert np.abs(_expm_generator(grid, 0.7).reshape(stack.shape)
+                      - _expm_generator(stack, 0.7)).max() <= 1e-14
+
+    def test_log_matrix_apply_matches_log_sum_exp(self, rng):
+        # spreads of several hundred stay in range at any offset, where
+        # e^f alone would overflow or underflow; empty rows give -inf
+        n = 5
+        P = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.6)
+        P[1] = 0.0
+        P[2, 0] = -0.5  # negative weights count as zero
+        for spread, offset in itertools.product((1.0, 50.0, 300.0, 600.0),
+                                                (0.0, 1e3, -1e3)):
+            f = offset + rng.uniform(-spread / 2, spread / 2, n)
+            out = _log_matrix_apply(P, f)
+            for x in range(n):
+                terms = [math.log(P[x, y]) + f[y] for y in range(n)
+                         if P[x, y] > 0.0]
+                if not terms:
+                    assert out[x] == -math.inf
+                    continue
+                top = max(terms)
+                ref = top + math.log(sum(math.exp(a - top) for a in terms))
+                assert out[x] == pytest.approx(ref, rel=1e-13, abs=1e-12)

@@ -1,11 +1,13 @@
 """Conditional and joint rates, path action, partition rates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from ctmc_ldp import (
+    BoundaryBridgeWarning,
     InvalidParameter,
     MalformedModel,
     Measure,
@@ -16,11 +18,17 @@ from ctmc_ldp import (
     doob_forward,
     evolve_law,
     joint_rate,
+    lagrangian_value,
+    optimal_bridge,
     partition_rate,
     path_action,
     relative_entropy,
+    transition_matrix,
+    validate_generator,
     zero_cost_path,
 )
+from ctmc_ldp.lagrangian import DEFAULT_OPTIONS, _newton_cells
+from ctmc_ldp.rates import QUADRATURE_NODE
 from conftest import (
     absorbing_chain,
     random_measure,
@@ -119,6 +127,22 @@ class TestConditionalRate:
             rhs = float(v_apply(gen, f, t).f @ mu.p) \
                 + conditional_rate(gen, mu, nu, t).value
             assert lhs <= rhs + 1e-8
+
+    def test_overshooting_iterate_on_near_absorbing_state(self):
+        # The first Newton iterate overshoots to f ~ 3000; valuing it with a
+        # clipped exponent overstated the objective and read as an
+        # infinite rate. From a Dirac start the rate is a relative entropy.
+        gen = validate_generator(["a", "b"],
+                                 [[0.0, 2.59004921e-4], [2.38684559, 0.0]])
+        da = Measure.dirac(gen.space, "a")
+        nu = Measure(gen.space, [0.72273347, 0.27726653])
+        t = 0.704777178443682
+        res = conditional_rate(gen, da, nu, t)
+        row = Measure(gen.space, transition_matrix(gen, t).P[0])
+        assert res.value == pytest.approx(relative_entropy(nu, row),
+                                          rel=1e-9)
+        assert res.value == pytest.approx(1.997843, abs=1e-6)
+        assert res.attained
 
 
 class TestJointRate:
@@ -271,6 +295,68 @@ class TestPathAction:
                 gen, Measure(gen.space, (1 - w) * m[k] + w * m[k + 1]), u)
             assert swept.cell_values[k] == pytest.approx(dt * cold.value,
                                                          abs=1e-10)
+
+
+def _cold_lagrangians(gen, grid):
+    """Each cell's L by an independent cold per-cell solve."""
+    m, dt, w = grid.measures, grid.dt, QUADRATURE_NODE
+    out = []
+    for k in range(grid.K):
+        u = (m[k + 1] - m[k]) / dt
+        u = u - u.sum() / u.size
+        mid = Measure(gen.space, (1 - w) * m[k] + w * m[k + 1])
+        out.append(lagrangian_value(gen, mid, u).value)
+    return np.array(out)
+
+
+def _batched_mask(gen, grid):
+    """Which cells the batched Newton settles (the rest fall back)."""
+    m, dt, w = grid.measures, grid.dt, QUADRATURE_NODE
+    mids = (1 - w) * m[:-1] + w * m[1:]
+    speeds = (m[1:] - m[:-1]) / dt
+    speeds = speeds - speeds.sum(axis=1, keepdims=True) / gen.size
+    values = _newton_cells(gen.off_diagonal, gen.exit_rates, mids, speeds,
+                           DEFAULT_OPTIONS)
+    return ~np.isnan(values)
+
+
+class TestBatchedPathAction:
+    def test_boundary_bridge_cells_match_cold_solves(self, rng):
+        # A capped-tilt bridge to a target with one zero entry drains that
+        # state: the drained end leaves the batch and is solved per cell.
+        gen = random_model(rng, n_min=3, n_max=3)
+        mu0 = random_measure(rng, gen)
+        t = 0.8
+        target = 0.5 * evolve_law(gen, mu0, t).p + 0.5 / gen.size
+        target[1] = 0.0
+        target = Measure(gen.space, target / target.sum())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryBridgeWarning)
+            bridge = optimal_bridge(gen, mu0, target, t, 1000)
+        assert bridge.boundary
+        batched = _batched_mask(gen, bridge.path)
+        assert batched.any() and not batched.all()
+        act = path_action(gen, bridge.path)
+        assert act.infeasible_cell is None
+        np.testing.assert_allclose(act.cell_values / bridge.path.dt,
+                                   _cold_lagrangians(gen, bridge.path),
+                                   rtol=0.0, atol=1e-10)
+
+    def test_infeasible_cell_after_batched_cells(self):
+        # drift towards the absorbing state is feasible; the way back is not
+        gen = absorbing_chain()
+        pa = np.array([0.9, 0.8, 0.7, 0.6, 0.5, 0.6, 0.5, 0.4, 0.3])
+        grid = PathGrid(gen.space, 0.0, 1.0, np.column_stack([pa, 1 - pa]))
+        k = 4
+        assert _batched_mask(gen, grid)[:k].all()
+        res = path_action(gen, grid)
+        assert res.value == math.inf
+        assert res.infeasible_cell == k
+        assert len(res.cell_values) == k + 1
+        assert res.cell_values[k] == math.inf
+        np.testing.assert_allclose(res.cell_values[:k] / grid.dt,
+                                   _cold_lagrangians(gen, grid)[:k],
+                                   rtol=0.0, atol=1e-10)
 
 
 class TestPartitionRate:
