@@ -15,7 +15,6 @@ from .errors import (
     InfeasibleBridge,
     InfeasibleSpeed,
     InsufficientSampling,
-    IntegrationFailure,
     InvalidParameter,
     InvalidRate,
     InvalidTime,

@@ -33,10 +33,6 @@ class NumericalFailure(ToolkitError):
     """An iterative solver stopped without convergence or divergence evidence."""
 
 
-class IntegrationFailure(ToolkitError):
-    """Forward integration produced an invalid probability vector."""
-
-
 class InfeasibleBridge(ToolkitError):
     """The requested endpoint pair has an infinite connection cost."""
 

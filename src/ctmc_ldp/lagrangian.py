@@ -214,25 +214,25 @@ def _maximize_lagrangian(Qoff, exit_rates, mu, u, opts, gauge, initial):
 
         if value > OBJECTIVE_CAP:
             return _Status.INFINITE, f, math.inf, it, grad_norm, tuple(undetermined)
-        if grad_norm <= opts.gradient_tol:
-            return _Status.CONVERGED, f, value, it, grad_norm, tuple(undetermined)
 
         S = M + M.T
         lap = np.diag(S.sum(axis=1)) - S
-        A = lap[free_block]
         g = grad[free]
-        step = None
         try:
-            step = np.linalg.solve(A, g)
-            if not np.all(np.isfinite(step)):
-                step = None
+            step = np.linalg.solve(lap[free_block], g)
         except np.linalg.LinAlgError:
-            step = None
-        if step is None:
-            # singular Hessian (mass on absorbing or zero-rate states):
-            # fall back to gradient ascent
-            step = g
-        if float(g @ step) <= 0.0:
+            step = np.full(g.shape, np.nan)
+        finite = bool(np.all(np.isfinite(step)))
+        if grad_norm <= opts.gradient_tol:
+            # The next Newton step vanishes at an interior maximizer, but
+            # stays near -1 on a channel that shuts only in the limit, at any
+            # flux scale: a small flux meets the tolerance early.
+            shut = finite and bool(np.any(np.abs(step) > 0.5))
+            return (_Status.BOUNDARY if shut else _Status.CONVERGED,
+                    f, value, it, grad_norm, tuple(undetermined))
+        if not finite or float(g @ step) <= 0.0:
+            # singular Hessian (mass on absorbing or zero-rate states), or
+            # no ascent: fall back to gradient ascent
             step = g
 
         direction = np.zeros(n)
@@ -269,14 +269,15 @@ def _newton_cells(Qoff, exit_rates, mus, us, opts):
     connected, so one flux component carries all mass, the gauge state 0
     is the only pin, and no state is undetermined. Each batched cell keeps
     that loop's rules: the OBJECTIVE_CAP test, then the gradient tolerance,
-    then a full Newton step accepted only when it halves the gradient
-    sup-norm and keeps the iterate within ``divergence_norm``. Flux,
-    gradient and graph-Laplacian Hessian carry a leading cell axis, and
-    each iteration makes one stacked solve.
+    then ``_ascend_step`` on the Newton direction, per cell: the full step
+    when it halves the gradient sup-norm, else an Armijo backtrack that
+    halves alpha on that cell only. Flux, gradient and graph-Laplacian
+    Hessian carry a leading cell axis, and each iteration makes one stacked
+    solve.
 
     Returns the (K,) cell values, NaN for every cell that is not batched or
-    leaves the batch (cap hit, failed or non-ascending full step, singular
-    solve, divergence, iteration cap): those need the per-cell solver.
+    leaves the batch (cap hit, no ascent step, singular solve, divergence
+    past ``divergence_norm``, iteration cap): those need the per-cell solver.
     """
     K, n = mus.shape
     values = np.full(K, np.nan)
@@ -295,18 +296,18 @@ def _newton_cells(Qoff, exit_rates, mus, us, opts):
     f = np.zeros((cells.size, n))
     diag = np.arange(n - 1)
 
-    def state_at(fv):
+    def state_at(fv, sel=slice(None)):
         """Tilted flux, gradient, its sup-norm and the objective at fv."""
-        M = _tilted_rates(flux0, fv)
-        grad = u - (M.sum(axis=1) - M.sum(axis=2))
-        value = (fv * u).sum(axis=1) - (M.sum(axis=(1, 2)) - base)
+        M = _tilted_rates(flux0[sel], fv)
+        grad = u[sel] - (M.sum(axis=1) - M.sum(axis=2))
+        value = (fv * u[sel]).sum(axis=1) - (M.sum(axis=(1, 2)) - base[sel])
         return M, grad, np.max(np.abs(grad[:, 1:]), axis=1), value
 
     M, grad, grad_norm, value = state_at(f)
     live = np.ones(cells.size, dtype=bool)
     for _ in range(opts.max_iters):
-        # settle converged cells; capped cells, and cells whose last step
-        # was not accepted, leave the batch
+        # settle converged cells; capped cells, and cells with no accepted
+        # step, leave the batch
         live &= value <= OBJECTIVE_CAP
         done = live & (grad_norm <= opts.gradient_tol)
         values[cells[done]] = value[done]
@@ -314,8 +315,8 @@ def _newton_cells(Qoff, exit_rates, mus, us, opts):
         if not live.any():
             break
         if not live.all():
-            cells, u, base, f, grad, grad_norm = (
-                a[live] for a in (cells, u, base, f, grad, grad_norm))
+            cells, u, base, f, grad, grad_norm, value = (
+                a[live] for a in (cells, u, base, f, grad, grad_norm, value))
             # one (cells, n, n) array at a time, so no two copies coexist
             flux0 = flux0[live]
             M = M[live]
@@ -326,20 +327,30 @@ def _newton_cells(Qoff, exit_rates, mus, us, opts):
         A = -S[:, 1:, 1:]
         A[:, diag, diag] += S.sum(axis=2)[:, 1:]
         del S
-        g = grad[:, 1:]
         try:
-            step = np.linalg.solve(A, g[..., None])[..., 0]
+            step = np.linalg.solve(A, grad[:, 1:, None])[..., 0]
         except np.linalg.LinAlgError:
             break
         del A
+        slope = (grad[:, 1:] * step).sum(axis=1)
         f_new = f.copy()
         f_new[:, 1:] += step
-        M, grad, new_norm, value = state_at(f_new)
-        live = np.all(np.isfinite(step), axis=1) \
-            & ((g * step).sum(axis=1) > 0.0) \
-            & (new_norm <= 0.5 * grad_norm) \
-            & (np.max(np.abs(f_new), axis=1) <= opts.divergence_norm)
-        f, grad_norm = f_new, new_norm
+        M, grad, new_norm, new_value = state_at(f_new)
+        live = np.all(np.isfinite(step), axis=1) & (slope > 0.0)
+        back = np.flatnonzero(live & (new_norm > 0.5 * grad_norm))
+        for alpha in 0.5 ** np.arange(60):
+            if alpha < 1.0:
+                f_new[back, 1:] = f[back, 1:] + alpha * step[back]
+                M[back], grad[back], new_norm[back], new_value[back] = \
+                    state_at(f_new[back], back)
+            trial, old = new_value[back], value[back]
+            back = back[~(np.isfinite(trial) & (trial > old)
+                          & (trial >= old + 1e-4 * alpha * slope[back]))]
+            if not back.size:
+                break
+        live[back] = False
+        live &= np.max(np.abs(f_new), axis=1) <= opts.divergence_norm
+        f, grad_norm, value = f_new, new_norm, new_value
     return values
 
 

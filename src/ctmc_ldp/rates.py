@@ -488,10 +488,10 @@ def path_action(gen: Generator, path: PathGrid,
     Each cell contributes dt * L(measure at the quadrature node,
     finite-difference speed). Cells whose measure is positive on every
     state, on a generator with a connected jump graph, are solved together
-    by one batched Newton iteration. The rest, and any batched cell whose
-    full Newton step does not contract the gradient, diverges or meets a
-    singular Hessian, are solved cold and in cell order by
-    ``lagrangian_value``; the first infinite one ends the sweep.
+    by one batched Newton iteration with a per-cell backtracking line
+    search. The rest, and any batched cell that finds no ascent step,
+    diverges or meets a singular Hessian, are solved cold and in cell order
+    by ``lagrangian_value``; the first infinite one ends the sweep.
     """
     if path.space != gen.space:
         raise MalformedModel("path and generator use different state spaces")

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import (
     BoundaryBridgeWarning,
     InfeasibleBridge,
-    IntegrationFailure,
     InvalidParameter,
     MalformedModel,
 )
@@ -82,12 +81,24 @@ class DoobFlow:
         return Potential(self.space, self.h[k])
 
 
-def doob_flow(gen: Generator, f: Potential, t: float, K: int) -> DoobFlow:
-    """Tabulate h(s_k) = V(t - s_k)f on K+1 uniform nodes.
+def _power_rows(y0: np.ndarray, M: np.ndarray, K: int) -> np.ndarray:
+    """The rows y0 M^j, j = 0..K: each doubling round fills rows [m, 2m)
+    as rows [0, m) times M^m, then squares M^m."""
+    Y = np.empty((K + 1, y0.size))
+    Y[0], m = y0, 1
+    while m <= K:
+        Y[m:2 * m] = Y[:min(m, K + 1 - m)] @ M
+        M, m = M @ M, 2 * m
+    return Y
 
-    Computed by backward nesting of single-step semigroup applications, so
-    the terminal node is f exactly and the nesting telescopes to V(t)f at
-    the first node.
+
+def doob_flow(gen: Generator, f: Potential, t: float, K: int) -> DoobFlow:
+    """Tabulate h(s_k) = V(t - s_k)f on K+1 uniform nodes; h(t) = f exactly.
+
+    With c = max f, z_k = e^{h_k - c} = P_dt^{K-k} e^{f-c} is linear in
+    e^{f-c} and stays in [e^{-spread}, 1], so all nodes come from doubling
+    and one vectorized log. Above a spread of 600, where e^{f-c} can
+    underflow, the flow is nested one max-shifted log-space step at a time.
     """
     if t <= 0:
         raise InvalidParameter(f"horizon must be positive, got {t}")
@@ -96,8 +107,12 @@ def doob_flow(gen: Generator, f: Potential, t: float, K: int) -> DoobFlow:
     Pdt = _expm_generator(gen.Q, t / K)
     h = np.empty((K + 1, gen.size))
     h[K] = f.f
-    for k in range(K - 1, -1, -1):
-        h[k] = _log_matrix_apply(Pdt, h[k + 1])
+    c = f.f.max()
+    if c - f.f.min() <= 600.0:
+        h[:K] = c + np.log(_power_rows(np.exp(f.f - c), Pdt.T, K)[:0:-1])
+    else:
+        for k in range(K - 1, -1, -1):
+            h[k] = _log_matrix_apply(Pdt, h[k + 1])
     return DoobFlow(gen.space, float(t), h)
 
 
@@ -105,23 +120,21 @@ def _forward_measures(gen: Generator, mu0: Measure, flow: DoobFlow) -> np.ndarra
     """The (K+1, n) measures of the tilted forward equation along a flow.
 
     Step k advances by the exponential of the generator tilted by the flow
-    at node k; all K step matrices are exponentiated as one stack.
+    at node k; all K step matrices are exponentiated as one stack, and a
+    Hillis-Steele scan forms their prefix products S_1 ... S_k in log2 K
+    rounds. The steps are nonnegative, so mu0 S_1 ... S_k only needs its
+    rows normalized.
     """
     Qt = _tilted_rates(gen.off_diagonal, flow.h[:-1])
     diag = np.arange(gen.size)
     Qt[:, diag, diag] = -Qt.sum(axis=2)
-    steps = _expm_generator(Qt, flow.dt)
-    out = np.empty((flow.K + 1, gen.size))
-    out[0] = p = mu0.p
-    for k, step in enumerate(steps, 1):
-        p = p @ step
-        low = p.min()
-        if low < -1e-9:
-            raise IntegrationFailure(
-                f"negative probability {low} at step {k}; refine the grid")
-        p = np.clip(p, 0.0, None)
-        p = p / p.sum()
-        out[k] = p
+    A = _expm_generator(Qt, flow.dt)
+    s = 1
+    while s < flow.K:
+        A[s:] = A[:-s] @ A[s:]
+        s *= 2
+    out = np.vstack([mu0.p, mu0.p @ A])
+    out[1:] /= out[1:].sum(axis=1, keepdims=True)
     return out
 
 
@@ -190,15 +203,8 @@ def zero_cost_path(gen: Generator, mu0: Measure, t: float, K: int) -> PathGrid:
         raise InvalidParameter(f"horizon must be positive, got {t}")
     if K < 1:
         raise InvalidParameter(f"need at least one interval, got K={K}")
-    Pdt = _expm_generator(gen.Q, t / K)
-    out = np.empty((K + 1, gen.size))
-    out[0] = mu0.p
-    p = mu0.p.copy()
-    for k in range(K):
-        p = p @ Pdt
-        p = np.clip(p, 0.0, None)
-        p = p / p.sum()
-        out[k + 1] = p
+    out = _power_rows(mu0.p, _expm_generator(gen.Q, t / K), K)
+    out[1:] /= out[1:].sum(axis=1, keepdims=True)
     return PathGrid(gen.space, 0.0, float(t), out)
 
 

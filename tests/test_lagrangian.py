@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctmc_ldp import (
     InfeasibleSpeed,
@@ -16,7 +17,9 @@ from ctmc_ldp import (
     pre_lagrangian,
     speed,
     apply_hamiltonian,
+    validate_generator,
 )
+from ctmc_ldp.lagrangian import DEFAULT_OPTIONS, _newton_cells
 from conftest import (
     absorbing_chain,
     random_measure,
@@ -180,6 +183,54 @@ class TestLagrangianValue:
         # but demanding flux into c is infeasible: nothing can reach it
         res2 = lagrangian_value(gen, mu, np.array([-0.1, 0.0, 0.1]))
         assert res2.value == math.inf
+
+
+class TestNearAbsorbingVerdict:
+    # Rates of three benchmark ops (`solves` seed 25 op 557, seed 7026 op
+    # 16, seed 7027 op 103): s1 leaves only at a rate below 1.6e-3, so a
+    # small flux meets the gradient tolerance long before the tilt ratio
+    # shows the shut channel.
+    @pytest.mark.parametrize("rate_in, rate_out", [
+        (1.0266306012053712, 0.00012669471857254584),
+        (2.139652706374402, 0.0003520712746616644),
+        (2.6138915952962214, 7.511049860434213e-05),
+    ])
+    def test_holding_a_slow_state_is_not_attained(self, rate_in, rate_out):
+        gen = validate_generator(["s0", "s1"],
+                                 [[0.0, rate_in], [rate_out, 0.0]])
+        res = lagrangian_value(gen, Measure.dirac(gen.space, "s1"),
+                               np.zeros(2))
+        assert res.value == pytest.approx(rate_out, abs=1e-6)
+        assert not res.attained
+
+
+class TestBatchedCells:
+    @settings(max_examples=40, deadline=2000, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(("random", "stiff", "sparse")))
+    def test_batch_matches_per_cell_solver(self, seed, kind):
+        # wherever the batched Newton settles a cell, it agrees with a cold
+        # per-cell solve
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5))
+        if kind == "stiff":
+            rates = 10.0 ** rng.uniform(-3.0, 3.0, (n, n))
+        else:
+            rates = rng.uniform(0.0, 3.0, (n, n))
+            if kind == "sparse":
+                rates[rng.random((n, n)) < 0.5] = 0.0
+        gen = validate_generator([f"s{i}" for i in range(n)], rates)
+        mus = rng.dirichlet(np.ones(n), 8)
+        us = np.array([speed(gen, Measure(gen.space, m),
+                             random_potential(rng, gen, bound=2.0)).u
+                       for m in mus])
+        us += rng.normal(0.0, 0.1, us.shape)
+        us -= us.mean(axis=1, keepdims=True)
+        values = _newton_cells(gen.off_diagonal, gen.exit_rates, mus, us,
+                               DEFAULT_OPTIONS)
+        for k in np.flatnonzero(~np.isnan(values)):
+            cold = lagrangian_value(gen, Measure(gen.space, mus[k]), us[k])
+            assert values[k] == pytest.approx(cold.value, abs=1e-10)
 
 
 class TestSolverRobustness:

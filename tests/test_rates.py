@@ -13,6 +13,7 @@ from ctmc_ldp import (
     Measure,
     Partition,
     PathGrid,
+    Potential,
     conditional_rate,
     doob_flow,
     doob_forward,
@@ -323,7 +324,7 @@ def _batched_mask(gen, grid):
 class TestBatchedPathAction:
     def test_boundary_bridge_cells_match_cold_solves(self, rng):
         # A capped-tilt bridge to a target with one zero entry drains that
-        # state: the drained end leaves the batch and is solved per cell.
+        # state; the per-cell backtrack keeps the drained end in the batch.
         gen = random_model(rng, n_min=3, n_max=3)
         mu0 = random_measure(rng, gen)
         t = 0.8
@@ -334,12 +335,43 @@ class TestBatchedPathAction:
             warnings.simplefilter("ignore", BoundaryBridgeWarning)
             bridge = optimal_bridge(gen, mu0, target, t, 1000)
         assert bridge.boundary
-        batched = _batched_mask(gen, bridge.path)
-        assert batched.any() and not batched.all()
+        assert _batched_mask(gen, bridge.path).all()
         act = path_action(gen, bridge.path)
         assert act.infeasible_cell is None
         np.testing.assert_allclose(act.cell_values / bridge.path.dt,
                                    _cold_lagrangians(gen, bridge.path),
+                                   rtol=0.0, atol=1e-10)
+
+    def test_nisio_draw_stays_in_the_batch(self):
+        # cold full Newton steps fail to halve the gradient on most cells
+        # of this 2-state Nisio draw; backtracking settles them in the batch
+        gen = validate_generator(["s0", "s1"], [[0.0, 0.11047028590113897],
+                                                [0.42183692400014655, 0.0]])
+        mu0 = Measure(gen.space, np.array([0.1426437791826141,
+                                           0.8573562208173859]))
+        f = Potential(gen.space, np.array([0.7059162355487467,
+                                           -0.33508306898906803]))
+        flow = doob_flow(gen, f, 0.9678210474450866, 1000)
+        path, act = doob_forward(gen, mu0, flow)
+        assert _batched_mask(gen, path).all()
+        np.testing.assert_allclose(act.cell_values / path.dt,
+                                   _cold_lagrangians(gen, path),
+                                   rtol=0.0, atol=1e-10)
+
+    def test_ineligible_cells_fall_back_to_cold_solves(self, rng):
+        # a path resting at a Dirac law for five cells before it moves:
+        # cells without full support are solved per cell, the rest batched
+        gen = random_model(rng, n_min=3, n_max=3)
+        moving = zero_cost_path(gen, Measure.dirac(gen.space, 0), 0.5, 50)
+        m = np.vstack([np.repeat(moving.measures[:1], 5, axis=0),
+                       moving.measures])
+        grid = PathGrid(gen.space, 0.0, 0.55, m)
+        batched = _batched_mask(gen, grid)
+        assert not batched[:5].any() and batched[5:].all()
+        res = path_action(gen, grid)
+        assert res.infeasible_cell is None
+        np.testing.assert_allclose(res.cell_values / grid.dt,
+                                   _cold_lagrangians(gen, grid),
                                    rtol=0.0, atol=1e-10)
 
     def test_infeasible_cell_after_batched_cells(self):

@@ -30,6 +30,18 @@ from conftest import (
     random_potential,
     symmetric_chain,
 )
+from ctmc_ldp import trajectory
+from ctmc_ldp.hamiltonian import _log_matrix_apply, _tilted_rates
+from ctmc_ldp.markov import _expm_generator
+
+
+def _nested_flow(gen, f, t, K):
+    """h(s_k) by K nested max-shifted log-space steps from h(t) = f."""
+    P = _expm_generator(gen.Q, t / K)
+    h = [f]
+    for _ in range(K):
+        h.append(_log_matrix_apply(P, h[-1]))
+    return np.array(h[::-1])
 
 
 class TestDoobFlow:
@@ -60,7 +72,42 @@ class TestDoobFlow:
         assert np.abs(flow.h[0] - v_apply(gen, f, t).f).max() <= 1e-9
 
 
+    def test_doubling_matches_nested_steps(self, rng):
+        for spread in (1.0, 30.0, 300.0):
+            for K in (1, 5, 64, 1000):
+                gen = random_model(rng)
+                f = rng.uniform(-spread / 2, spread / 2, gen.size)
+                flow = doob_flow(gen, Potential(gen.space, f), 0.9, K)
+                assert np.abs(flow.h - _nested_flow(gen, f, 0.9, K)).max() \
+                    <= 1e-12
+
+    def test_wide_spread_nests_log_space_steps(self, rng, monkeypatch):
+        # beyond a spread of 600, e^{f - max f} can underflow: no doubling
+        def no_doubling(*args):
+            raise AssertionError("doubling used beyond a spread of 600")
+
+        monkeypatch.setattr(trajectory, "_power_rows", no_doubling)
+        gen = random_model(rng)
+        f = np.linspace(-400.0, 400.0, gen.size)
+        flow = doob_flow(gen, Potential(gen.space, f), 0.9, 200)
+        assert np.abs(flow.h - _nested_flow(gen, f, 0.9, 200)).max() <= 1e-12
+
+
 class TestDoobForward:
+    def test_scanned_measures_match_sequential_steps(self, rng):
+        for K in (1, 3, 64, 1000):
+            gen = random_model(rng)
+            mu0 = random_measure(rng, gen)
+            flow = doob_flow(gen, random_potential(rng, gen, bound=2.0), 1.1, K)
+            p, ref = mu0.p, [mu0.p]
+            for Q in _tilted_rates(gen.off_diagonal, flow.h[:-1]):
+                np.fill_diagonal(Q, -Q.sum(axis=1))
+                p = p @ _expm_generator(Q, flow.dt)
+                p = p / p.sum()
+                ref.append(p)
+            scanned = trajectory._forward_measures(gen, mu0, flow)
+            assert np.abs(scanned - np.array(ref)).max() <= 1e-13
+
     def test_zero_tilt_reproduces_evolution(self, rng):
         gen = random_model(rng)
         mu0 = random_measure(rng, gen)
@@ -221,6 +268,18 @@ class TestZeroCostPath:
         grid = zero_cost_path(gen, mu0, 1.3, 100)
         assert np.abs(grid.measures[-1] - evolve_law(gen, mu0, 1.3).p).max() \
             <= 1e-10
+
+    def test_matches_repeated_steps(self, rng):
+        gen = random_model(rng)
+        mu0 = random_measure(rng, gen)
+        P = _expm_generator(gen.Q, 1.3 / 1000)
+        p, ref = mu0.p, [mu0.p]
+        for _ in range(1000):
+            p = p @ P
+            p = p / p.sum()
+            ref.append(p)
+        grid = zero_cost_path(gen, mu0, 1.3, 1000)
+        assert np.abs(grid.measures - np.array(ref)).max() <= 1e-13
 
     def test_stationary_start_constant(self):
         gen = symmetric_chain()
