@@ -23,6 +23,8 @@ import numpy as np
 from .errors import DegenerateModel, InvalidParameter, InvalidTime
 from .markov import Generator, Potential, _expm_generator, resolvent_matrix
 
+EXPONENT_CLIP = 700.0  # |exponent| bound that keeps e^x finite (overflow at 709.8)
+
 
 def _log_matrix_apply(P: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Entrywise log of P @ exp(f) as the max-shifted c + log(P @ e^{f-c}).
@@ -38,10 +40,10 @@ def _tilted_rates(rates: np.ndarray, g: np.ndarray) -> np.ndarray:
     """rates[..., x, y] * e^{g[..., y] - g[..., x]}, broadcast over the
     leading axes of g (``rates`` is one matrix or one per potential).
 
-    The exponent is clipped at +-700 so every tilted rate stays finite.
+    The exponent is clipped at +-EXPONENT_CLIP so every tilted rate stays finite.
     """
     d = g[..., None, :] - g[..., :, None]
-    np.clip(d, -700.0, 700.0, out=d)
+    np.clip(d, -EXPONENT_CLIP, EXPONENT_CLIP, out=d)
     np.exp(d, out=d)
     d *= rates
     return d

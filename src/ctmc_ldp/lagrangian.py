@@ -7,9 +7,14 @@ The cost of moving a law mu with instantaneous speed u is
 a Legendre transform over potentials. The objective is concave with an
 explicit gradient u - rho(mu, f), where rho(mu, f) is the forward speed of
 the f-tilted dynamics, and an explicit Hessian given by the weighted graph
-Laplacian of the symmetrized tilted flux. A damped Newton iteration with a
-gradient-ascent fallback maximizes it over the gauge-fixed subspace
-f(x0) = 0; constant shifts of f never change the objective.
+Laplacian of the symmetrized tilted flux. It is maximized over the
+gauge-fixed subspace f(x0) = 0; constant shifts of f never change the
+objective.
+
+Every concave maximization of the package (this one, the conditional and
+joint rates, the cells of a path action) runs through one damped Newton
+core over a leading batch axis, ``_newton_ascent``; its callers supply the
+objective, gradient and Hessian, and keep their structural screens.
 
 Suprema need not be attained: holding mass on a state whose only exit
 channel must be shut down drives components of f to -infinity while the
@@ -20,6 +25,7 @@ any tilt can explain) are reported as +infinity.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -103,33 +109,11 @@ def speed(gen: Generator, mu: Measure, g: Potential) -> Speed:
     return Speed(gen.space, u)
 
 
-def _ascend_step(value_at, grad_sup_at, f, direction, g_dot_d, value, grad_norm):
-    """One damped step of a concave maximization.
-
-    A full Newton step is accepted outright when it contracts the gradient
-    sup-norm; this keeps converging below the floating-point noise floor of
-    the objective, where an Armijo test cannot measure progress. Otherwise
-    a backtracking Armijo search (with strictly positive progress) is used.
-    Returns (new_f, new_value) or (None, value) when stalled.
-    """
-    candidate = f + direction
-    if grad_sup_at(candidate) <= 0.5 * grad_norm:
-        return candidate, value_at(candidate)
-    alpha = 1.0
-    for _ in range(60):
-        trial = f + alpha * direction
-        cand = value_at(trial)
-        if np.isfinite(cand) and cand > value and \
-                cand >= value + 1e-4 * alpha * g_dot_d:
-            return trial, cand
-        alpha *= 0.5
-    return None, value
-
-
 class _Status:
-    CONVERGED = "converged"
-    INFINITE = "infinite"
-    BOUNDARY = "boundary"
+    """Per-cell verdicts of ``_newton_ascent``; STALLED means no step gains
+    along the Newton step or the gradient, MAX_ITERS the cap without one."""
+
+    CONVERGED, INFINITE, BOUNDARY, STALLED, MAX_ITERS = range(5)
 
 
 def _flux_components(adjacency):
@@ -154,204 +138,181 @@ def _flux_components(adjacency):
     return label, comps
 
 
-def _maximize_lagrangian(Qoff, exit_rates, mu, u, opts, gauge, initial):
-    """Core Newton loop.
+def _newton_ascent(objective, hessian, x, free, opts):
+    """Damped Newton ascent of a batch of concave maximizations.
 
-    Returns (status, f, value, iterations, gradient_norm, undetermined).
+    ``objective(x, rows)`` gives the values, gradients and a state of batch
+    rows ``rows`` (indices, or a slice for all) at iterates x (b, m), and
+    ``hessian(state)`` minus the (b, m, m) Hessians. Only the ``free``
+    coordinates move. Per cell: the OBJECTIVE_CAP test, then the gradient
+    tolerance; the Newton step (the gradient if it is singular, non-finite
+    or no ascent), taken whole when it halves the gradient sup-norm, which
+    keeps converging below the noise floor of the objective, else
+    backtracked by Armijo halvings; one retry along the gradient if that
+    stalls; past ``divergence_norm``, +infinity while still improving, else
+    a supremum attained only in a limit.
+
+    Returns per-cell arrays: status, x, value, iterations, gradient norm.
     """
-    n = Qoff.shape[0]
-    base_flux = mu[:, None] * Qoff           # untilted flux mu_x r_xy
-    base = float(mu @ exit_rates)
-    influx = base_flux.sum(axis=0)
+    status = np.full(len(x), _Status.MAX_ITERS)
+    out_x, out_value, out_norm = x.copy(), np.empty(len(x)), np.empty(len(x))
+    iters = np.full(len(x), opts.max_iters)
+    cells = np.arange(len(x))
+    block = (slice(None), free[:, None], free)
 
-    for z in range(n):
-        # an empty state has no outflux at any tilt, so it can only gain
-        if mu[z] == 0.0 and u[z] < -STRUCTURAL_TOL:
-            return _Status.INFINITE, None, math.inf, 0, math.inf, ()
+    def sup_norm(grad):
+        return np.abs(grad[:, free]).max(axis=1, initial=0.0)
 
-    # Mass moves only along channels carrying flux, whose support does not
-    # depend on the tilt; a connected component of that graph whose speed
-    # entries do not balance is infeasible, and along such directions the
-    # objective is exactly linear (singular Hessian), so they must be
-    # screened out rather than iterated on. One state per component is
-    # pinned: the objective is invariant under per-component shifts.
-    label, comps = _flux_components((base_flux + base_flux.T) > 0.0)
-    for members in comps:
-        if abs(float(u[members].sum())) > STRUCTURAL_TOL:
-            return _Status.INFINITE, None, math.inf, 0, math.inf, ()
-    pins = {int(label[gauge]): gauge}
-    for ci, members in enumerate(comps):
-        pins.setdefault(ci, members[0])
-    pinned = set(pins.values())
-    undetermined = tuple(z for z in range(n)
-                         if mu[z] == 0.0 and influx[z] <= 0.0)
-    free = np.array([i for i in range(n) if i not in pinned], dtype=int)
-    free_block = np.ix_(free, free)
+    def settle(done, verdict, xs, values):
+        rows = cells[done]
+        status[rows], out_x[rows], out_value[rows] = verdict, xs[done], values[done]
+        out_norm[rows], iters[rows] = norm[done], it
 
-    f = np.zeros(n)
-    if initial is not None:
-        f = np.asarray(initial, dtype=float) - float(initial[gauge])
-        f[[i for i in pinned if i != gauge]] = 0.0
+    def step_to(rows, alpha, direction):
+        xt[rows] = x[rows] + alpha * direction[rows]
+        vt[rows], gt[rows], st[rows] = objective(xt[rows], cells[rows])
+        nt[rows] = sup_norm(gt[rows])
 
-    def flux_at(fv):
-        return _tilted_rates(base_flux, fv)
+    def search(back, direction, slope):
+        """Armijo backtrack of rows ``back`` from xt; returns those that stall."""
+        alpha = 1.0
+        for _ in range(60):
+            if not back.size:
+                break
+            if alpha < 1.0:
+                step_to(back, alpha, direction)
+            trial, old = vt[back], value[back]
+            back = back[~(np.isfinite(trial) & (trial > old)
+                          & (trial >= old + 1e-4 * alpha * slope[back]))]
+            alpha *= 0.5
+        return back
 
-    def value_at(fv):
-        return float(fv @ u) - (float(flux_at(fv).sum()) - base)
-
-    def grad_sup_at(fv):
-        M = flux_at(fv)
-        g = u - (M.sum(axis=0) - M.sum(axis=1))
-        return float(np.max(np.abs(g[free]))) if free.size else 0.0
-
-    value = value_at(f)
-    grad_norm = math.inf
+    live = slice(None)  # every cell, until one settles
+    value, grad, state = objective(x, live)
+    norm = sup_norm(grad)
     for it in range(1, opts.max_iters + 1):
-        M = flux_at(f)
-        rho = M.sum(axis=0) - M.sum(axis=1)
-        grad = u - rho
-        grad_norm = float(np.max(np.abs(grad[free]))) if free.size else 0.0
-
-        if value > OBJECTIVE_CAP:
-            return _Status.INFINITE, f, math.inf, it, grad_norm, tuple(undetermined)
-
-        S = M + M.T
-        lap = np.diag(S.sum(axis=1)) - S
-        g = grad[free]
+        capped = value > OBJECTIVE_CAP
+        done = capped | (norm <= opts.gradient_tol)
+        n_done = np.count_nonzero(done)
+        if n_done:
+            settle(done, np.where(capped, _Status.INFINITE, _Status.CONVERGED)[done],
+                   x, np.where(capped, math.inf, value))
+        if n_done == len(cells):  # every cell settled, or none left
+            break
+        if n_done:
+            cells, x, value, grad, state, norm = (
+                a[~done] for a in (cells, x, value, grad, state, norm))
+            live = cells
+        g = grad[:, free]
+        A = hessian(state)[block]
         try:
-            step = np.linalg.solve(lap[free_block], g)
-        except np.linalg.LinAlgError:
+            step = np.linalg.solve(A, g[..., None])[..., 0]
+        except np.linalg.LinAlgError:  # some cell is singular: NaN there
             step = np.full(g.shape, np.nan)
-        finite = bool(np.all(np.isfinite(step)))
-        if grad_norm <= opts.gradient_tol:
-            # The next Newton step vanishes at an interior maximizer, but
-            # stays near -1 on a channel that shuts only in the limit, at any
-            # flux scale: a small flux meets the tolerance early.
-            shut = finite and bool(np.any(np.abs(step) > 0.5))
-            return (_Status.BOUNDARY if shut else _Status.CONVERGED,
-                    f, value, it, grad_norm, tuple(undetermined))
-        if not finite or float(g @ step) <= 0.0:
-            # singular Hessian (mass on absorbing or zero-rate states), or
-            # no ascent: fall back to gradient ascent
-            step = g
+            for k in range(len(g)):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    step[k] = np.linalg.solve(A[k], g[k])
+        # a singular or non-finite step has a non-finite slope
+        slope = (g * step).sum(axis=1)
+        fallback = ~((slope > 0.0) & (slope < math.inf))
+        if np.count_nonzero(fallback):
+            step[fallback], slope[fallback] = g[fallback], (g[fallback] ** 2).sum(axis=1)
+        direction = np.zeros(x.shape)
+        direction[:, free] = step
+        xt = x + direction
+        vt, gt, st = objective(xt, live)
+        nt = sup_norm(gt)
+        stalled = search((~(nt <= 0.5 * norm)).nonzero()[0], direction, slope)
+        if stalled.size:  # one retry along the gradient
+            direction[np.ix_(stalled, free)] = g[stalled]
+            slope[stalled] = (g[stalled] ** 2).sum(axis=1)
+            step_to(stalled, 1.0, direction)
+            stalled = search(stalled[~(nt[stalled] <= 0.5 * norm[stalled])],
+                             direction, slope)
+        keep = np.abs(xt).max(axis=1) <= opts.divergence_norm
+        keep[stalled] = True
+        if stalled.size or np.count_nonzero(~keep):
+            moved = np.ones(len(cells), dtype=bool)
+            moved[stalled] = False
+            settle(~moved, _Status.STALLED, x, value)
+            diverged = ~keep
+            improving = vt - value > IMPROVEMENT_TOL
+            settle(diverged, np.where(improving, _Status.INFINITE, _Status.BOUNDARY)[diverged],
+                   xt, np.where(improving, math.inf, vt))
+            keep &= moved
+            cells, xt, vt, gt, st, nt = (a[keep] for a in (cells, xt, vt, gt, st, nt))
+            live = cells
+        x, value, grad, state, norm = xt, vt, gt, st, nt
+    else:
+        out_x[cells], out_value[cells], out_norm[cells] = x, value, norm
+    return status, out_x, out_value, iters, out_norm
 
-        direction = np.zeros(n)
-        direction[free] = step
-        new_f, new_value = _ascend_step(value_at, grad_sup_at, f, direction,
-                                        float(g @ step), value, grad_norm)
-        if new_f is None:
-            # no ascent possible along Newton direction; try plain gradient
-            direction = np.zeros(n)
-            direction[free] = g
-            new_f, new_value = _ascend_step(value_at, grad_sup_at, f, direction,
-                                            float(g @ g), value, grad_norm)
-            if new_f is None:
-                raise NumericalFailure(
-                    "line search stalled before reaching the gradient tolerance")
-        improvement = new_value - value
-        f = new_f
-        value = new_value
 
-        if np.max(np.abs(f)) > opts.divergence_norm:
-            if improvement > IMPROVEMENT_TOL:
-                return _Status.INFINITE, f, math.inf, it, grad_norm, tuple(undetermined)
-            return _Status.BOUNDARY, f, value, it, grad_norm, tuple(undetermined)
+def _solve_one(objective, hessian, x, free, opts):
+    """``_newton_ascent`` on a batch of one; fails unless it settles."""
+    status, x, value, iters, norm = (
+        a[0] for a in _newton_ascent(objective, hessian, x[None], free, opts))
+    if status == _Status.STALLED:
+        raise NumericalFailure(
+            "line search stalled before reaching the gradient tolerance")
+    if status == _Status.MAX_ITERS:
+        raise NumericalFailure(
+            f"no convergence or divergence evidence within {opts.max_iters} iterations")
+    return status, x, float(value), int(iters), float(norm)
 
-    raise NumericalFailure(
-        f"no convergence or divergence evidence within {opts.max_iters} iterations")
+
+def _lagrangian_objective(flux, us, base):
+    """<f,u> - <Hf,mu> over cells (mu_k, u_k) for ``_newton_ascent``, from
+    the untilted fluxes mu_x r_xy and their totals: the gradient is
+    u - rho(mu, f), minus the Hessian the graph Laplacian of the symmetrized
+    tilted flux."""
+    diag = np.arange(flux.shape[1])
+
+    def objective(f, rows):
+        M = _tilted_rates(flux[rows], f)
+        u = us[rows]
+        grad = u - (M.sum(axis=1) - M.sum(axis=2))
+        value = (f * u).sum(axis=1) - (M.sum(axis=(1, 2)) - base[rows])
+        return value, grad, M
+
+    def hessian(M):
+        S = M + M.transpose(0, 2, 1)
+        lap = -S
+        lap[:, diag, diag] += S.sum(axis=2)
+        return lap
+
+    return objective, hessian
 
 
 def _newton_cells(Qoff, exit_rates, mus, us, opts):
-    """Cold Newton for L(mu_k, u_k) on a stack of cells at once.
+    """Cold L(mu_k, u_k) on a stack of cells by one ``_newton_ascent``.
 
-    Only cells that reduce to the plain case of ``_maximize_lagrangian``
-    are batched: mu_k > 0 on every state of a generator whose jump graph is
+    Only cells that reduce to the plain case of ``lagrangian_value`` are
+    batched: mu_k > 0 on every state of a generator whose jump graph is
     connected, so one flux component carries all mass, the gauge state 0
-    is the only pin, and no state is undetermined. Each batched cell keeps
-    that loop's rules: the OBJECTIVE_CAP test, then the gradient tolerance,
-    then ``_ascend_step`` on the Newton direction, per cell: the full step
-    when it halves the gradient sup-norm, else an Armijo backtrack that
-    halves alpha on that cell only. Flux, gradient and graph-Laplacian
-    Hessian carry a leading cell axis, and each iteration makes one stacked
-    solve.
+    is the only pin, and no state is undetermined.
 
-    Returns the (K,) cell values, NaN for every cell that is not batched or
-    leaves the batch (cap hit, no ascent step, singular solve, divergence
-    past ``divergence_norm``, iteration cap): those need the per-cell solver.
+    Returns the (K,) cell values and iterations: 0 iterations for a cell
+    not batched, and value NaN for it and for a cell that does not settle.
     """
     K, n = mus.shape
-    values = np.full(K, np.nan)
+    values, iterations = np.full(K, np.nan), np.zeros(K, dtype=int)
     if len(_flux_components((Qoff + Qoff.T) > 0.0)[1]) > 1:
-        return values
-    flux0 = mus[:, :, None] * Qoff
+        return values, iterations
+    flux = mus[:, :, None] * Qoff
     # a balance residual near the per-cell feasibility threshold, or a
     # product underflowing to zero on a live channel, is left to that solver
-    batched = np.all(mus > 0.0, axis=1) \
-        & (np.abs(us.sum(axis=1)) <= 0.5 * STRUCTURAL_TOL) \
-        & np.all((flux0 > 0.0) == (Qoff > 0.0), axis=(1, 2))
-    cells = np.flatnonzero(batched)
-    if cells.size < K:
-        flux0 = flux0[cells]
-    u, base = us[cells], mus[cells] @ exit_rates
-    f = np.zeros((cells.size, n))
-    diag = np.arange(n - 1)
-
-    def state_at(fv, sel=slice(None)):
-        """Tilted flux, gradient, its sup-norm and the objective at fv."""
-        M = _tilted_rates(flux0[sel], fv)
-        grad = u[sel] - (M.sum(axis=1) - M.sum(axis=2))
-        value = (fv * u[sel]).sum(axis=1) - (M.sum(axis=(1, 2)) - base[sel])
-        return M, grad, np.max(np.abs(grad[:, 1:]), axis=1), value
-
-    M, grad, grad_norm, value = state_at(f)
-    live = np.ones(cells.size, dtype=bool)
-    for _ in range(opts.max_iters):
-        # settle converged cells; capped cells, and cells with no accepted
-        # step, leave the batch
-        live &= value <= OBJECTIVE_CAP
-        done = live & (grad_norm <= opts.gradient_tol)
-        values[cells[done]] = value[done]
-        live &= ~done
-        if not live.any():
-            break
-        if not live.all():
-            cells, u, base, f, grad, grad_norm, value = (
-                a[live] for a in (cells, u, base, f, grad, grad_norm, value))
-            # one (cells, n, n) array at a time, so no two copies coexist
-            flux0 = flux0[live]
-            M = M[live]
-        # graph-Laplacian Hessian of the symmetrized flux, gauge state
-        # dropped; each flux is released before the next one is built
-        S = M + M.transpose(0, 2, 1)
-        del M
-        A = -S[:, 1:, 1:]
-        A[:, diag, diag] += S.sum(axis=2)[:, 1:]
-        del S
-        try:
-            step = np.linalg.solve(A, grad[:, 1:, None])[..., 0]
-        except np.linalg.LinAlgError:
-            break
-        del A
-        slope = (grad[:, 1:] * step).sum(axis=1)
-        f_new = f.copy()
-        f_new[:, 1:] += step
-        M, grad, new_norm, new_value = state_at(f_new)
-        live = np.all(np.isfinite(step), axis=1) & (slope > 0.0)
-        back = np.flatnonzero(live & (new_norm > 0.5 * grad_norm))
-        for alpha in 0.5 ** np.arange(60):
-            if alpha < 1.0:
-                f_new[back, 1:] = f[back, 1:] + alpha * step[back]
-                M[back], grad[back], new_norm[back], new_value[back] = \
-                    state_at(f_new[back], back)
-            trial, old = new_value[back], value[back]
-            back = back[~(np.isfinite(trial) & (trial > old)
-                          & (trial >= old + 1e-4 * alpha * slope[back]))]
-            if not back.size:
-                break
-        live[back] = False
-        live &= np.max(np.abs(f_new), axis=1) <= opts.divergence_norm
-        f, grad_norm, value = f_new, new_norm, new_value
-    return values
+    cells = np.flatnonzero(
+        np.all(mus > 0.0, axis=1)
+        & (np.abs(us.sum(axis=1)) <= 0.5 * STRUCTURAL_TOL)
+        & np.all((flux > 0.0) == (Qoff > 0.0), axis=(1, 2)))
+    objective, hessian = _lagrangian_objective(flux[cells], us[cells],
+                                               mus[cells] @ exit_rates)
+    status, _, value, iterations[cells], _ = _newton_ascent(
+        objective, hessian, np.zeros((cells.size, n)), np.arange(1, n), opts)
+    settled = (status != _Status.STALLED) & (status != _Status.MAX_ITERS)
+    values[cells[settled]] = value[settled]
+    return values, iterations
 
 
 def _boundary_flags(base_flux, f):
@@ -386,23 +347,61 @@ def lagrangian_value(gen: Generator, mu: Measure, u,
     InfeasibleSpeed
         if the entries of u do not sum to zero.
     NumericalFailure
-        if the iteration cap is hit without convergence or divergence
-        evidence.
+        if the line search stalls, along the Newton step and then along the
+        gradient, before the gradient tolerance is met, or if the iteration
+        cap is hit without convergence or divergence evidence.
     """
     opts = opts or DEFAULT_OPTIONS
     if not isinstance(u, Speed):
         u = Speed(gen.space, np.asarray(u, dtype=float))
-    status, f, value, iters, gnorm, undet = _maximize_lagrangian(
-        gen.off_diagonal, gen.exit_rates, mu.p, u.u, opts,
-        gen.space.index(gauge_state), initial)
+    n, p, u = gen.size, mu.p, u.u
+    gauge = gen.space.index(gauge_state)
+    base_flux = p[:, None] * gen.off_diagonal
+    infinite = LagrangianResult(math.inf, None, 0, math.inf)
+    # an empty state has no outflux at any tilt, so it can only gain
+    if np.any((p == 0.0) & (u < -STRUCTURAL_TOL)):
+        return infinite
+
+    # Mass moves only along channels carrying flux, whose support does not
+    # depend on the tilt; a connected component of that graph whose speed
+    # entries do not balance is infeasible, and along such directions the
+    # objective is exactly linear (singular Hessian), so they must be
+    # screened out rather than iterated on. One state per component is
+    # pinned: the objective is invariant under per-component shifts.
+    label, comps = _flux_components((base_flux + base_flux.T) > 0.0)
+    if any(abs(float(u[members].sum())) > STRUCTURAL_TOL for members in comps):
+        return infinite
+    pins = {int(label[gauge]): gauge}
+    for ci, members in enumerate(comps):
+        pins.setdefault(ci, members[0])
+    pinned = set(pins.values())
+    influx = base_flux.sum(axis=0)
+    undetermined = tuple(z for z in range(n) if p[z] == 0.0 and influx[z] <= 0.0)
+    free = np.array([i for i in range(n) if i not in pinned], dtype=int)
+
+    f = np.zeros(n)
+    if initial is not None:
+        f = np.asarray(initial, dtype=float) - float(initial[gauge])
+        f[[i for i in pinned if i != gauge]] = 0.0
+    objective, hessian = _lagrangian_objective(
+        base_flux[None], u[None], p[None] @ gen.exit_rates)
+    status, f, value, iters, gnorm = _solve_one(objective, hessian, f, free, opts)
 
     value = max(value, 0.0) if math.isfinite(value) else value
-    if status != _Status.CONVERGED:
-        return LagrangianResult(value, None, iters, gnorm, undet)
-    base_flux = mu.p[:, None] * gen.off_diagonal
-    if _boundary_flags(base_flux, f):
-        return LagrangianResult(value, None, iters, gnorm, undet)
-    return LagrangianResult(value, Potential(gen.space, f), iters, gnorm, undet)
+    attained = status == _Status.CONVERGED and not _boundary_flags(base_flux, f)
+    if attained:
+        # The next Newton step vanishes at an interior maximizer, but stays
+        # near -1 on a channel that shuts only in the limit, at any flux
+        # scale: a small flux meets the gradient tolerance early.
+        _, grad, M = objective(f[None], slice(None))
+        try:
+            step = np.linalg.solve(hessian(M)[0][free[:, None], free], grad[0, free])
+        except np.linalg.LinAlgError:
+            step = np.full(free.size, np.nan)
+        attained = not (np.abs(step).max(initial=0.0) > 0.5
+                        and np.isfinite(step).all())
+    maximizer = Potential(gen.space, f) if attained else None
+    return LagrangianResult(value, maximizer, iters, gnorm, undetermined)
 
 
 def dual_check(gen: Generator, mu: Measure, f: Potential,

@@ -355,12 +355,12 @@ def resolvent_matrix(gen: Generator, lam: float) -> np.ndarray:
     return np.linalg.solve(np.eye(n) - lam * gen.Q, np.eye(n))
 
 
-def _fix_probability_vector(p: np.ndarray, neg_tol: float = 1e-12) -> np.ndarray:
-    """Clip FP-noise negatives and renormalize small drift; fail on large drift."""
-    low = p.min()
-    if low < -neg_tol:
-        raise NumericalFailure(f"probability entry drifted negative: {low}")
-    p = np.clip(p, 0.0, None)
+def _fix_probability_vector(p: np.ndarray) -> np.ndarray:
+    """Renormalize small drift of a nonnegative vector; fail on large drift.
+
+    A law pushed through the uniformized semigroup, whose every term is
+    nonnegative, cannot go negative; only its mass can drift.
+    """
     drift = abs(p.sum() - 1.0)
     if drift > RENORM_DRIFT:
         raise NumericalFailure(f"probability mass drifted by {drift}")

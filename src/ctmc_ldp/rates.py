@@ -14,9 +14,10 @@ The joint rate over several time points maximizes
 
     sum_i <f_i, nu_i> - log E[ e^{ sum_i f_i(X(t_i)) } ]
 
-with one Newton loop over the concatenated potentials; the log-moment term
-and its derivatives come from forward/backward message passing through the
-tilted chain.
+over the concatenated potentials; the log-moment term and its derivatives
+come from forward/backward message passing through the tilted chain. Both
+rates, like the Lagrangian, are solved by the Newton core of
+``lagrangian``, which takes each objective with its gradient and Hessian.
 
 The action of a discretized measure path is the cell-by-cell Lagrangian of
 within-cell measures and finite-difference speeds; the partition rate
@@ -31,16 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, MalformedModel, NumericalFailure
-from .hamiltonian import _log_matrix_apply
+from .errors import InvalidParameter, MalformedModel
+from .hamiltonian import EXPONENT_CLIP
 from .lagrangian import (
     DEFAULT_OPTIONS,
-    OBJECTIVE_CAP,
-    IMPROVEMENT_TOL,
     BOUNDARY_NORM,
     SolverOptions,
-    _ascend_step,
     _newton_cells,
+    _solve_one,
     _Status,
     lagrangian_value,
 )
@@ -137,97 +136,6 @@ class ConditionalRateResult:
         return Potential(space, f)
 
 
-def _maximize_conditional(P, mu, nu, opts, gauge=None):
-    """Restricted Newton maximization of <f,nu> - <log(P e^f), mu>.
-
-    Returns (status, support, f_on_support, value, iterations, grad_norm).
-    """
-    support = np.flatnonzero(nu > 0.0)
-    rows = np.flatnonzero(mu > 0.0)
-    PS = P[np.ix_(rows, support)]
-    muX = mu[rows]
-    nuS = nu[support]
-    if np.any(PS.sum(axis=1) <= 0.0):
-        # some started mass cannot land on the support of nu at all
-        return _Status.INFINITE, support, None, math.inf, 0, math.inf
-    if np.any(PS.sum(axis=0) <= 0.0):
-        # nu puts mass on a state no started mass can reach; the objective
-        # grows linearly in that tilt component (singular Hessian), so it
-        # must be screened structurally
-        return _Status.INFINITE, support, None, math.inf, 0, math.inf
-
-    pin = 0
-    if gauge is not None:
-        hits = np.flatnonzero(support == gauge)
-        if hits.size:
-            pin = int(hits[0])
-    free = np.array([i for i in range(support.size) if i != pin], dtype=int)
-    free_block = np.ix_(free, free)
-
-    # log(PS e^f) and the tilted row laws are both taken max-shifted, so even
-    # an overshooting Newton iterate (entries in the thousands) is valued
-    # exactly and cannot pass the line search on an overstated objective
-    def value_at(fv):
-        logz = _log_matrix_apply(PS, fv)
-        if np.any(logz == -math.inf):
-            return -math.inf
-        return float(nuS @ fv) - float(muX @ logz)
-
-    def weights_at(fv):
-        weighted = PS * np.exp(fv - fv.max())[None, :]
-        return weighted / weighted.sum(axis=1)[:, None]
-
-    def grad_sup_at(fv):
-        g = nuS - muX @ weights_at(fv)
-        return float(np.max(np.abs(g[free]))) if free.size else 0.0
-
-    f = np.zeros(support.size)
-    value = value_at(f)
-    grad_norm = math.inf
-    for it in range(1, opts.max_iters + 1):
-        W = weights_at(f)
-        pred = muX @ W
-        grad = nuS - pred
-        grad_norm = float(np.max(np.abs(grad[free]))) if free.size else 0.0
-
-        if value > OBJECTIVE_CAP:
-            return _Status.INFINITE, support, f, math.inf, it, grad_norm
-        if grad_norm <= opts.gradient_tol:
-            return _Status.CONVERGED, support, f, value, it, grad_norm
-
-        hess = np.diag(pred) - W.T @ (muX[:, None] * W)
-        A = hess[free_block]
-        g = grad[free]
-        step = None
-        try:
-            step = np.linalg.solve(A, g)
-            if not np.all(np.isfinite(step)):
-                step = None
-        except np.linalg.LinAlgError:
-            step = None
-        if step is None or float(g @ step) <= 0.0:
-            step = g
-
-        direction = np.zeros(support.size)
-        direction[free] = step
-        new_f, new_value = _ascend_step(value_at, grad_sup_at, f, direction,
-                                        float(g @ step), value, grad_norm)
-        if new_f is None:
-            raise NumericalFailure(
-                "line search stalled before reaching the gradient tolerance")
-        improvement = new_value - value
-        f = new_f
-        value = new_value
-
-        if np.max(np.abs(f)) > opts.divergence_norm:
-            if improvement > IMPROVEMENT_TOL:
-                return _Status.INFINITE, support, f, math.inf, it, grad_norm
-            return _Status.BOUNDARY, support, f, value, it, grad_norm
-
-    raise NumericalFailure(
-        f"no convergence or divergence evidence within {opts.max_iters} iterations")
-
-
 def conditional_rate(gen: Generator, mu: Measure, nu: Measure, t: float,
                      opts: SolverOptions | None = None,
                      gauge_state: int | None = None) -> ConditionalRateResult:
@@ -244,12 +152,50 @@ def conditional_rate(gen: Generator, mu: Measure, nu: Measure, t: float,
         raise MalformedModel("inputs live on different state spaces")
     opts = opts or DEFAULT_OPTIONS
     P = _expm_generator(gen.Q, float(t))
-    gauge = gen.space.index(gauge_state) if gauge_state is not None else None
-    status, support, f, value, iters, gnorm = _maximize_conditional(
-        P, mu.p, nu.p, opts, gauge)
+    support = np.flatnonzero(nu.p > 0.0)
+    sup = tuple(int(i) for i in support)
+    rows = np.flatnonzero(mu.p > 0.0)
+    PS = P[np.ix_(rows, support)]
+    muX = mu.p[rows]
+    nuS = nu.p[support]
+    # Some started mass cannot land on the support of nu at all, or nu puts
+    # mass on a state no started mass can reach; the objective then grows
+    # linearly in that tilt component (singular Hessian), so it must be
+    # screened structurally.
+    if np.any(PS.sum(axis=1) <= 0.0) or np.any(PS.sum(axis=0) <= 0.0):
+        return ConditionalRateResult(math.inf, None, sup, None, 0, math.inf)
+
+    pin = 0
+    if gauge_state is not None:
+        hits = np.flatnonzero(support == gen.space.index(gauge_state))
+        if hits.size:
+            pin = int(hits[0])
+    free = np.array([i for i in range(support.size) if i != pin], dtype=int)
+
+    # log(PS e^f) and the tilted row laws are both taken max-shifted, so even
+    # an overshooting Newton iterate (entries in the thousands) is valued
+    # exactly and cannot pass the line search on an overstated objective;
+    # a row whose weight underflows values the iterate at -infinity
+    def objective(x, rows):
+        f = x[0]
+        c = f.max()
+        e = np.exp(f - c)
+        z = PS @ e
+        value = float(nuS @ f) - float(muX @ (c + np.log(z))) \
+            if z.min() > 0.0 else -math.inf
+        weighted = PS * e
+        W = weighted / weighted.sum(axis=1)[:, None]
+        return np.array([value]), (nuS - muX @ W)[None], W[None]
+
+    def hessian(W):
+        # covariance of the tilted row laws, averaged over mu
+        W = W[0]
+        return (np.diag(muX @ W) - W.T @ (muX[:, None] * W))[None]
+
+    status, f, value, iters, gnorm = _solve_one(
+        objective, hessian, np.zeros(support.size), free, opts)
     if math.isfinite(value):
         value = max(value, 0.0)
-    sup = tuple(int(i) for i in support)
     if status != _Status.CONVERGED:
         return ConditionalRateResult(value, None, sup, f, iters, gnorm)
     full = support.size == gen.size
@@ -311,9 +257,9 @@ def joint_rate(gen: Generator, mu0: Measure, partition: Partition,
     """Joint rate of observing the given marginals at times (0, t_1, ..., t_k).
 
     ``marginals`` holds k+1 measures, the first at time zero. The inner
-    log-moment functional is evaluated by backward recursion through the
-    nonlinear semigroup, and the whole concatenated potential vector is
-    maximized in a single Newton loop.
+    log-moment functional is evaluated by message passing through the
+    tilted chain, and the whole concatenated potential vector is maximized
+    as one concave problem.
     """
     opts = opts or DEFAULT_OPTIONS
     times = (0.0,) + partition.times
@@ -337,7 +283,6 @@ def joint_rate(gen: Generator, mu0: Measure, partition: Partition,
     total_vars = offset
     pins = np.array([b[0] for b in blocks])
     free = np.array([j for j in range(total_vars) if j not in set(pins)], dtype=int)
-    free_block = np.ix_(free, free)
     # Hessian index blocks for each pair of times i <= j: the supports'
     # cross block of a joint law, and the (i, j) and (j, i) Hessian blocks
     pair_blocks = {(i, j): (np.ix_(supports[i], supports[j]),
@@ -345,66 +290,28 @@ def joint_rate(gen: Generator, mu0: Measure, partition: Partition,
                             np.ix_(blocks[j], blocks[i]))
                    for i in range(k + 1) for j in range(i, k + 1)}
 
-    def tilts(x):
-        E = []
+    def objective(x, rows):
+        x = x[0]
+        E = np.zeros((k + 1, n))
         for i, sup in enumerate(supports):
-            e = np.zeros(n)
-            e[sup] = np.exp(np.clip(x[blocks[i]], -700.0, 700.0))
-            E.append(e)
-        return E
-
-    def value_at(x):
-        _, _, logZ = _joint_messages(Ps, tilts(x), mu0.p)
-        if not math.isfinite(logZ):
-            return -math.inf
-        lin = sum(float(nus[i][supports[i]] @ x[blocks[i]]) for i in range(k + 1))
-        return lin - logZ
-
-    def grad_sup_at(x):
-        alphas, betas, logZ = _joint_messages(Ps, tilts(x), mu0.p)
-        if not math.isfinite(logZ):
-            return math.inf
-        g = np.zeros(total_vars)
-        for i in range(k + 1):
-            mi = alphas[i] * betas[i]
-            g[blocks[i]] = nus[i][supports[i]] - mi[supports[i]]
-        return float(np.max(np.abs(g[free]))) if free.size else 0.0
-
-    x = np.zeros(total_vars)
-    value = value_at(x)
-    if not math.isfinite(value):
-        # no admissible path through the marginal supports
-        return JointRateResult(math.inf, None, 0, math.inf)
-    # marginal mass demanded at (time, state) pairs the support-constrained
-    # dynamics cannot realize makes the objective linearly unbounded in the
-    # corresponding tilt component; screen structurally via the two-sided
-    # marginals at zero tilt
-    alphas0, betas0, _ = _joint_messages(Ps, tilts(x), mu0.p)
-    for i, sup in enumerate(supports):
-        if np.any((alphas0[i] * betas0[i])[sup] <= 0.0):
-            return JointRateResult(math.inf, None, 0, math.inf)
-
-    grad_norm = math.inf
-    for it in range(1, opts.max_iters + 1):
-        E = tilts(x)
+            E[i, sup] = np.exp(np.clip(x[blocks[i]], -EXPONENT_CLIP, EXPONENT_CLIP))
         alphas, betas, logZ = _joint_messages(Ps, E, mu0.p)
-        marg = [alphas[i] * betas[i] for i in range(k + 1)]
-        grad = np.zeros(total_vars)
-        for i in range(k + 1):
-            grad[blocks[i]] = nus[i][supports[i]] - marg[i][supports[i]]
-        grad_norm = float(np.max(np.abs(grad[free]))) if free.size else 0.0
+        if not math.isfinite(logZ):
+            return (np.array([-math.inf]), np.full((1, total_vars), np.nan),
+                    np.full((1, 3, k + 1, n), np.nan))
+        lin = sum(float(nus[i][supports[i]] @ x[blocks[i]]) for i in range(k + 1))
+        grad = np.concatenate([nus[i][sup] - (alphas[i] * betas[i])[sup]
+                               for i, sup in enumerate(supports)])
+        return np.array([lin - logZ]), grad[None], np.array([alphas, betas, E])[None]
 
-        if value > OBJECTIVE_CAP:
-            return JointRateResult(math.inf, None, it, grad_norm)
-        if grad_norm <= opts.gradient_tol:
-            break
-
+    def hessian(state):
         # Hessian of logZ: two-time covariances of the tilted chain.
+        alphas, betas, E = state[0]
+        marg = alphas * betas
         hess = np.zeros((total_vars, total_vars))
         for i in range(k + 1):
             mi = marg[i][supports[i]]
             hess[pair_blocks[i, i][1]] = np.diag(mi) - np.outer(mi, mi)
-        for i in range(k + 1):
             carry = np.diag(alphas[i])
             for j in range(i + 1, k + 1):
                 carry = (carry @ Ps[j - 1]) * E[j][None, :]
@@ -414,38 +321,26 @@ def joint_rate(gen: Generator, mu0: Measure, partition: Partition,
                 cov = (joint - np.outer(marg[i], marg[j]))[on_support]
                 hess[block_ij] = cov
                 hess[block_ji] = cov.T
+        return hess[None]
 
-        A = hess[free_block]
-        g = grad[free]
-        step = None
-        try:
-            step = np.linalg.solve(A, g)
-            if not np.all(np.isfinite(step)):
-                step = None
-        except np.linalg.LinAlgError:
-            step = None
-        if step is None or float(g @ step) <= 0.0:
-            step = g
-        direction = np.zeros(total_vars)
-        direction[free] = step
-        new_x, new_value = _ascend_step(value_at, grad_sup_at, x, direction,
-                                        float(g @ step), value, grad_norm)
-        if new_x is None:
-            raise NumericalFailure(
-                "line search stalled before reaching the gradient tolerance")
-        improvement = new_value - value
-        x = new_x
-        value = new_value
-        if np.max(np.abs(x)) > opts.divergence_norm:
-            if improvement > IMPROVEMENT_TOL:
-                return JointRateResult(math.inf, None, it, grad_norm)
-            return JointRateResult(max(value, 0.0), None, it, grad_norm)
-    else:
-        raise NumericalFailure(
-            f"no convergence or divergence evidence within {opts.max_iters} iterations")
+    x = np.zeros(total_vars)
+    value, _, state = objective(x[None], None)
+    # no admissible path through the marginal supports; or marginal mass
+    # demanded at (time, state) pairs the support-constrained dynamics
+    # cannot realize, which makes the objective linearly unbounded in the
+    # corresponding tilt component: screened via the two-sided marginals at
+    # zero tilt
+    if not math.isfinite(value[0]) or any(
+            np.any((state[0, 0, i] * state[0, 1, i])[sup] <= 0.0)
+            for i, sup in enumerate(supports)):
+        return JointRateResult(math.inf, None, 0, math.inf)
 
+    status, x, value, it, grad_norm = _solve_one(objective, hessian, x, free, opts)
+    if status == _Status.INFINITE:
+        return JointRateResult(math.inf, None, it, grad_norm)
     value = max(value, 0.0)
-    if any(sup.size != n for sup in supports) or np.max(np.abs(x)) > BOUNDARY_NORM:
+    if status == _Status.BOUNDARY or any(sup.size != n for sup in supports) \
+            or np.max(np.abs(x)) > BOUNDARY_NORM:
         return JointRateResult(value, None, it, grad_norm)
     pots = []
     for i in range(k + 1):
@@ -488,10 +383,10 @@ def path_action(gen: Generator, path: PathGrid,
     Each cell contributes dt * L(measure at the quadrature node,
     finite-difference speed). Cells whose measure is positive on every
     state, on a generator with a connected jump graph, are solved together
-    by one batched Newton iteration with a per-cell backtracking line
-    search. The rest, and any batched cell that finds no ascent step,
-    diverges or meets a singular Hessian, are solved cold and in cell order
-    by ``lagrangian_value``; the first infinite one ends the sweep.
+    by one batched run of the solver core that ``lagrangian_value`` uses.
+    The rest, and any batched cell that does not settle with a finite
+    value, are solved cold and in cell order by ``lagrangian_value``; the
+    first infinite one ends the sweep.
     """
     if path.space != gen.space:
         raise MalformedModel("path and generator use different state spaces")
@@ -502,9 +397,10 @@ def path_action(gen: Generator, path: PathGrid,
     mids = (1.0 - w) * m[:-1] + w * m[1:]
     speeds = (m[1:] - m[:-1]) / dt
     speeds = speeds - speeds.sum(axis=1, keepdims=True) / gen.size
-    values = _newton_cells(gen.off_diagonal, gen.exit_rates, mids, speeds, opts)
+    values, _ = _newton_cells(gen.off_diagonal, gen.exit_rates, mids, speeds,
+                              opts)
     cells = dt * np.maximum(values, 0.0)
-    for k in np.flatnonzero(np.isnan(values)):
+    for k in np.flatnonzero(~np.isfinite(values)):
         res = lagrangian_value(gen, Measure(gen.space, mids[k]), speeds[k],
                                opts=opts)
         if not math.isfinite(res.value):

@@ -209,8 +209,8 @@ class TestBatchedCells:
     @given(seed=st.integers(0, 2**32 - 1),
            kind=st.sampled_from(("random", "stiff", "sparse")))
     def test_batch_matches_per_cell_solver(self, seed, kind):
-        # wherever the batched Newton settles a cell, it agrees with a cold
-        # per-cell solve
+        # the batch settles every cell it takes, and each agrees with a cold
+        # per-cell solve in value and iteration count
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 5))
         if kind == "stiff":
@@ -226,11 +226,14 @@ class TestBatchedCells:
                        for m in mus])
         us += rng.normal(0.0, 0.1, us.shape)
         us -= us.mean(axis=1, keepdims=True)
-        values = _newton_cells(gen.off_diagonal, gen.exit_rates, mus, us,
-                               DEFAULT_OPTIONS)
-        for k in np.flatnonzero(~np.isnan(values)):
+        values, iterations = _newton_cells(gen.off_diagonal, gen.exit_rates,
+                                           mus, us, DEFAULT_OPTIONS)
+        batched = iterations > 0
+        assert not np.isnan(values[batched]).any()
+        for k in np.flatnonzero(batched):
             cold = lagrangian_value(gen, Measure(gen.space, mus[k]), us[k])
             assert values[k] == pytest.approx(cold.value, abs=1e-10)
+            assert iterations[k] == cold.iterations
 
 
 class TestSolverRobustness:

@@ -1,0 +1,141 @@
+"""The shared concave-Newton core as its single-solve callers see it.
+
+The pinned figures were recorded with the separate per-solver Newton loops
+that the core replaced; the ``rate`` report prints iteration counts, so
+they are part of the observable behaviour.
+"""
+
+import numpy as np
+import pytest
+
+from ctmc_ldp import (
+    Measure,
+    NumericalFailure,
+    Partition,
+    Potential,
+    SolverOptions,
+    conditional_rate,
+    evolve_law,
+    joint_rate,
+    lagrangian_value,
+    speed,
+    transition_matrix,
+    validate_generator,
+)
+from ctmc_ldp.lagrangian import _newton_ascent, _solve_one, _Status
+
+T = 0.7
+TIMES = (0.3, 0.8, 1.2)
+
+
+def _model():
+    return validate_generator(["a", "b", "c"], [[0.0, 1.3, 0.4],
+                                                [0.7, 0.0, 2.1],
+                                                [0.5, 0.9, 0.0]])
+
+
+def _joint_marginals(gen):
+    """Marginals of an f-tilted chain from a Dirac start, two of them
+    blended off the tilted path."""
+    ef = np.exp([0.6, -0.4, 0.2])
+    end = TIMES[-1]
+    z = (transition_matrix(gen, end).P @ ef)[0]
+    marginals = [np.eye(3)[0]]
+    for s in TIMES:
+        m = transition_matrix(gen, s).P[0] \
+            * (transition_matrix(gen, end - s).P @ ef) / z
+        marginals.append(m / m.sum())
+    marginals[1] = 0.8 * marginals[1] + 0.2 / 3
+    marginals[2] = 0.9 * marginals[2] + 0.1 * np.array([0.2, 0.5, 0.3])
+    return [Measure(gen.space, m) for m in marginals]
+
+
+def _solve(name, opts=None):
+    gen = _model()
+    sp = gen.space
+    mu = Measure(sp, [0.5, 0.3, 0.2])
+    start = Measure.dirac(sp, "a")
+    interior = 0.5 * transition_matrix(gen, T).P[0] + 0.5 / 3
+    restricted = interior.copy()
+    restricted[2] = 0.0
+    restricted /= restricted.sum()
+    f_dual = Potential(sp, [-1.2, 0.9, 0.4])
+    calls = {
+        "lagrangian_interior": lambda: lagrangian_value(
+            gen, mu, speed(gen, mu, Potential(sp, [0.8, -0.6, 0.3])),
+            opts=opts),
+        "lagrangian_stay": lambda: lagrangian_value(
+            gen, Measure.dirac(sp, "b"), np.zeros(3), opts=opts),
+        "lagrangian_warm": lambda: lagrangian_value(
+            gen, mu, speed(gen, mu, f_dual), opts=opts, initial=f_dual.f),
+        "conditional_evolved": lambda: conditional_rate(
+            gen, mu, evolve_law(gen, mu, T), T, opts=opts),
+        "conditional_interior": lambda: conditional_rate(
+            gen, start, Measure(sp, interior), T, opts=opts),
+        "conditional_restricted": lambda: conditional_rate(
+            gen, start, Measure(sp, restricted), T, opts=opts),
+        "joint": lambda: joint_rate(gen, start, Partition(TIMES),
+                                    _joint_marginals(gen), opts=opts),
+    }
+    return calls[name]()
+
+
+# (value, attained, iterations)
+PINNED = {
+    "lagrangian_interior": (1.3675484523830772, True, 6),
+    "lagrangian_stay": (2.7999999992189486, False, 23),
+    "lagrangian_warm": (7.549406761150533, True, 1),
+    "conditional_evolved": (0.0, True, 1),
+    "conditional_interior": (0.0033470078640377987, True, 4),
+    "conditional_restricted": (0.3799305512122871, False, 4),
+    "joint": (0.07557090019651228, False, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_solves(name):
+    value, attained, iterations = PINNED[name]
+    res = _solve(name)
+    assert res.value == pytest.approx(value, rel=0.0, abs=1e-10)
+    assert res.attained == attained
+    assert res.iterations == iterations
+
+
+@pytest.mark.parametrize("name", ["lagrangian_interior",
+                                  "conditional_interior", "joint"])
+def test_iteration_cap_raises(name):
+    # each needs several Newton steps; one iteration ends without a verdict
+    with pytest.raises(NumericalFailure, match="within 1 iterations"):
+        _solve(name, SolverOptions(max_iters=1))
+
+
+def _quadratic_or_flat(centre):
+    """Cell k maximizes -|x - centre_k|^2 / 2, except that a row of NaN
+    gives a flat objective whose gradient no step can reduce."""
+    def objective(x, rows):
+        c = centre[rows]
+        flat = np.isnan(c[:, 0])
+        value = np.where(flat, 0.0, -0.5 * ((x - c) ** 2).sum(axis=1))
+        grad = np.where(flat[:, None], 1.0, c - x)
+        return value, grad, np.zeros(len(x))
+
+    def hessian(state):
+        return np.broadcast_to(np.eye(3), (len(state), 3, 3)).copy()
+
+    return objective, hessian
+
+
+def test_core_settles_each_cell_on_its_own():
+    # one cell converges after its first full Newton step, while the line
+    # search of the other stalls along the Newton step and the gradient
+    centre = np.array([[0.0, 1.5, -0.5], [np.nan] * 3])
+    status, x, value, iterations, norm = _newton_ascent(
+        *_quadratic_or_flat(centre), np.zeros((2, 3)), np.array([1, 2]),
+        SolverOptions())
+    assert list(status) == [_Status.CONVERGED, _Status.STALLED]
+    np.testing.assert_array_equal(x, [[0.0, 1.5, -0.5], [0.0, 0.0, 0.0]])
+    assert list(iterations) == [2, 1]
+    assert list(norm) == [0.0, 1.0]
+    with pytest.raises(NumericalFailure, match="line search stalled"):
+        _solve_one(*_quadratic_or_flat(centre[1:]), np.zeros(3),
+                   np.array([1, 2]), SolverOptions())

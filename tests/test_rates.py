@@ -316,8 +316,8 @@ def _batched_mask(gen, grid):
     mids = (1 - w) * m[:-1] + w * m[1:]
     speeds = (m[1:] - m[:-1]) / dt
     speeds = speeds - speeds.sum(axis=1, keepdims=True) / gen.size
-    values = _newton_cells(gen.off_diagonal, gen.exit_rates, mids, speeds,
-                           DEFAULT_OPTIONS)
+    values, _ = _newton_cells(gen.off_diagonal, gen.exit_rates, mids, speeds,
+                              DEFAULT_OPTIONS)
     return ~np.isnan(values)
 
 
