@@ -46,7 +46,8 @@ from .markov import (
     transition_matrix,
     validate_generator,
 )
-from .montecarlo import BallEvent, ball_infimum_rate, estimate_event_decay
+from .montecarlo import (BallEvent, ball_infimum_rate, empirical_trajectory,
+                         estimate_event_decay)
 from .rates import PathGrid, path_action
 from .trajectory import optimal_bridge
 
@@ -371,8 +372,6 @@ def cmd_action(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .montecarlo import empirical_trajectory
-
     gen, mu0, _ = load_model(args.model)
     t0 = time.monotonic()
     n = int(args.n.split(",")[0]) if args.n else 1000

@@ -391,12 +391,6 @@ def relative_entropy(mu: Measure, nu: Measure) -> float:
     return float(np.sum(m * np.log(m / nu.p[sup])))
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def sample_jump_path(gen: Generator, x0, horizon: float, seed) -> JumpPath:
     """Simulate one trajectory by exponential clocks (Gillespie).
 
@@ -407,7 +401,7 @@ def sample_jump_path(gen: Generator, x0, horizon: float, seed) -> JumpPath:
     """
     if horizon <= 0:
         raise InvalidParameter(f"horizon must be positive, got {horizon}")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)    # a Generator is returned as is
     x = gen.space.index(x0)
     exit_rates = gen.exit_rates
     cum = np.cumsum(gen.jump_probabilities(), axis=1)

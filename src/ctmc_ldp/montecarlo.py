@@ -6,10 +6,10 @@ genuinely independent route), builds empirical measure trajectories, and
 estimates the decay of rare-event probabilities for events of the form
 "the empirical measure of n copies lies within an l1 ball at time t".
 
-Seeding contract: every unit of work (one copy for trajectories, one
-Bernoulli batch for decay estimation) draws from its own stream derived as
-``SeedSequence(seed, spawn_key=(unit_index,))``. Results are merged by unit
-index, so they are bitwise reproducible and independent of scheduling.
+Seeding contract: a call with copy count n simulates all its copies, in a
+fixed order, from the one stream ``SeedSequence(seed, spawn_key=(n,))``, so
+results are bitwise reproducible from the seed and the estimate at one copy
+count does not depend on the other counts requested.
 """
 
 from __future__ import annotations
@@ -22,8 +22,12 @@ import numpy as np
 
 from .errors import InsufficientSampling, InvalidParameter, MalformedModel
 from .lagrangian import SolverOptions
-from .markov import Generator, Measure, sample_jump_path
+from .markov import Generator, Measure, evolve_law
 from .rates import PathGrid, conditional_rate
+
+# copies simulated at once: bounds the sampler's memory whatever the number
+# of batches (a single batch of more copies is simulated alone)
+_BLOCK_COPIES = 1 << 14
 
 
 class BallEvent(NamedTuple):
@@ -34,8 +38,34 @@ class BallEvent(NamedTuple):
     radius: float
 
 
-def _unit_rng(seed: int, unit: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(unit,)))
+def _stream(seed: int, n: int) -> np.random.Generator:
+    if seed < 0:
+        raise InvalidParameter(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(n,)))
+
+
+def _copies_at(gen: Generator, mu0: Measure, m: int, horizons, rng):
+    """States of m copies started from mu0 at time 0, at each horizon in turn.
+
+    Each copy keeps its state and its next jump time, +inf on absorbing
+    states. At each horizon, the copies due before it jump by the embedded
+    chain and draw new exponential holding times until none is due; the
+    one states array is advanced in place and yielded once per horizon.
+    """
+    live = gen.exit_rates > 0.0
+    hold = np.full(gen.size, np.inf)            # mean holding times
+    hold[live] = 1.0 / gen.exit_rates[live]
+    cum_jump = np.cumsum(gen.jump_probabilities(), axis=1)[:, :-1]
+    states = rng.choice(gen.size, size=m, p=mu0.p)
+    clocks = rng.standard_exponential(m) * hold[states]
+    for horizon in horizons:
+        due = np.flatnonzero(clocks < horizon)
+        while due.size:
+            u = rng.random(due.size)
+            states[due] = nxt = (u[:, None] >= cum_jump[states[due]]).sum(axis=1)
+            clocks[due] += rng.standard_exponential(due.size) * hold[nxt]
+            due = due[clocks[due] < horizon]
+        yield states
 
 
 def empirical_trajectory(gen: Generator, mu0: Measure, n: int,
@@ -43,45 +73,24 @@ def empirical_trajectory(gen: Generator, mu0: Measure, n: int,
                          t0: float = 0.0) -> PathGrid:
     """Empirical measure of n independent copies at K+1 uniform grid nodes.
 
-    Copy i draws its initial state and full jump path from stream i; the
-    result is deterministic given the seed.
+    Every copy starts from mu0 at time 0 and runs up to t1, so the node at
+    t0 carries the law mu0 P(t0). All copies draw from the stream keyed by
+    n; the result is deterministic given the seed.
     """
     if n < 1:
         raise InvalidParameter(f"need at least one copy, got {n}")
+    if K < 1:
+        raise InvalidParameter(f"need at least one time interval, got K={K}")
     if not t0 < t1:
         raise InvalidParameter("need t0 < t1")
     nodes = t0 + (t1 - t0) / K * np.arange(K + 1)
+    rng = _stream(seed, n)
     counts = np.zeros((K + 1, gen.size))
-    for i in range(n):
-        rng = _unit_rng(seed, i)
-        x0 = int(rng.choice(gen.size, p=mu0.p))
-        path = sample_jump_path(gen, x0, t1, rng)
-        visited = path.states_at(nodes)
-        counts[np.arange(K + 1), visited] += 1.0
+    for first in range(0, n, _BLOCK_COPIES):
+        m = min(_BLOCK_COPIES, n - first)
+        for k, states in enumerate(_copies_at(gen, mu0, m, nodes, rng)):
+            counts[k] += np.bincount(states, minlength=gen.size)
     return PathGrid(gen.space, t0, t1, counts / n)
-
-
-def _states_at_horizon(states, horizon, exit_rates, cum_jump, rng):
-    """Advance a batch of copies to the horizon by exponential clocks."""
-    states = states.copy()
-    clock = np.zeros(states.size)
-    alive = exit_rates[states] > 0.0
-    while True:
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            return states
-        rates = exit_rates[states[idx]]
-        clock[idx] += rng.exponential(1.0, size=idx.size) / rates
-        crossed = clock[idx] >= horizon
-        alive[idx[crossed]] = False
-        jumping = idx[~crossed]
-        if jumping.size:
-            u = rng.random(jumping.size)
-            rows = cum_jump[states[jumping]]
-            nxt = np.minimum((u[:, None] >= rows).sum(axis=1),
-                             exit_rates.size - 1)
-            states[jumping] = nxt
-            alive[jumping] = exit_rates[nxt] > 0.0
 
 
 @dataclass(frozen=True)
@@ -152,18 +161,18 @@ def estimate_event_decay(gen: Generator, mu0: Measure, event: BallEvent,
     if horizon <= 0:
         raise InvalidParameter("event time must be positive")
 
-    exit_rates = gen.exit_rates
-    cum_jump = np.cumsum(gen.jump_probabilities(), axis=1)
     hits = []
     for i_n, n in enumerate(n_values):
+        rng = _stream(seed, n)
+        per_block = max(1, _BLOCK_COPIES // n)
         count = 0
-        for rep in range(reps):
-            rng = _unit_rng(seed, i_n * reps + rep)
-            x0 = rng.choice(gen.size, size=n, p=mu0.p)
-            states = _states_at_horizon(x0, horizon, exit_rates, cum_jump, rng)
-            emp = np.bincount(states, minlength=gen.size) / n
-            if np.abs(emp - target).sum() < event.radius:
-                count += 1
+        for first in range(0, reps, per_block):
+            batches = min(per_block, reps - first)
+            states = next(_copies_at(gen, mu0, batches * n, (horizon,), rng))
+            counts = np.bincount(np.arange(batches * n) // n * gen.size + states,
+                                 minlength=batches * gen.size)
+            emp = counts.reshape(batches, gen.size) / n
+            count += int((np.abs(emp - target).sum(axis=1) < event.radius).sum())
         hits.append(count)
         if count == 0:
             partial = {
@@ -203,8 +212,6 @@ def ball_infimum_rate(gen: Generator, mu0: Measure, nu: Measure, t: float,
     """
     if delta <= 0:
         raise InvalidParameter("ball radius must be positive")
-    from .markov import evolve_law
-
     center = evolve_law(gen, mu0, t).p
     dist = float(np.abs(center - nu.p).sum())
     if dist <= delta:

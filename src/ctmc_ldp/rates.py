@@ -384,9 +384,9 @@ def path_action(gen: Generator, path: PathGrid,
     finite-difference speed). Cells whose measure is positive on every
     state, on a generator with a connected jump graph, are solved together
     by one batched run of the solver core that ``lagrangian_value`` uses.
-    The rest, and any batched cell that does not settle with a finite
-    value, are solved cold and in cell order by ``lagrangian_value``; the
-    first infinite one ends the sweep.
+    The rest, and any batched cell that does not settle, are solved cold
+    and in cell order by ``lagrangian_value``; the first infinite cell,
+    whether the batch or the cold solve found it, ends the sweep.
     """
     if path.space != gen.space:
         raise MalformedModel("path and generator use different state spaces")
@@ -401,12 +401,12 @@ def path_action(gen: Generator, path: PathGrid,
                               opts)
     cells = dt * np.maximum(values, 0.0)
     for k in np.flatnonzero(~np.isfinite(values)):
-        res = lagrangian_value(gen, Measure(gen.space, mids[k]), speeds[k],
-                               opts=opts)
-        if not math.isfinite(res.value):
-            cells[k] = math.inf
+        if np.isnan(values[k]):
+            values[k] = lagrangian_value(gen, Measure(gen.space, mids[k]),
+                                         speeds[k], opts=opts).value
+        cells[k] = dt * values[k]
+        if not math.isfinite(cells[k]):
             return ActionResult(math.inf, cells[:k + 1], infeasible_cell=int(k))
-        cells[k] = dt * res.value
     return ActionResult(float(cells.sum()), cells)
 
 

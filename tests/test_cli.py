@@ -139,6 +139,13 @@ class TestSimulate:
         r1.pop("wall_time_s"), r2.pop("wall_time_s")
         assert r1 == r2
 
+    @pytest.mark.parametrize("grid, seed", [("0", "42"), ("10", "-3")])
+    def test_invalid_parameter_exits_3(self, tmp_path, capsys, grid, seed):
+        code = main(["simulate", "--model", ABSORBING, "--t", "1.0",
+                     "--grid", grid, "--seed", seed, "--out", str(tmp_path)])
+        assert code == 3
+        assert "error:" in capsys.readouterr().err
+
 
 class TestVerifyLdp:
     def test_observable_benchmark(self, tmp_path, capsys):
@@ -159,6 +166,13 @@ class TestVerifyLdp:
                      "--seed", "7", "--out", str(tmp_path)])
         assert code == 1
         assert "too rare" in capsys.readouterr().err
+
+    def test_negative_seed_exits_3(self, tmp_path, capsys):
+        code = main(["verify-ldp", "--model", ABSORBING, "--t", "0.5",
+                     "--radius", "0.5", "--n", "20,40", "--reps", "100",
+                     "--seed", "-3", "--out", str(tmp_path)])
+        assert code == 3
+        assert "seed" in capsys.readouterr().err
 
 
 class TestReports:

@@ -15,7 +15,9 @@ from ctmc_ldp import (
     empirical_trajectory,
     estimate_event_decay,
     evolve_law,
+    validate_generator,
 )
+from ctmc_ldp import montecarlo
 from conftest import absorbing_chain, random_measure, random_model
 
 
@@ -54,6 +56,24 @@ class TestEmpiricalTrajectory:
         gen = random_model(rng)
         with pytest.raises(InvalidParameter):
             empirical_trajectory(gen, random_measure(rng, gen), 0, 1.0, 5, seed=1)
+
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_invalid_grid_rejected_before_simulating(self, rng, monkeypatch, K):
+        gen = random_model(rng)
+
+        def simulate(*args):
+            raise AssertionError("copies simulated")
+
+        monkeypatch.setattr(montecarlo, "_copies_at", simulate)
+        with pytest.raises(InvalidParameter):
+            empirical_trajectory(gen, random_measure(rng, gen), 10, 1.0, K,
+                                 seed=1)
+
+    def test_negative_seed_rejected(self, rng):
+        gen = random_model(rng)
+        with pytest.raises(InvalidParameter):
+            empirical_trajectory(gen, random_measure(rng, gen), 10, 1.0, 5,
+                                 seed=-3)
 
 
 import functools
@@ -136,6 +156,22 @@ class TestEstimateEventDecay:
             passes += abs(est.slope) <= 2 * est.stderr
         assert passes >= 19
 
+    def test_copy_count_stream_ignores_other_counts(self, rng):
+        gen = random_model(rng, n_max=3)
+        mu0 = random_measure(rng, gen)
+        event = BallEvent(evolve_law(gen, mu0, 0.3), 0.3, 0.5)
+        e1 = estimate_event_decay(gen, mu0, event, [10, 20], 200, seed=4)
+        e2 = estimate_event_decay(gen, mu0, event, [10, 40], 200, seed=4)
+        e3 = estimate_event_decay(gen, mu0, event, [5, 10], 200, seed=4)
+        assert e1.hits[0] == e2.hits[0] == e3.hits[1]
+
+    def test_negative_seed_rejected(self, rng):
+        gen = random_model(rng)
+        mu0 = random_measure(rng, gen)
+        with pytest.raises(InvalidParameter):
+            estimate_event_decay(gen, mu0, BallEvent(mu0, 0.5, 0.5), [10, 20],
+                                 100, seed=-3)
+
     def test_reps_floor_enforced(self, rng):
         gen = random_model(rng)
         mu0 = random_measure(rng, gen)
@@ -172,6 +208,20 @@ class TestSamplerConsistency:
         expected = evolve_law(gen, da, 0.5).p
         sigma = math.sqrt(expected[0] * (1 - expected[0]) / 20_000)
         assert abs(grid.measures[-1][0] - expected[0]) <= 3 * sigma
+
+    def test_every_node_matches_evolved_law(self):
+        # a chain with no absorbing state, observed from t0 > 0: each
+        # node's marginal within 5 sigma plus one copy of mu0 P(t)
+        gen = validate_generator(["x", "y", "z"], [[0.0, 1.0, 0.5],
+                                                   [0.3, 0.0, 2.0],
+                                                   [1.5, 0.4, 0.0]])
+        mu0 = Measure(gen.space, [0.6, 0.3, 0.1])
+        n = 20_000
+        grid = empirical_trajectory(gen, mu0, n, 1.5, 6, seed=23, t0=0.3)
+        for t, emp in zip(grid.node_times, grid.measures):
+            p = evolve_law(gen, mu0, t).p
+            sigma = np.sqrt(p * (1 - p) / n)
+            assert np.all(np.abs(emp - p) <= 5 * sigma + 1 / n)
 
     def test_batch_sampler_matches_evolved_law(self):
         # the decay estimator's vectorized clock sampler, cross-checked by

@@ -28,6 +28,7 @@ from ctmc_ldp import (
     validate_generator,
     zero_cost_path,
 )
+from ctmc_ldp import rates
 from ctmc_ldp.lagrangian import DEFAULT_OPTIONS, _newton_cells
 from ctmc_ldp.rates import QUADRATURE_NODE
 from conftest import (
@@ -374,14 +375,24 @@ class TestBatchedPathAction:
                                    _cold_lagrangians(gen, grid),
                                    rtol=0.0, atol=1e-10)
 
-    def test_infeasible_cell_after_batched_cells(self):
+    def test_infeasible_cell_after_batched_cells(self, monkeypatch):
         # drift towards the absorbing state is feasible; the way back is not
         gen = absorbing_chain()
         pa = np.array([0.9, 0.8, 0.7, 0.6, 0.5, 0.6, 0.5, 0.4, 0.3])
         grid = PathGrid(gen.space, 0.0, 1.0, np.column_stack([pa, 1 - pa]))
         k = 4
         assert _batched_mask(gen, grid)[:k].all()
+        cold = []
+
+        def counted(*args, **kwargs):
+            cold.append(args)
+            return lagrangian_value(*args, **kwargs)
+
+        monkeypatch.setattr(rates, "lagrangian_value", counted)
         res = path_action(gen, grid)
+        # the cells before k are batched, and the batch's +inf verdict on
+        # cell k is final: no cell is solved again, cell k included
+        assert cold == []
         assert res.value == math.inf
         assert res.infeasible_cell == k
         assert len(res.cell_values) == k + 1
