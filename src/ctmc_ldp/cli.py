@@ -4,8 +4,16 @@ Model files are JSON objects with keys ``states`` (labels), ``rates``
 (square matrix; the diagonal is ignored and recomputed), optional
 ``initial`` (probability vector, default uniform) and ``description``.
 Measure paths are CSV files with header ``t,<label>...`` and one row per
-grid node. Every subcommand writes a RunReport JSON next to its outputs;
-reruns with identical inputs are byte-identical apart from wall time.
+grid node.
+
+Each ``cmd_*(args, gen, mu0)`` returns ``(exit_code, outputs)``. ``_run``
+loads the model, times the subcommand and writes
+``<subcommand>_report.json`` (``-`` becomes ``_``) with the command, a
+SHA-256 digest of the model file, the ``--path`` file and the arguments,
+the seed, the outputs and the wall time. Reports and
+``decay_estimate.json`` are strict JSON: non-finite floats are the strings
+``"inf"``, ``"-inf"`` and ``"nan"``. Reruns with identical inputs are
+byte-identical apart from wall time.
 
 Exit codes: 0 success, 1 failed checks, 2 unparseable input, 3 validation
 failure.
@@ -20,7 +28,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +47,7 @@ from .markov import (
     Generator,
     Measure,
     Potential,
+    StateSpace,
     evolve_law,
     relative_entropy,
     resolvent_matrix,
@@ -48,8 +56,12 @@ from .markov import (
 )
 from .montecarlo import (BallEvent, ball_infimum_rate, empirical_trajectory,
                          estimate_event_decay)
-from .rates import PathGrid, path_action
+from .rates import PathGrid, conditional_rate, path_action
 from .trajectory import optimal_bridge
+
+
+class _Unparseable(Exception):
+    """An input that cannot be read as numbers (exit code 2)."""
 
 
 # ---------------------------------------------------------------------------
@@ -85,65 +97,59 @@ def write_path_csv(path, grid: PathGrid) -> None:
 
 
 def read_path_csv(path, space=None) -> PathGrid:
-    from .markov import StateSpace
-
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader if row]
-    if len(header) < 3 or header[0] != "t":
-        raise ToolkitError("path CSV must have header 't,<label>...'")
-    labels = tuple(header[1:])
-    if space is None:
-        space = StateSpace(labels)
-    elif tuple(space.labels) != labels:
-        raise ToolkitError("path CSV labels do not match the model")
-    times = np.array([float(r[0]) for r in rows])
-    meas = np.array([[float(v) for v in r[1:]] for r in rows])
-    if times.size < 2:
+        header = next(reader, [])
+        if len(header) < 3 or header[0] != "t":
+            raise ToolkitError("path CSV must have header 't,<label>...'")
+        labels = tuple(header[1:])
+        if space is None:
+            space = StateSpace(labels)
+        elif tuple(space.labels) != labels:
+            raise ToolkitError("path CSV labels do not match the model")
+        rows = []
+        for row in filter(None, reader):
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(header):
+                raise _Unparseable(f"{where}: {len(row)} fields, header has "
+                                   f"{len(header)}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise _Unparseable(f"{where}: {exc}") from None
+    if len(rows) < 2:
         raise ToolkitError("path CSV needs at least two rows")
+    table = np.array(rows)
+    times = table[:, 0]
     dts = np.diff(times)
     if np.max(np.abs(dts - dts[0])) > 1e-9 * max(1.0, abs(times[-1])):
         raise ToolkitError("path CSV nodes must be uniformly spaced")
-    return PathGrid(space, float(times[0]), float(times[-1]), meas)
+    return PathGrid(space, float(times[0]), float(times[-1]), table[:, 1:])
 
 
 # ---------------------------------------------------------------------------
-# Run reports
+# Reports
 # ---------------------------------------------------------------------------
 
-def _jsonable(obj):
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+def _strict(obj):
+    """``obj`` as plain JSON values, non-finite floats as strings."""
+    if isinstance(obj, dict):
+        return {key: _strict(v) for key, v in obj.items()}
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+        return _strict(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else str(float(obj))
+    if isinstance(obj, (np.bool_, np.integer)):
+        return obj.item()
+    return obj
 
 
-@dataclass
-class RunReport:
-    command: list[str]
-    inputs_digest: str
-    seed: int | None
-    outputs: dict = field(default_factory=dict)
-    wall_time_s: float = 0.0
-
-    def write(self, path) -> None:
-        doc = {
-            "command": self.command,
-            "inputs_digest": self.inputs_digest,
-            "seed": self.seed,
-            "outputs": self.outputs,
-            "wall_time_s": self.wall_time_s,
-            "version": __version__,
-        }
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True, default=_jsonable)
-            fh.write("\n")
+def _write_json(path, doc) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(_strict(doc), fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
 
 
 def load_report(path) -> dict:
@@ -151,14 +157,32 @@ def load_report(path) -> dict:
         return json.load(fh)
 
 
-def _digest(args, model_path) -> str:
+def _report_path(args) -> Path:
+    return Path(args.out) / f"{args.subcommand.replace('-', '_')}_report.json"
+
+
+def _run(args) -> int:
+    """Run one subcommand and write its report."""
+    gen, mu0, _ = load_model(args.model)
+    t0 = time.monotonic()
+    inputs = [str(getattr(args, key)) for key in ("model", "path")
+              if getattr(args, key, None) is not None]
     h = hashlib.sha256()
-    if model_path:
-        h.update(Path(model_path).read_bytes())
+    for name in inputs:
+        h.update(Path(name).read_bytes())
     blob = {k: v for k, v in sorted(vars(args).items())
             if k not in ("func", "out")}
     h.update(json.dumps(blob, sort_keys=True, default=str).encode())
-    return h.hexdigest()
+    code, outputs = args.func(args, gen, mu0)
+    _write_json(_report_path(args), {
+        "command": [args.subcommand, *inputs],
+        "inputs_digest": h.hexdigest(),
+        "seed": getattr(args, "seed", None),
+        "outputs": outputs,
+        "wall_time_s": time.monotonic() - t0,
+        "version": __version__,
+    })
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +190,21 @@ def _digest(args, model_path) -> str:
 # ---------------------------------------------------------------------------
 
 def _parse_vector(text, space, what):
-    vals = [float(v) for v in text.split(",")]
+    try:
+        vals = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise _Unparseable(f"{what}: not a comma-separated list of numbers: "
+                           f"{text!r}") from None
     if len(vals) != space.size:
         raise ToolkitError(f"{what} needs {space.size} comma-separated entries")
     return np.array(vals)
 
 
-def _invariant_checks(gen: Generator, mu0: Measure, tol_scale: float = 1.0):
+def _solver_options(args) -> SolverOptions:
+    return SolverOptions(gradient_tol=args.tol or 1e-9)
+
+
+def _invariant_checks(gen: Generator):
     """The fast invariant battery behind ``check``; yields (name, residual, tol)."""
     rng = np.random.default_rng(0)
     n = gen.size
@@ -225,7 +257,7 @@ def _invariant_checks(gen: Generator, mu0: Measure, tol_scale: float = 1.0):
         mu = Measure(gen.space, q / q.sum())
         f = Potential(gen.space, rng.uniform(-1.5, 1.5, n))
         worst = max(worst, dual_check(gen, mu, f))
-    yield "Hamiltonian/Lagrangian duality", worst, 1e-6 * tol_scale
+    yield "Hamiltonian/Lagrangian duality", worst, 1e-6
 
     f = Potential(gen.space, rng.uniform(-1, 1, n))
     t1, t2 = 0.4, 0.9
@@ -243,197 +275,118 @@ def _invariant_checks(gen: Generator, mu0: Measure, tol_scale: float = 1.0):
         pass
 
 
-def cmd_check(args) -> int:
-    gen, mu0, _ = load_model(args.model)
-    t0 = time.monotonic()
+def cmd_check(args, gen, mu0):
     rows = []
-    failed = 0
-    for name, residual, tol in _invariant_checks(gen, mu0):
+    for name, residual, tol in _invariant_checks(gen):
         ok = residual <= tol + args.tol
-        failed += 0 if ok else 1
-        rows.append((name, residual, tol, ok))
+        rows.append({"name": name, "residual": residual, "tolerance": tol,
+                     "pass": ok})
         print(f"{'PASS' if ok else 'FAIL'}  {name:45s} residual={residual:.3e}")
-    report = RunReport(command=["check", str(args.model)],
-                       inputs_digest=_digest(args, args.model), seed=None)
-    report.outputs = {
-        "checks": [
-            {"name": nm, "residual": res, "tolerance": tol, "pass": ok}
-            for nm, res, tol, ok in rows
-        ],
-        "failed": failed,
-    }
-    report.wall_time_s = time.monotonic() - t0
-    out = Path(args.out) / "check_report.json"
-    report.write(out)
-    print(f"{len(rows) - failed}/{len(rows)} checks passed -> {out}")
-    return 1 if failed else 0
+    failed = sum(not row["pass"] for row in rows)
+    print(f"{len(rows) - failed}/{len(rows)} checks passed -> "
+          f"{_report_path(args)}")
+    return (1 if failed else 0), {"checks": rows, "failed": failed}
 
 
-def cmd_semigroup(args) -> int:
-    gen, mu0, _ = load_model(args.model)
-    t0 = time.monotonic()
+def cmd_semigroup(args, gen, mu0):
     if args.potential is not None:
         f = Potential(gen.space, _parse_vector(args.potential, gen.space, "--potential"))
     else:
         f = Potential(gen.space, np.linspace(0.0, 1.0, gen.size))
     exact = v_apply(gen, f, args.t)
-    ns = [int(v) for v in (args.n or "8,64,512").split(",")]
     table = []
     print(f"{'n':>6s}  {'sup-error vs matrix exponential':>32s}")
-    for n in ns:
+    for n in args.n:
         approx = resolvent_iterate(gen, f, args.t, n)
         err = float(np.abs(approx.f - exact.f).max())
         table.append({"n": n, "sup_error": err})
         print(f"{n:6d}  {err:32.3e}")
-    report = RunReport(command=["semigroup", str(args.model)],
-                       inputs_digest=_digest(args, args.model), seed=None)
-    report.outputs = {"t": args.t, "errors": table,
-                      "exact": list(exact.f)}
-    report.wall_time_s = time.monotonic() - t0
-    report.write(Path(args.out) / "semigroup_report.json")
-    return 0
+    return 0, {"t": args.t, "errors": table, "exact": exact.f}
 
 
-def cmd_rate(args) -> int:
-    from .rates import conditional_rate
-
-    gen, mu0, _ = load_model(args.model)
-    t0 = time.monotonic()
+def cmd_rate(args, gen, mu0):
     mu = mu0
     if args.mu is not None:
         mu = Measure(gen.space, _parse_vector(args.mu, gen.space, "--mu"))
     nu = Measure(gen.space, _parse_vector(args.target, gen.space, "--target"))
-    res = conditional_rate(gen, mu, nu, args.t,
-                           opts=SolverOptions(gradient_tol=args.tol or 1e-9))
+    res = conditional_rate(gen, mu, nu, args.t, opts=_solver_options(args))
     print(f"I_t(target | mu) = {res.value:.10g}   t = {args.t}")
     if res.maximizer is not None:
         print(f"maximizer: {np.array2string(res.maximizer.f, precision=6)}")
     else:
         print("maximizer: unattained (supremum reached only in a limit)")
-    report = RunReport(command=["rate", str(args.model)],
-                       inputs_digest=_digest(args, args.model), seed=None)
-    report.outputs = {
-        "value": res.value if math.isfinite(res.value) else "inf",
-        "attained": res.attained,
-        "iterations": res.iterations,
-        "gradient_norm": res.gradient_norm,
-        "t": args.t,
-    }
-    report.wall_time_s = time.monotonic() - t0
-    report.write(Path(args.out) / "rate_report.json")
-    return 0
+    return 0, {"value": res.value, "attained": res.attained,
+               "iterations": res.iterations,
+               "gradient_norm": res.gradient_norm, "t": args.t}
 
 
-def cmd_bridge(args) -> int:
-    gen, mu0, _ = load_model(args.model)
-    t0 = time.monotonic()
+def cmd_bridge(args, gen, mu0):
     mu1 = Measure(gen.space, _parse_vector(args.target, gen.space, "--target"))
-    opts = SolverOptions(gradient_tol=args.tol or 1e-9)
-    result = optimal_bridge(gen, mu0, mu1, args.t, args.grid, opts=opts)
+    result = optimal_bridge(gen, mu0, mu1, args.t, args.grid,
+                            opts=_solver_options(args))
     csv_path = Path(args.out) / "bridge_path.csv"
     write_path_csv(csv_path, result.path)
     print(f"rate = {result.rate:.8g}  action = {result.action.value:.8g}  "
           f"delivery error = {result.delivery_error:.3e}")
-    report = RunReport(command=["bridge", str(args.model)],
-                       inputs_digest=_digest(args, args.model), seed=None)
-    report.outputs = {
-        "rate": result.rate,
-        "action": result.action.value,
-        "delivery_error": result.delivery_error,
-        "action_gap": result.action_gap,
-        "boundary": result.boundary,
-        "path_csv": csv_path.name,
-    }
-    report.wall_time_s = time.monotonic() - t0
-    report.write(Path(args.out) / "bridge_report.json")
-    return 0
+    return 0, {"rate": result.rate, "action": result.action.value,
+               "delivery_error": result.delivery_error,
+               "action_gap": result.action_gap, "boundary": result.boundary,
+               "path_csv": csv_path.name}
 
 
-def cmd_action(args) -> int:
-    gen, _, _ = load_model(args.model)
-    t0 = time.monotonic()
+def cmd_action(args, gen, mu0):
     grid = read_path_csv(args.path, gen.space)
-    result = path_action(gen, grid,
-                         opts=SolverOptions(gradient_tol=args.tol or 1e-9))
-    value = result.value
-    print(f"action over [{grid.t0}, {grid.t1}] with K={grid.K}: {value:.10g}")
+    result = path_action(gen, grid, opts=_solver_options(args))
+    print(f"action over [{grid.t0}, {grid.t1}] with K={grid.K}: "
+          f"{result.value:.10g}")
     if result.infeasible_cell is not None:
         print(f"infeasible at cell {result.infeasible_cell}")
-    report = RunReport(command=["action", str(args.model), str(args.path)],
-                       inputs_digest=_digest(args, args.model), seed=None)
-    report.outputs = {
-        "action": value if math.isfinite(value) else "inf",
-        "cells": grid.K,
-        "infeasible_cell": result.infeasible_cell,
-    }
-    report.wall_time_s = time.monotonic() - t0
-    report.write(Path(args.out) / "action_report.json")
-    return 0
+    return 0, {"action": result.value, "cells": grid.K,
+               "infeasible_cell": result.infeasible_cell}
 
 
-def cmd_simulate(args) -> int:
-    gen, mu0, _ = load_model(args.model)
-    t0 = time.monotonic()
-    n = int(args.n.split(",")[0]) if args.n else 1000
-    grid = empirical_trajectory(gen, mu0, n, args.t, args.grid, args.seed)
+def cmd_simulate(args, gen, mu0):
+    grid = empirical_trajectory(gen, mu0, args.n, args.t, args.grid, args.seed)
     csv_path = Path(args.out) / "empirical_path.csv"
     write_path_csv(csv_path, grid)
-    print(f"simulated {n} copies up to t={args.t} -> {csv_path}")
-    report = RunReport(command=["simulate", str(args.model)],
-                       inputs_digest=_digest(args, args.model), seed=args.seed)
-    report.outputs = {"n": n, "t": args.t, "grid": args.grid,
-                      "path_csv": csv_path.name}
-    report.wall_time_s = time.monotonic() - t0
-    report.write(Path(args.out) / "simulate_report.json")
-    return 0
+    print(f"simulated {args.n} copies up to t={args.t} -> {csv_path}")
+    return 0, {"n": args.n, "t": args.t, "grid": args.grid,
+               "path_csv": csv_path.name}
 
 
-def cmd_verify_ldp(args) -> int:
-    gen, mu0, _ = load_model(args.model)
-    t0 = time.monotonic()
+def cmd_verify_ldp(args, gen, mu0):
+    nu = mu0
     if args.target is not None:
         nu = Measure(gen.space, _parse_vector(args.target, gen.space, "--target"))
-    else:
-        nu = mu0
     event = BallEvent(nu, args.t, args.radius)
-    ns = [int(v) for v in (args.n or "50,100,200,400").split(",")]
     reference = ball_infimum_rate(gen, mu0, nu, args.t, args.radius)
     try:
-        est = estimate_event_decay(gen, mu0, event, ns, args.reps, args.seed)
+        est = estimate_event_decay(gen, mu0, event, args.n, args.reps, args.seed)
     except InsufficientSampling as exc:
         print(f"error: {exc}", file=sys.stderr)
-        report = RunReport(command=["verify-ldp", str(args.model)],
-                           inputs_digest=_digest(args, args.model),
-                           seed=args.seed)
-        report.outputs = {"error": str(exc), "partial": exc.partial,
-                          "reference_rate": reference}
-        report.wall_time_s = time.monotonic() - t0
-        report.write(Path(args.out) / "verify_ldp_report.json")
-        return 1
+        return 1, {"error": str(exc), "partial": exc.partial,
+                   "reference_rate": reference}
     est_path = Path(args.out) / "decay_estimate.json"
-    with open(est_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(est.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(est_path, est.to_dict())
     rel = abs(est.slope - reference) / reference if reference > 0 else 0.0
     print(f"fitted slope = {est.slope:.6g} +- {est.stderr:.2g}  "
           f"ball-corrected rate = {reference:.6g}  rel. gap = {rel:.1%}")
-    report = RunReport(command=["verify-ldp", str(args.model)],
-                       inputs_digest=_digest(args, args.model), seed=args.seed)
-    report.outputs = {
-        "slope": est.slope,
-        "stderr": est.stderr,
-        "reference_rate": reference,
-        "relative_gap": rel,
-        "estimate_json": est_path.name,
-    }
-    report.wall_time_s = time.monotonic() - t0
-    report.write(Path(args.out) / "verify_ldp_report.json")
-    return 0
+    return 0, {"slope": est.slope, "stderr": est.stderr,
+               "reference_rate": reference, "relative_gap": rel,
+               "estimate_json": est_path.name}
 
 
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
+
+def _int_list(text) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}") from None
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -443,79 +396,76 @@ def build_parser() -> argparse.ArgumentParser:
                     "semigroup residuals 1e-9.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, seed_required=False):
+    def command(name, func, help, tol=None, seed=False):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--tol", type=float, default=0.0,
-                       help="extra slack added to check tolerances / solver tol")
-        if seed_required:
+        if tol:
+            p.add_argument("--tol", type=float, default=0.0, help=tol)
+        if seed:
             p.add_argument("--seed", type=int, required=True,
                            help="RNG seed (mandatory: no implicit entropy)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("check", help="run the model invariant suite")
-    common(p)
-    p.set_defaults(func=cmd_check)
+    solver_tol = "solver gradient tolerance (0 means 1e-9)"
+    command("check", cmd_check, "run the model invariant suite",
+            tol="extra slack added to every check tolerance")
 
-    p = sub.add_parser("semigroup",
-                       help="resolvent iteration vs matrix exponential")
-    common(p)
+    p = command("semigroup", cmd_semigroup,
+                "resolvent iteration vs matrix exponential")
     p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--n", default=None, help="comma list of iteration counts")
+    p.add_argument("--n", type=_int_list, default="8,64,512",
+                   help="comma list of iteration counts")
     p.add_argument("--potential", default=None,
                    help="comma list; defaults to linspace(0, 1)")
-    p.set_defaults(func=cmd_semigroup)
 
-    p = sub.add_parser("rate", help="conditional rate between two laws")
-    common(p)
+    p = command("rate", cmd_rate, "conditional rate between two laws",
+                tol=solver_tol)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--target", required=True, help="target law, comma list")
     p.add_argument("--mu", default=None,
                    help="starting law, comma list (default: model initial)")
-    p.set_defaults(func=cmd_rate)
 
-    p = sub.add_parser("bridge", help="optimal bridge to a target law")
-    common(p)
+    p = command("bridge", cmd_bridge, "optimal bridge to a target law",
+                tol=solver_tol)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--grid", type=int, default=400, help="time intervals K")
     p.add_argument("--target", required=True, help="target law, comma list")
-    p.set_defaults(func=cmd_bridge)
 
-    p = sub.add_parser("action", help="action of a CSV measure path")
-    common(p)
+    p = command("action", cmd_action, "action of a CSV measure path",
+                tol=solver_tol)
     p.add_argument("--path", required=True, help="path CSV file")
-    p.set_defaults(func=cmd_action)
 
-    p = sub.add_parser("simulate", help="empirical trajectory of n copies")
-    common(p, seed_required=True)
+    p = command("simulate", cmd_simulate, "empirical trajectory of n copies",
+                seed=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--grid", type=int, default=100, help="time intervals K")
-    p.add_argument("--n", default="1000", help="number of copies")
-    p.set_defaults(func=cmd_simulate)
+    p.add_argument("--n", type=int, default=1000, help="number of copies")
 
-    p = sub.add_parser("verify-ldp", help="Monte Carlo decay-rate estimate")
-    common(p, seed_required=True)
+    p = command("verify-ldp", cmd_verify_ldp, "Monte Carlo decay-rate estimate",
+                seed=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--n", default=None, help="comma list of copy counts")
+    p.add_argument("--n", type=_int_list, default="50,100,200,400",
+                   help="comma list of copy counts")
     p.add_argument("--reps", type=int, default=2000)
     p.add_argument("--radius", type=float, default=0.05, help="l1 ball radius")
     p.add_argument("--target", default=None,
                    help="event center, comma list (default: model initial)")
-    p.set_defaults(func=cmd_verify_ldp)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
-        return args.func(args)
+        return _run(args)
     except json.JSONDecodeError as exc:
         print(f"error: cannot parse model file at line {exc.lineno}, "
               f"column {exc.colno}: {exc.msg}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, _Unparseable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ToolkitError as exc:

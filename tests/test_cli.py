@@ -1,6 +1,7 @@
 """Command-line interface: parsing, subcommands, reports, round trips."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,17 @@ MODELS = Path(__file__).resolve().parent.parent / "models"
 ABSORBING = str(MODELS / "absorbing.json")
 SYMMETRIC = str(MODELS / "symmetric.json")
 RING = str(MODELS / "ring3.json")
+
+# paths on the two states a, b of SYMMETRIC
+STATIONARY_PATH = "t,a,b\n0,0.5,0.5\n0.5,0.5,0.5\n1,0.5,0.5\n"
+DRIFTING_PATH = "t,a,b\n0,0.5,0.5\n0.5,0.6,0.4\n1,0.7,0.3\n"
+
+
+def strict_loads(text):
+    """``json.loads`` that refuses Infinity, -Infinity and NaN."""
+    def refuse(name):
+        raise ValueError(f"not strict JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestLoadModel:
@@ -175,15 +187,104 @@ class TestVerifyLdp:
         assert "seed" in capsys.readouterr().err
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv", [
+        ["semigroup", "--model", SYMMETRIC, "--n", "abc"],
+        ["verify-ldp", "--model", ABSORBING, "--t", "0.5", "--seed", "1",
+         "--n", "10,x"],
+        ["simulate", "--model", ABSORBING, "--t", "1.0", "--seed", "1",
+         "--n", "100,200"],
+    ])
+    def test_bad_count_is_a_usage_error(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "argument --n" in capsys.readouterr().err
+
+    def test_bad_target_exits_2(self, tmp_path, capsys):
+        code = main(["rate", "--model", ABSORBING, "--t", "0.5",
+                     "--target", "a,b,c", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --target") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("row, why", [("0.5,abc,0.5", "'abc'"),
+                                          ("0.5,0.5", "2 fields")])
+    def test_bad_path_row_exits_2(self, tmp_path, capsys, row, why):
+        path = tmp_path / "p.csv"
+        path.write_text(f"t,a,b\n0,0.5,0.5\n{row}\n1,0.5,0.5\n")
+        code = main(["action", "--model", SYMMETRIC, "--path", str(path),
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and why in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["semigroup", "--model", SYMMETRIC],
+        ["simulate", "--model", ABSORBING, "--t", "1.0", "--seed", "1"],
+        ["verify-ldp", "--model", ABSORBING, "--t", "0.5", "--seed", "1"],
+    ])
+    def test_tol_only_where_read(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tol", "1e-3", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
+
+# argv, seed; "{csv}" stands for a path file written by the test
+REPORT_CASES = {
+    "check": (["check", "--model", RING], None),
+    "semigroup": (["semigroup", "--model", SYMMETRIC, "--t", "0.5"], None),
+    "rate": (["rate", "--model", SYMMETRIC, "--t", "0.3",
+              "--target", "0.6,0.4"], None),
+    "rate-inf": (["rate", "--model", ABSORBING, "--mu", "0,1",
+                  "--target", "1,0", "--t", "0.5"], None),
+    "bridge": (["bridge", "--model", RING, "--t", "0.5", "--grid", "32",
+                "--target", "0.2,0.4,0.4"], None),
+    "action": (["action", "--model", SYMMETRIC, "--path", "{csv}"], None),
+    "simulate": (["simulate", "--model", ABSORBING, "--t", "1.0",
+                  "--grid", "10", "--n", "200", "--seed", "42"], 42),
+    "verify-ldp": (["verify-ldp", "--model", ABSORBING, "--t", "0.5",
+                    "--radius", "0.5", "--n", "20,40", "--reps", "500",
+                    "--seed", "7"], 7),
+}
+
+
 class TestReports:
-    def test_digest_stable_across_reruns(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        out1.mkdir(), out2.mkdir()
-        for out in (out1, out2):
-            main(["rate", "--model", SYMMETRIC, "--t", "0.3",
-                  "--target", "0.6,0.4", "--out", str(out)])
-        r1 = load_report(out1 / "rate_report.json")
-        r2 = load_report(out2 / "rate_report.json")
-        assert r1["inputs_digest"] == r2["inputs_digest"]
-        r1.pop("wall_time_s"), r2.pop("wall_time_s")
-        assert r1 == r2
+    @pytest.mark.parametrize("case", REPORT_CASES)
+    def test_digest_stable_across_reruns(self, tmp_path, case):
+        csv_path = tmp_path / "path.csv"
+        csv_path.write_text(DRIFTING_PATH)
+        argv, seed = REPORT_CASES[case]
+        argv = [str(csv_path) if a == "{csv}" else a for a in argv]
+        name = argv[0].replace("-", "_") + "_report.json"
+        texts = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert main([*argv, "--out", str(out)]) == 0
+            texts.append((out / name).read_text())
+        report = strict_loads(texts[0])
+        inputs = [a for flag, a in zip(argv, argv[1:])
+                  if flag in ("--model", "--path")]
+        assert report["command"] == [argv[0], *inputs]
+        assert report["seed"] == seed
+        wall = re.compile(r'"wall_time_s": [^,\n]*')
+        assert wall.sub("", texts[0]) == wall.sub("", texts[1])
+
+    def test_infinite_rate_written_as_strings(self, tmp_path):
+        main([*REPORT_CASES["rate-inf"][0], "--out", str(tmp_path)])
+        outputs = strict_loads(
+            (tmp_path / "rate_report.json").read_text())["outputs"]
+        assert outputs["value"] == outputs["gradient_norm"] == "inf"
+
+    def test_digest_covers_path_file(self, tmp_path):
+        path = tmp_path / "path.csv"
+
+        def digest(text):
+            path.write_text(text)
+            assert main(["action", "--model", SYMMETRIC, "--path", str(path),
+                         "--out", str(tmp_path)]) == 0
+            return load_report(tmp_path / "action_report.json")["inputs_digest"]
+
+        first = digest(STATIONARY_PATH)
+        assert digest(STATIONARY_PATH) == first
+        assert digest(DRIFTING_PATH) != first
