@@ -42,7 +42,7 @@ from .hamiltonian import (
     resolvent_iterate,
     v_apply,
 )
-from .lagrangian import SolverOptions, dual_check
+from .lagrangian import DEFAULT_OPTIONS, SolverOptions, dual_check
 from .markov import (
     Generator,
     Measure,
@@ -201,7 +201,7 @@ def _parse_vector(text, space, what):
 
 
 def _solver_options(args) -> SolverOptions:
-    return SolverOptions(gradient_tol=args.tol or 1e-9)
+    return SolverOptions(gradient_tol=args.tol or DEFAULT_OPTIONS.gradient_tol)
 
 
 def _invariant_checks(gen: Generator):

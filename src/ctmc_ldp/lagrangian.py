@@ -12,9 +12,11 @@ gauge-fixed subspace f(x0) = 0; constant shifts of f never change the
 objective.
 
 Every concave maximization of the package (this one, the conditional and
-joint rates, the cells of a path action) runs through one damped Newton
-core over a leading batch axis, ``_newton_ascent``; its callers supply the
-objective, gradient and Hessian, and keep their structural screens.
+joint rates) runs through one damped Newton core over a leading batch axis,
+``_newton_ascent``; its callers supply the objective, gradient and Hessian,
+and keep their structural screens. A single Lagrangian and the cells of a
+path action share one evaluator, ``_lagrangian_cells``, which screens and
+pins stacks of cells and batches those with the same flux channels.
 
 Suprema need not be attained: holding mass on a state whose only exit
 channel must be shut down drives components of f to -infinity while the
@@ -114,28 +116,6 @@ class _Status:
     along the Newton step or the gradient, MAX_ITERS the cap without one."""
 
     CONVERGED, INFINITE, BOUNDARY, STALLED, MAX_ITERS = range(5)
-
-
-def _flux_components(adjacency):
-    """Connected components of an undirected adjacency matrix."""
-    n = adjacency.shape[0]
-    label = np.full(n, -1, dtype=int)
-    comps = []
-    for s in range(n):
-        if label[s] >= 0:
-            continue
-        stack = [s]
-        label[s] = len(comps)
-        members = [s]
-        while stack:
-            x = stack.pop()
-            for y in np.flatnonzero(adjacency[x]):
-                if label[y] < 0:
-                    label[y] = label[s]
-                    stack.append(y)
-                    members.append(y)
-        comps.append(members)
-    return label, comps
 
 
 def _newton_ascent(objective, hessian, x, free, opts):
@@ -248,16 +228,21 @@ def _newton_ascent(objective, hessian, x, free, opts):
     return status, out_x, out_value, iters, out_norm
 
 
-def _solve_one(objective, hessian, x, free, opts):
-    """``_newton_ascent`` on a batch of one; fails unless it settles."""
-    status, x, value, iters, norm = (
-        a[0] for a in _newton_ascent(objective, hessian, x[None], free, opts))
+def _settled(status, opts):
+    """Raise NumericalFailure unless ``_newton_ascent`` settled the cell."""
     if status == _Status.STALLED:
         raise NumericalFailure(
             "line search stalled before reaching the gradient tolerance")
     if status == _Status.MAX_ITERS:
         raise NumericalFailure(
             f"no convergence or divergence evidence within {opts.max_iters} iterations")
+
+
+def _solve_one(objective, hessian, x, free, opts):
+    """``_newton_ascent`` on a batch of one; fails unless it settles."""
+    status, x, value, iters, norm = (
+        a[0] for a in _newton_ascent(objective, hessian, x[None], free, opts))
+    _settled(status, opts)
     return status, x, float(value), int(iters), float(norm)
 
 
@@ -284,35 +269,52 @@ def _lagrangian_objective(flux, us, base):
     return objective, hessian
 
 
-def _newton_cells(Qoff, exit_rates, mus, us, opts):
-    """Cold L(mu_k, u_k) on a stack of cells by one ``_newton_ascent``.
+def _lagrangian_cells(gen, mus, us, opts, gauge=0, initial=None):
+    """L(mu_k, u_k) on a stack of cells, from f = 0 or the warm starts
+    ``initial`` (one row per cell).
 
-    Only cells that reduce to the plain case of ``lagrangian_value`` are
-    batched: mu_k > 0 on every state of a generator whose jump graph is
-    connected, so one flux component carries all mass, the gauge state 0
-    is the only pin, and no state is undetermined.
+    Mass moves only along channels carrying flux, mu_x r_xy > 0, whose
+    support does not depend on the tilt. A cell is +infinity when an empty
+    state must lose mass, or when a connected component of that graph has
+    speed entries that do not balance: along such directions the objective
+    is exactly linear (singular Hessian), so they are screened out rather
+    than iterated on. One state per component is pinned, ``gauge`` in its
+    own and the lowest state in each other, since the objective is
+    invariant under per-component shifts. Cells with the same live channels
+    share components and pins, and go through one ``_newton_ascent``.
 
-    Returns the (K,) cell values and iterations: 0 iterations for a cell
-    not batched, and value NaN for it and for a cell that does not settle.
+    Returns per-cell status, maximizer, value, iterations and gradient norm
+    as ``_newton_ascent`` does (a screened cell is INFINITE at 0
+    iterations), and the (K, n) mask of pinned states.
     """
     K, n = mus.shape
-    values, iterations = np.full(K, np.nan), np.zeros(K, dtype=int)
-    if len(_flux_components((Qoff + Qoff.T) > 0.0)[1]) > 1:
-        return values, iterations
-    flux = mus[:, :, None] * Qoff
-    # a balance residual near the per-cell feasibility threshold, or a
-    # product underflowing to zero on a live channel, is left to that solver
-    cells = np.flatnonzero(
-        np.all(mus > 0.0, axis=1)
-        & (np.abs(us.sum(axis=1)) <= 0.5 * STRUCTURAL_TOL)
-        & np.all((flux > 0.0) == (Qoff > 0.0), axis=(1, 2)))
-    objective, hessian = _lagrangian_objective(flux[cells], us[cells],
-                                               mus[cells] @ exit_rates)
-    status, _, value, iterations[cells], _ = _newton_ascent(
-        objective, hessian, np.zeros((cells.size, n)), np.arange(1, n), opts)
-    settled = (status != _Status.STALLED) & (status != _Status.MAX_ITERS)
-    values[cells[settled]] = value[settled]
-    return values, iterations
+    flux = mus[:, :, None] * gen.off_diagonal
+    base = mus @ gen.exit_rates
+    live = flux > 0.0
+    keys = live.reshape(K, -1).view(f"V{n * n}")[:, 0]  # each cell's pattern as bytes
+    x = np.zeros((K, n)) if initial is None else initial - initial[:, gauge, None]
+    status, iters = np.full(K, _Status.INFINITE), np.zeros(K, dtype=int)
+    value, norm = np.full(K, math.inf), np.full(K, math.inf)
+    pinned = np.empty((K, n), dtype=bool)
+    # an empty state has no outflux at any tilt, so it can only gain
+    drains = (mus == 0.0) & (us < -STRUCTURAL_TOL)
+    rest = np.arange(K)
+    while rest.size:
+        same = keys[rest] == keys[rest[0]]
+        group, rest = rest[same], rest[~same]
+        reach = live[group[0]] | live[group[0]].T | np.eye(n, dtype=bool)
+        for _ in range((n - 2).bit_length()):  # closure: paths of n - 1 jumps
+            reach = reach @ reach
+        pins = (reach.argmax(axis=1) == np.arange(n)) & ~reach[:, gauge]
+        pins[gauge] = True
+        pinned[group] = pins
+        unbalanced = np.abs(us[group] @ reach) > STRUCTURAL_TOL
+        cells = group[~(drains[group] | unbalanced).any(axis=1)]
+        objective, hessian = _lagrangian_objective(flux[cells], us[cells], base[cells])
+        status[cells], x[cells], value[cells], iters[cells], norm[cells] = \
+            _newton_ascent(objective, hessian, np.where(pins, 0.0, x[cells]),
+                           np.flatnonzero(~pins), opts)
+    return status, x, value, iters, norm, pinned
 
 
 def _boundary_flags(base_flux, f):
@@ -354,46 +356,28 @@ def lagrangian_value(gen: Generator, mu: Measure, u,
     opts = opts or DEFAULT_OPTIONS
     if not isinstance(u, Speed):
         u = Speed(gen.space, np.asarray(u, dtype=float))
-    n, p, u = gen.size, mu.p, u.u
-    gauge = gen.space.index(gauge_state)
-    base_flux = p[:, None] * gen.off_diagonal
-    infinite = LagrangianResult(math.inf, None, 0, math.inf)
-    # an empty state has no outflux at any tilt, so it can only gain
-    if np.any((p == 0.0) & (u < -STRUCTURAL_TOL)):
-        return infinite
-
-    # Mass moves only along channels carrying flux, whose support does not
-    # depend on the tilt; a connected component of that graph whose speed
-    # entries do not balance is infeasible, and along such directions the
-    # objective is exactly linear (singular Hessian), so they must be
-    # screened out rather than iterated on. One state per component is
-    # pinned: the objective is invariant under per-component shifts.
-    label, comps = _flux_components((base_flux + base_flux.T) > 0.0)
-    if any(abs(float(u[members].sum())) > STRUCTURAL_TOL for members in comps):
-        return infinite
-    pins = {int(label[gauge]): gauge}
-    for ci, members in enumerate(comps):
-        pins.setdefault(ci, members[0])
-    pinned = set(pins.values())
-    influx = base_flux.sum(axis=0)
-    undetermined = tuple(z for z in range(n) if p[z] == 0.0 and influx[z] <= 0.0)
-    free = np.array([i for i in range(n) if i not in pinned], dtype=int)
-
-    f = np.zeros(n)
+    p, u = mu.p, u.u
     if initial is not None:
-        f = np.asarray(initial, dtype=float) - float(initial[gauge])
-        f[[i for i in pinned if i != gauge]] = 0.0
-    objective, hessian = _lagrangian_objective(
-        base_flux[None], u[None], p[None] @ gen.exit_rates)
-    status, f, value, iters, gnorm = _solve_one(objective, hessian, f, free, opts)
+        initial = np.asarray(initial, dtype=float)[None]
+    status, f, value, iters, gnorm, pinned = (a[0] for a in _lagrangian_cells(
+        gen, p[None], u[None], opts, gen.space.index(gauge_state), initial))
+    if status == _Status.INFINITE and iters == 0:  # screened out
+        return LagrangianResult(math.inf, None, 0, math.inf)
+    _settled(status, opts)
+    base_flux = p[:, None] * gen.off_diagonal
+    idle = (p == 0.0) & (base_flux.sum(axis=0) <= 0.0)
+    undetermined = tuple(np.flatnonzero(idle).tolist())
 
-    value = max(value, 0.0) if math.isfinite(value) else value
+    value = max(float(value), 0.0) if math.isfinite(value) else float(value)
     attained = status == _Status.CONVERGED and not _boundary_flags(base_flux, f)
     if attained:
         # The next Newton step vanishes at an interior maximizer, but stays
         # near -1 on a channel that shuts only in the limit, at any flux
         # scale: a small flux meets the gradient tolerance early.
+        objective, hessian = _lagrangian_objective(
+            base_flux[None], u[None], p[None] @ gen.exit_rates)
         _, grad, M = objective(f[None], slice(None))
+        free = np.flatnonzero(~pinned)
         try:
             step = np.linalg.solve(hessian(M)[0][free[:, None], free], grad[0, free])
         except np.linalg.LinAlgError:
@@ -401,7 +385,7 @@ def lagrangian_value(gen: Generator, mu: Measure, u,
         attained = not (np.abs(step).max(initial=0.0) > 0.5
                         and np.isfinite(step).all())
     maximizer = Potential(gen.space, f) if attained else None
-    return LagrangianResult(value, maximizer, iters, gnorm, undetermined)
+    return LagrangianResult(value, maximizer, int(iters), float(gnorm), undetermined)
 
 
 def dual_check(gen: Generator, mu: Measure, f: Potential,

@@ -25,6 +25,7 @@ from .errors import (
 # Tolerances shared across the package.
 ROW_SUM_TOL = 1e-12          # generator rows must sum to zero this tightly
 MEASURE_SUM_TOL = 1e-10      # probability vectors must sum to one this tightly
+PROBABILITY_SLACK = 1e-12    # rounding tolerated outside [0, 1] before clipping
 RENORM_DRIFT = 1e-8          # beyond this drift evolution is considered broken
 UNIFORMIZATION_TAIL = 1e-13  # neglected Poisson tail mass in the semigroup
 _TINY_RATE = np.finfo(float).tiny  # uniformization rate of a zero generator
@@ -181,7 +182,7 @@ class StochasticMatrix:
             raise MalformedModel("transition matrix has the wrong shape")
         if not np.all(np.isfinite(P)):
             raise MalformedModel("transition matrix contains non-finite entries")
-        if np.any(P < -1e-12) or np.any(P > 1 + 1e-12):
+        if np.any(P < -PROBABILITY_SLACK) or np.any(P > 1 + PROBABILITY_SLACK):
             raise MalformedModel("transition probabilities outside [0, 1]")
         if np.max(np.abs(P.sum(axis=1) - 1.0)) > MEASURE_SUM_TOL:
             raise MalformedModel("transition matrix rows must sum to 1")

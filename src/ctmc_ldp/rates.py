@@ -20,9 +20,10 @@ rates, like the Lagrangian, are solved by the Newton core of
 ``lagrangian``, which takes each objective with its gradient and Hessian.
 
 The action of a discretized measure path is the cell-by-cell Lagrangian of
-within-cell measures and finite-difference speeds; the partition rate
-chains conditional rates across a coarse time partition and underestimates
-the action supremum.
+within-cell measures and finite-difference speeds, all cells evaluated at
+once by the evaluator behind ``lagrangian_value``; the partition rate
+chains conditional rates across a coarse time partition of grid nodes and
+underestimates the action supremum.
 """
 
 from __future__ import annotations
@@ -38,12 +39,14 @@ from .lagrangian import (
     DEFAULT_OPTIONS,
     BOUNDARY_NORM,
     SolverOptions,
-    _newton_cells,
+    _lagrangian_cells,
+    _settled,
     _solve_one,
     _Status,
-    lagrangian_value,
 )
 from .markov import (
+    MEASURE_SUM_TOL,
+    PROBABILITY_SLACK,
     Generator,
     Measure,
     Potential,
@@ -54,6 +57,7 @@ from .markov import (
 )
 
 DEFAULT_TILT_CAP = 30.0
+GRID_NODE_TOL = 1e-9  # relative distance at which a partition time is a grid node
 
 
 @dataclass(frozen=True)
@@ -71,9 +75,9 @@ class PathGrid:
             raise MalformedModel("need t0 < t1")
         if m.ndim != 2 or m.shape[0] < 2 or m.shape[1] != self.space.size:
             raise MalformedModel("measures must be a (K+1, size) array with K >= 1")
-        if not np.all(np.isfinite(m)) or np.any(m < -1e-12):
+        if not np.all(np.isfinite(m)) or np.any(m < -PROBABILITY_SLACK):
             raise MalformedModel("grid nodes must be valid probability vectors")
-        if np.max(np.abs(m.sum(axis=1) - 1.0)) > 1e-10:
+        if np.max(np.abs(m.sum(axis=1) - 1.0)) > MEASURE_SUM_TOL:
             raise MalformedModel("grid node masses must sum to 1")
         object.__setattr__(self, "measures", _frozen(np.clip(m, 0.0, None)))
 
@@ -381,12 +385,10 @@ def path_action(gen: Generator, path: PathGrid,
     """Integral of L(mu(s), mu'(s)) ds over the grid, cell by cell.
 
     Each cell contributes dt * L(measure at the quadrature node,
-    finite-difference speed). Cells whose measure is positive on every
-    state, on a generator with a connected jump graph, are solved together
-    by one batched run of the solver core that ``lagrangian_value`` uses.
-    The rest, and any batched cell that does not settle, are solved cold
-    and in cell order by ``lagrangian_value``; the first infinite cell,
-    whether the batch or the cold solve found it, ends the sweep.
+    finite-difference speed), evaluated as ``lagrangian_value`` does, with
+    its screens and pins, for all cells at once. The first cell in cell
+    order that is infinite ends the sweep and is named in the result; if a
+    cell before it does not settle, NumericalFailure is raised instead.
     """
     if path.space != gen.space:
         raise MalformedModel("path and generator use different state spaces")
@@ -397,16 +399,14 @@ def path_action(gen: Generator, path: PathGrid,
     mids = (1.0 - w) * m[:-1] + w * m[1:]
     speeds = (m[1:] - m[:-1]) / dt
     speeds = speeds - speeds.sum(axis=1, keepdims=True) / gen.size
-    values, _ = _newton_cells(gen.off_diagonal, gen.exit_rates, mids, speeds,
-                              opts)
+    status, _, values, _, _, _ = _lagrangian_cells(gen, mids, speeds, opts)
     cells = dt * np.maximum(values, 0.0)
-    for k in np.flatnonzero(~np.isfinite(values)):
-        if np.isnan(values[k]):
-            values[k] = lagrangian_value(gen, Measure(gen.space, mids[k]),
-                                         speeds[k], opts=opts).value
-        cells[k] = dt * values[k]
-        if not math.isfinite(cells[k]):
-            return ActionResult(math.inf, cells[:k + 1], infeasible_cell=int(k))
+    unsettled = (status == _Status.STALLED) | (status == _Status.MAX_ITERS)
+    stop = np.flatnonzero(unsettled | ~np.isfinite(cells))
+    if stop.size:
+        k = int(stop[0])
+        _settled(status[k], opts)
+        return ActionResult(math.inf, cells[:k + 1], infeasible_cell=k)
     return ActionResult(float(cells.sum()), cells)
 
 
@@ -414,14 +414,15 @@ def partition_rate(gen: Generator, path: PathGrid, partition: Partition,
                    P0: Measure, opts: SolverOptions | None = None) -> float:
     """Initial entropy plus chained conditional rates across the partition.
 
-    Partition times must coincide with grid nodes (each is snapped to the
-    nearest node, which must be unique and after the previous one).
+    Partition times must coincide with grid nodes after t0, to within
+    GRID_NODE_TOL times the length of the grid.
     """
     dt = path.dt
     idx = []
     for tau in partition.times:
         j = int(round((tau - path.t0) / dt))
-        if j < 1 or j > path.K or abs(path.t0 + j * dt - tau) > dt / 2:
+        off_node = abs(path.t0 + j * dt - tau) > GRID_NODE_TOL * (path.t1 - path.t0)
+        if j < 1 or j > path.K or off_node:
             raise InvalidParameter(f"partition time {tau} is not a grid node")
         idx.append(j)
     if any(b <= a for a, b in zip(idx, idx[1:])):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ctmc_ldp import (
     InfeasibleSpeed,
     Measure,
+    NumericalFailure,
     Potential,
     Speed,
     SolverOptions,
@@ -19,7 +20,7 @@ from ctmc_ldp import (
     apply_hamiltonian,
     validate_generator,
 )
-from ctmc_ldp.lagrangian import DEFAULT_OPTIONS, _newton_cells
+from ctmc_ldp.lagrangian import DEFAULT_OPTIONS, _lagrangian_cells, _Status
 from conftest import (
     absorbing_chain,
     random_measure,
@@ -107,6 +108,7 @@ class TestLagrangianValue:
         mu = Measure.dirac(gen.space, "a")
         res = lagrangian_value(gen, mu, np.array([1.0, -1.0]))
         assert res.value == math.inf
+        assert res.iterations == 0  # screened out, not iterated to divergence
 
     def test_gauge_invariance(self, rng):
         for _ in range(10):
@@ -209,8 +211,9 @@ class TestBatchedCells:
     @given(seed=st.integers(0, 2**32 - 1),
            kind=st.sampled_from(("random", "stiff", "sparse")))
     def test_batch_matches_per_cell_solver(self, seed, kind):
-        # the batch settles every cell it takes, and each agrees with a cold
-        # per-cell solve in value and iteration count
+        # every cell of a stack, zero-mass states and Dirac laws included,
+        # agrees with its own lagrangian_value in value, iterations and
+        # infiniteness, and fails to settle exactly where that raises
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 5))
         if kind == "stiff":
@@ -220,20 +223,67 @@ class TestBatchedCells:
             if kind == "sparse":
                 rates[rng.random((n, n)) < 0.5] = 0.0
         gen = validate_generator([f"s{i}" for i in range(n)], rates)
-        mus = rng.dirichlet(np.ones(n), 8)
-        us = np.array([speed(gen, Measure(gen.space, m),
+        mus = rng.dirichlet(np.ones(n), 12)
+        mus[4:8][rng.random((4, n)) < 0.4] = 0.0
+        mus[8:] = np.eye(n)[rng.integers(0, n, 4)]
+        mus[mus.sum(axis=1) == 0.0, 0] = 1.0
+        mus /= mus.sum(axis=1, keepdims=True)
+        # speeds of tilts at the cell's own law or at another one, so that
+        # some drain empty states or unbalance a flux component
+        at = np.where(rng.random(12) < 0.7, np.arange(12), rng.permutation(12))
+        us = np.array([speed(gen, Measure(gen.space, mus[j]),
                              random_potential(rng, gen, bound=2.0)).u
-                       for m in mus])
-        us += rng.normal(0.0, 0.1, us.shape)
+                       for j in at])
+        us[::2] += rng.normal(0.0, 0.1, us[::2].shape)
         us -= us.mean(axis=1, keepdims=True)
-        values, iterations = _newton_cells(gen.off_diagonal, gen.exit_rates,
-                                           mus, us, DEFAULT_OPTIONS)
-        batched = iterations > 0
-        assert not np.isnan(values[batched]).any()
-        for k in np.flatnonzero(batched):
-            cold = lagrangian_value(gen, Measure(gen.space, mus[k]), us[k])
-            assert values[k] == pytest.approx(cold.value, abs=1e-10)
+        status, _, values, iterations, _, _ = _lagrangian_cells(
+            gen, mus, us, DEFAULT_OPTIONS)
+        for k in range(len(mus)):
+            try:
+                cold = lagrangian_value(gen, Measure(gen.space, mus[k]), us[k])
+            except NumericalFailure:
+                assert status[k] in (_Status.STALLED, _Status.MAX_ITERS)
+                continue
+            assert math.isinf(values[k]) == math.isinf(cold.value)
+            assert max(values[k], 0.0) == pytest.approx(cold.value, abs=1e-10)
             assert iterations[k] == cold.iterations
+
+    def test_pins_one_state_per_flux_component(self, rng):
+        # reference: components of the live channels by graph search; the
+        # gauge is pinned in its own component, the lowest state elsewhere
+        for trial in range(60):
+            n = int(rng.integers(2, 11))
+            if trial % 3:
+                rates = rng.uniform(0.0, 3.0, (n, n))
+                rates[rng.random((n, n)) < 0.7] = 0.0
+            else:  # a chain through the states in random order
+                order = rng.permutation(n)
+                rates = np.zeros((n, n))
+                rates[order[:-1], order[1:]] = 1.0
+            gen = validate_generator([f"s{i}" for i in range(n)], rates)
+            p = rng.dirichlet(np.ones(n))
+            p[rng.random(n) < 0.3 * (trial % 2)] = 0.0
+            p = p / p.sum() if p.sum() > 0.0 else np.eye(n)[0]
+            gauge = int(rng.integers(n))
+            live = p[:, None] * gen.off_diagonal > 0.0
+            expected = np.zeros(n, dtype=bool)
+            seen = np.zeros(n, dtype=bool)
+            for s in range(n):
+                if seen[s]:
+                    continue
+                comp, stack = [s], [s]
+                seen[s] = True
+                while stack:
+                    x = stack.pop()
+                    for y in np.flatnonzero(live[x] | live[:, x]):
+                        if not seen[y]:
+                            seen[y] = True
+                            comp.append(y)
+                            stack.append(y)
+                expected[gauge if gauge in comp else min(comp)] = True
+            pinned = _lagrangian_cells(gen, p[None], np.zeros((1, n)),
+                                       DEFAULT_OPTIONS, gauge)[5][0]
+            np.testing.assert_array_equal(pinned, expected)
 
 
 class TestSolverRobustness:

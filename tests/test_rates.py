@@ -11,9 +11,11 @@ from ctmc_ldp import (
     InvalidParameter,
     MalformedModel,
     Measure,
+    NumericalFailure,
     Partition,
     PathGrid,
     Potential,
+    SolverOptions,
     conditional_rate,
     doob_flow,
     doob_forward,
@@ -28,8 +30,8 @@ from ctmc_ldp import (
     validate_generator,
     zero_cost_path,
 )
-from ctmc_ldp import rates
-from ctmc_ldp.lagrangian import DEFAULT_OPTIONS, _newton_cells
+from ctmc_ldp import lagrangian
+from ctmc_ldp.lagrangian import DEFAULT_OPTIONS, _lagrangian_cells, _Status
 from ctmc_ldp.rates import QUADRATURE_NODE
 from conftest import (
     absorbing_chain,
@@ -311,21 +313,23 @@ def _cold_lagrangians(gen, grid):
     return np.array(out)
 
 
-def _batched_mask(gen, grid):
-    """Which cells the batched Newton settles (the rest fall back)."""
+def _cell_status(gen, grid):
+    """Each cell's verdict from the evaluator that ``path_action`` runs."""
     m, dt, w = grid.measures, grid.dt, QUADRATURE_NODE
     mids = (1 - w) * m[:-1] + w * m[1:]
     speeds = (m[1:] - m[:-1]) / dt
     speeds = speeds - speeds.sum(axis=1, keepdims=True) / gen.size
-    values, _ = _newton_cells(gen.off_diagonal, gen.exit_rates, mids, speeds,
-                              DEFAULT_OPTIONS)
-    return ~np.isnan(values)
+    return _lagrangian_cells(gen, mids, speeds, DEFAULT_OPTIONS)[0]
+
+
+def _settled(status):
+    return (status == _Status.CONVERGED) | (status == _Status.BOUNDARY)
 
 
 class TestBatchedPathAction:
     def test_boundary_bridge_cells_match_cold_solves(self, rng):
         # A capped-tilt bridge to a target with one zero entry drains that
-        # state; the per-cell backtrack keeps the drained end in the batch.
+        # state; the per-cell backtrack settles the drained end as well.
         gen = random_model(rng, n_min=3, n_max=3)
         mu0 = random_measure(rng, gen)
         t = 0.8
@@ -336,7 +340,7 @@ class TestBatchedPathAction:
             warnings.simplefilter("ignore", BoundaryBridgeWarning)
             bridge = optimal_bridge(gen, mu0, target, t, 1000)
         assert bridge.boundary
-        assert _batched_mask(gen, bridge.path).all()
+        assert _settled(_cell_status(gen, bridge.path)).all()
         act = path_action(gen, bridge.path)
         assert act.infeasible_cell is None
         np.testing.assert_allclose(act.cell_values / bridge.path.dt,
@@ -354,25 +358,26 @@ class TestBatchedPathAction:
                                            -0.33508306898906803]))
         flow = doob_flow(gen, f, 0.9678210474450866, 1000)
         path, act = doob_forward(gen, mu0, flow)
-        assert _batched_mask(gen, path).all()
+        assert _settled(_cell_status(gen, path)).all()
         np.testing.assert_allclose(act.cell_values / path.dt,
                                    _cold_lagrangians(gen, path),
                                    rtol=0.0, atol=1e-10)
 
-    def test_ineligible_cells_fall_back_to_cold_solves(self, rng):
+    def test_dirac_cells_match_cold_solves(self, rng):
         # a path resting at a Dirac law for five cells before it moves:
-        # cells without full support are solved per cell, the rest batched
+        # flux leaves only the occupied state in the resting cells, which
+        # form their own group and match cold solves like the moving ones
         gen = random_model(rng, n_min=3, n_max=3)
         moving = zero_cost_path(gen, Measure.dirac(gen.space, 0), 0.5, 50)
         m = np.vstack([np.repeat(moving.measures[:1], 5, axis=0),
                        moving.measures])
         grid = PathGrid(gen.space, 0.0, 0.55, m)
-        batched = _batched_mask(gen, grid)
-        assert not batched[:5].any() and batched[5:].all()
+        assert _settled(_cell_status(gen, grid)).all()
         res = path_action(gen, grid)
         assert res.infeasible_cell is None
-        np.testing.assert_allclose(res.cell_values / grid.dt,
-                                   _cold_lagrangians(gen, grid),
+        cold = _cold_lagrangians(gen, grid)
+        assert cold[:5].min() > 0.0
+        np.testing.assert_allclose(res.cell_values / grid.dt, cold,
                                    rtol=0.0, atol=1e-10)
 
     def test_infeasible_cell_after_batched_cells(self, monkeypatch):
@@ -381,18 +386,19 @@ class TestBatchedPathAction:
         pa = np.array([0.9, 0.8, 0.7, 0.6, 0.5, 0.6, 0.5, 0.4, 0.3])
         grid = PathGrid(gen.space, 0.0, 1.0, np.column_stack([pa, 1 - pa]))
         k = 4
-        assert _batched_mask(gen, grid)[:k].all()
-        cold = []
+        assert _settled(_cell_status(gen, grid))[:k].all()
+        ascents = []
+        ascent = lagrangian._newton_ascent
 
-        def counted(*args, **kwargs):
-            cold.append(args)
-            return lagrangian_value(*args, **kwargs)
+        def counted(objective, hessian, x, free, opts):
+            ascents.append(len(x))
+            return ascent(objective, hessian, x, free, opts)
 
-        monkeypatch.setattr(rates, "lagrangian_value", counted)
+        monkeypatch.setattr(lagrangian, "_newton_ascent", counted)
         res = path_action(gen, grid)
-        # the cells before k are batched, and the batch's +inf verdict on
-        # cell k is final: no cell is solved again, cell k included
-        assert cold == []
+        # every cell shares one flux pattern, so one ascent solves them all,
+        # and its +inf verdict on cell k is final: no cell is solved again
+        assert ascents == [grid.K]
         assert res.value == math.inf
         assert res.infeasible_cell == k
         assert len(res.cell_values) == k + 1
@@ -400,6 +406,14 @@ class TestBatchedPathAction:
         np.testing.assert_allclose(res.cell_values[:k] / grid.dt,
                                    _cold_lagrangians(gen, grid)[:k],
                                    rtol=0.0, atol=1e-10)
+
+    def test_unsettled_cell_raises(self, rng):
+        # one Newton iteration cannot settle the cells of a tilted path
+        gen = random_model(rng, n_max=3)
+        flow = doob_flow(gen, random_potential(rng, gen, bound=1.0), 1.0, 50)
+        grid, _ = doob_forward(gen, random_measure(rng, gen), flow)
+        with pytest.raises(NumericalFailure, match="within 1 iterations"):
+            path_action(gen, grid, SolverOptions(max_iters=1))
 
 
 class TestPartitionRate:
@@ -466,8 +480,18 @@ class TestPartitionRate:
         with pytest.raises(InvalidParameter):
             partition_rate(gen, grid, Partition((0.004,)), p0)
         with pytest.raises(InvalidParameter):
-            # both snap to the same node
+            # neither is a grid node
             partition_rate(gen, grid, Partition((0.299, 0.301)), p0)
+
+    def test_off_node_time_rejected(self, rng):
+        # a time between grid nodes raises; a node met up to rounding passes
+        gen = random_model(rng)
+        grid = zero_cost_path(gen, random_measure(rng, gen), 1.0, 10)
+        p0 = Measure.uniform(gen.space)
+        with pytest.raises(InvalidParameter, match="not a grid node"):
+            partition_rate(gen, grid, Partition((0.25,)), p0)
+        assert partition_rate(gen, grid, Partition((3 * 0.1,)), p0) \
+            == pytest.approx(partition_rate(gen, grid, Partition((0.3,)), p0))
 
 
 class TestGridTypes:
