@@ -28,7 +28,6 @@ MEASURE_SUM_TOL = 1e-10      # probability vectors must sum to one this tightly
 PROBABILITY_SLACK = 1e-12    # rounding tolerated outside [0, 1] before clipping
 RENORM_DRIFT = 1e-8          # beyond this drift evolution is considered broken
 UNIFORMIZATION_TAIL = 1e-13  # neglected Poisson tail mass in the semigroup
-_TINY_RATE = np.finfo(float).tiny  # uniformization rate of a zero generator
 
 
 def _frozen(a, dtype=float):
@@ -266,76 +265,40 @@ def validate_generator(labels, rates) -> Generator:
     return Generator(space, Q)
 
 
-def _poisson_terms(m: np.ndarray) -> np.ndarray:
-    """Last Poisson term kept for each parameter of ``m`` (all <= 50).
-
-    The series for m stops at the first k whose cumulative mass
-    e^{-m} sum_{j<=k} m^j / j!, summed term by term in order, reaches
-    1 - UNIFORMIZATION_TAIL. The table runs to m + 8 sqrt(m) + 16 terms
-    for the largest m, which leaves far less than the tail mass for every
-    m <= 50; a series still short of the mass there is cut at that width.
-    """
-    high = float(m.max())
-    width = int(high + 8.0 * math.sqrt(high)) + 16
-    w = np.empty((m.size, width + 1))
-    w[:, 0] = np.exp(-m)
-    np.divide(m[:, None], np.arange(1, width + 1), out=w[:, 1:])
-    np.cumprod(w, axis=1, out=w)
-    stop = np.cumsum(w, axis=1, out=w) >= 1.0 - UNIFORMIZATION_TAIL
-    stop[:, -1] = True
-    return stop.argmax(axis=1)
-
-
 def _expm_generator(Q: np.ndarray, t: float) -> np.ndarray:
-    """e^{tQ} by uniformization: a Poisson mixture of jump-matrix powers.
+    """e^{tQ} of one (n, n) generator by uniformization: a Poisson mixture
+    of jump-matrix powers.
 
-    ``Q`` is one (n, n) generator or a stack (..., n, n) of them; each
-    matrix is uniformized at its own maximal exit rate c and keeps its own
-    number of terms. Nonnegativity and row sums are preserved by
-    construction; the neglected Poisson tail mass is below
-    UNIFORMIZATION_TAIL.
+    Nonnegativity and row sums are preserved by construction; the neglected
+    Poisson tail mass is below UNIFORMIZATION_TAIL.
     """
-    Q = np.asarray(Q, dtype=float)
-    n = Q.shape[-1]
-    Qs = Q.reshape(-1, n, n)
-    # any rate at or above the largest exit rate uniformizes
-    c = np.maximum(-Qs.diagonal(0, 1, 2).min(axis=1), _TINY_RATE)
+    n = Q.shape[0]
+    c = float(-Q.diagonal().min())  # any rate at or above it uniformizes
     m = c * float(t)
-    # Keep each Poisson parameter moderate so the series stays well within
+    if m == 0.0:
+        return np.eye(n)
+    # Keep the Poisson parameter moderate so the series stays well within
     # range, then recombine by integer matrix power.
-    pieces = np.maximum(np.ceil(m / 50.0), 1.0)
+    pieces = math.ceil(m / 50.0)
     m /= pieces
-    last = _poisson_terms(m)
-    # Longest series first, so the series still running at term k are a
-    # leading slice of the stack.
-    order = np.argsort(-last, kind="stable")
-    lasts = last[order].tolist()
-    eye = np.eye(n)
-    # Term k is (m B)^k / k! with B = I + Q/c, and every series keeps at
-    # least its first two terms; the row sums of the kept sum are its
-    # Poisson mass times e^m, so dividing by them normalizes it.
-    mB = (Qs / c[:, None, None])[order]
-    mB += eye
-    mB *= m[order, None, None]
-    acc = mB + eye
-    term, k = mB, 2
-    for j in range(len(lasts), 0, -1):
-        # the first j series all run to term lasts[j - 1]
-        if k > lasts[j - 1]:
-            continue
-        mBj, head, term = mB[:j], acc[:j], term[:j]
-        while k <= lasts[j - 1]:
-            term = term @ mBj
-            term /= k
-            head += term
-            k += 1
-    acc /= acc.sum(axis=2, keepdims=True)
-    P = np.empty_like(acc)
-    P[order] = acc
-    for p in set(pieces.tolist()) - {1.0}:
-        sel = pieces == p
-        P[sel] = np.linalg.matrix_power(P[sel], int(p))
-    return P.reshape(Q.shape)
+    # Term k is (m B)^k / k! with B = I + Q/c. From k = 2 on, terms are
+    # kept until the Poisson mass e^{-m} sum_{j<=k} m^j / j! reaches
+    # 1 - UNIFORMIZATION_TAIL, at most to m + 8 sqrt(m) + 16, far past it
+    # for m <= 50; dividing by the row sums (mass times e^m) normalizes.
+    mB = m * (np.eye(n) + Q / c)
+    acc = mB + np.eye(n)
+    term, w, k = mB, math.exp(-m) * m, 2
+    mass = math.exp(-m) + w
+    width = int(m + 8.0 * math.sqrt(m)) + 16
+    while mass < 1.0 - UNIFORMIZATION_TAIL and k <= width:
+        term = term @ mB
+        term /= k
+        acc += term
+        w *= m / k
+        mass += w
+        k += 1
+    acc /= acc.sum(axis=1, keepdims=True)
+    return acc if pieces == 1 else np.linalg.matrix_power(acc, pieces)
 
 
 def transition_matrix(gen: Generator, t: float) -> StochasticMatrix:

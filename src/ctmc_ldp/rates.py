@@ -390,6 +390,12 @@ def path_action(gen: Generator, path: PathGrid,
     order that is infinite ends the sweep and is named in the result; if a
     cell before it does not settle, NumericalFailure is raised instead.
     """
+    return _path_action(gen, path, opts)
+
+
+def _path_action(gen, path, opts=None, initial=None):
+    """``path_action`` with Newton started in cell k at row k of the (K, n)
+    ``initial`` instead of at f = 0: where it begins, not what it accepts."""
     if path.space != gen.space:
         raise MalformedModel("path and generator use different state spaces")
     opts = opts or DEFAULT_OPTIONS
@@ -399,7 +405,8 @@ def path_action(gen: Generator, path: PathGrid,
     mids = (1.0 - w) * m[:-1] + w * m[1:]
     speeds = (m[1:] - m[:-1]) / dt
     speeds = speeds - speeds.sum(axis=1, keepdims=True) / gen.size
-    status, _, values, _, _, _ = _lagrangian_cells(gen, mids, speeds, opts)
+    status, _, values, _, _, _ = _lagrangian_cells(gen, mids, speeds, opts,
+                                                   initial=initial)
     cells = dt * np.maximum(values, 0.0)
     unsettled = (status == _Status.STALLED) | (status == _Status.MAX_ITERS)
     stop = np.flatnonzero(unsettled | ~np.isfinite(cells))

@@ -1,10 +1,10 @@
 """Doob-transform flows, optimal tilted trajectories, and bridges.
 
 A terminal tilt f induces the space-time harmonic flow h(s) = V(t-s)f; the
-transformed process is generated at time s by the h(s)-tilted generator,
-and its law solves the time-inhomogeneous forward equation. Integrating
-that equation from mu0 produces the optimal trajectory realizing the
-variational identity
+transformed process is generated at time s by the h(s)-tilted generator.
+Its law from mu0 is known in closed form, gamma(s) proportional to
+e^{h(s)} (mu0 e^{-h(0)}) P(s), exactly on every grid node and with no time
+stepping. It is the optimal trajectory realizing the variational identity
 
     <f, gamma(t)> - integral of L(gamma, gamma') = <V(t)f, mu0>.
 
@@ -28,7 +28,7 @@ from .errors import (
     InvalidParameter,
     MalformedModel,
 )
-from .hamiltonian import _log_matrix_apply, _tilted_rates, v_apply
+from .hamiltonian import _log_matrix_apply, v_apply
 from .lagrangian import SolverOptions
 from .markov import (
     Generator,
@@ -41,15 +41,21 @@ from .markov import (
 from .rates import (
     ActionResult,
     DEFAULT_TILT_CAP,
+    QUADRATURE_NODE,
     PathGrid,
+    _path_action,
     conditional_rate,
-    path_action,
 )
+
+HARMONIC_TOL = 1e-9  # last-interval mismatch relative to 1 + max|h_K|
 
 
 @dataclass(frozen=True)
 class DoobFlow:
-    """The backward flow h(s) = V(t-s)f on a uniform grid; h(t) = f exactly."""
+    """The backward flow h(s) = V(t-s)f on a uniform grid; h(t) = f exactly.
+
+    Only space-time harmonic flows, h_k = log(P_dt e^{h_{k+1}}) as built by
+    ``doob_flow``, have the closed-form law that ``doob_forward`` computes."""
 
     space: StateSpace
     horizon: float
@@ -116,24 +122,29 @@ def doob_flow(gen: Generator, f: Potential, t: float, K: int) -> DoobFlow:
     return DoobFlow(gen.space, float(t), h)
 
 
-def _forward_measures(gen: Generator, mu0: Measure, flow: DoobFlow) -> np.ndarray:
-    """The (K+1, n) measures of the tilted forward equation along a flow.
+def _forward_measures(mu0: Measure, flow: DoobFlow, Pdt: np.ndarray) -> np.ndarray:
+    """The (K+1, n) nodes of the law of the Doob transform along a flow.
 
-    Step k advances by the exponential of the generator tilted by the flow
-    at node k; all K step matrices are exponentiated as one stack, and a
-    Hillis-Steele scan forms their prefix products S_1 ... S_k in log2 K
-    rounds. The steps are nonnegative, so mu0 S_1 ... S_k only needs its
-    rows normalized.
+    For a space-time harmonic flow, h_k = log(P_dt e^{h_{k+1}}), the law is
+    exact on every node: gamma_k is e^{h_k} (mu0 e^{-h_0}) P_dt^k,
+    normalized. The rows mu0 e^{-(h_0 - min h_0)} P_dt^k come from one
+    doubling and are scaled by e^{h_k - min h_0}, which keeps each row sum
+    one up to rounding. Where that factor could pass e^600, the nodes are
+    stepped instead by the transformed chain's own stochastic steps
+    P_dt(x, y) e^{h_{k+1}(y) - h_k(x)}, each entry formed in log space.
     """
-    Qt = _tilted_rates(gen.off_diagonal, flow.h[:-1])
-    diag = np.arange(gen.size)
-    Qt[:, diag, diag] = -Qt.sum(axis=2)
-    A = _expm_generator(Qt, flow.dt)
-    s = 1
-    while s < flow.K:
-        A[s:] = A[:-s] @ A[s:]
-        s *= 2
-    out = np.vstack([mu0.p, mu0.p @ A])
+    h = flow.h
+    low = h[0].min()
+    if h[-1].max() - low <= 600.0:
+        out = _power_rows(mu0.p * np.exp(low - h[0]), Pdt, flow.K) * np.exp(h - low)
+    else:
+        with np.errstate(divide="ignore"):
+            logP = np.log(Pdt)
+        out = np.empty_like(h)
+        out[0] = mu0.p
+        for k in range(flow.K):
+            out[k + 1] = out[k] @ np.exp(logP + (h[k + 1] - h[k][:, None]))
+    out[0] = mu0.p
     out[1:] /= out[1:].sum(axis=1, keepdims=True)
     return out
 
@@ -141,17 +152,25 @@ def _forward_measures(gen: Generator, mu0: Measure, flow: DoobFlow) -> np.ndarra
 def doob_forward(gen: Generator, mu0: Measure, flow: DoobFlow,
                  opts: SolverOptions | None = None
                  ) -> tuple[PathGrid, ActionResult]:
-    """Integrate the tilted forward equation along a Doob flow.
+    """The law of the Doob transform along a flow from mu0, and its action.
 
-    Each step advances by the exact exponential of the generator tilted by
-    the flow at the step's left node, which preserves positivity
-    unconditionally. Returns the measure path and its action.
+    The nodes are exact for the flow (see ``_forward_measures``), which
+    must be space-time harmonic for the generator, as ``doob_flow`` builds
+    it: MalformedModel is raised when its last interval is not one step
+    h_{K-1} = log(P_dt e^{h_K}). The action is ``path_action``'s, with
+    Newton started in each cell at the flow at the quadrature node.
     """
     if flow.space != gen.space or mu0.space != gen.space:
         raise MalformedModel("flow, law, and generator use different state spaces")
+    Pdt = _expm_generator(gen.Q, flow.dt)
+    step = _log_matrix_apply(Pdt, flow.h[-1]) - flow.h[-2]
+    if np.abs(step).max() > HARMONIC_TOL * (1.0 + np.abs(flow.h[-1]).max()):
+        raise MalformedModel("flow is not space-time harmonic for this generator")
     path = PathGrid(gen.space, 0.0, flow.horizon,
-                    _forward_measures(gen, mu0, flow))
-    return path, path_action(gen, path, opts=opts)
+                    _forward_measures(mu0, flow, Pdt))
+    w = QUADRATURE_NODE
+    return path, _path_action(gen, path, opts,
+                              (1.0 - w) * flow.h[:-1] + w * flow.h[1:])
 
 
 @dataclass(frozen=True)
@@ -172,8 +191,8 @@ def optimal_bridge(gen: Generator, mu0: Measure, mu1: Measure, t: float,
                    cap: float = DEFAULT_TILT_CAP) -> BridgeResult:
     """Connect mu0 to mu1 in time t along the cost-minimizing trajectory.
 
-    The terminal tilt is the conditional-rate maximizer; the bridge is its
-    Doob flow integrated from mu0. For boundary targets (maximizer only in
+    The terminal tilt is the conditional-rate maximizer; the bridge is the
+    law of its Doob transform from mu0. For boundary targets (maximizer only in
     a limit) a capped tilt is used and a BoundaryBridgeWarning is emitted;
     the reported ``action_gap`` then estimates the distance to the true
     rate.
@@ -215,7 +234,7 @@ def entropy_identity_check(gen: Generator, mu0: Measure, f: Potential,
 
     With the transformed initial law pinned to mu0, the path entropy equals
     <f, gamma(t)> - <V(t)f, mu0>; the residual compares that closed form
-    with the quadrature action of the integrated path and vanishes as the
+    with the quadrature action of the transformed path and vanishes as the
     grid refines.
     """
     flow = doob_flow(gen, f, t, K)

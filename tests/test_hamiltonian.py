@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ctmc_ldp import (
     DegenerateModel,
@@ -174,6 +175,23 @@ class TestVApply:
         out = v_apply(gen, f, 1.0)
         assert np.all(np.isfinite(out.f))
 
+    def test_slow_cycle_keeps_each_row_finite(self):
+        # rates 1e-6 around a -> b -> c -> a: row a weighs only a and b, so a
+        # shift by the global max f = 1500 underflows it; each row's own
+        # maximum gives its log-sum-exp over P from _expm_generator
+        gen = validate_generator(["a", "b", "c"], [[0.0, 1e-6, 0.0],
+                                                   [0.0, 0.0, 1e-6],
+                                                   [1e-6, 0.0, 0.0]])
+        f = np.array([0.0, 750.0, 1500.0])
+        out = v_apply(gen, Potential(gen.space, f), 0.01).f
+        P = _expm_generator(gen.Q, 0.01)
+        for x in range(3):
+            terms = [math.log(P[x, y]) + f[y] for y in range(3) if P[x, y] > 0]
+            top = max(terms)
+            ref = top + math.log(sum(math.exp(a - top) for a in terms))
+            assert out[x] == pytest.approx(ref, rel=1e-14)
+        assert out == pytest.approx([731.58, 1481.58, 1500.0], abs=5e-3)
+
     def test_semigroup_law(self, rng):
         for _ in range(10):
             gen = random_model(rng)
@@ -280,29 +298,40 @@ class TestBarrelRadius:
 
 
 class TestKernels:
-    def test_stacked_expm_matches_per_matrix(self, rng):
-        # each matrix keeps its own uniformization rate and series length
-        gens = [random_model(rng, n_min=3, n_max=3, rate_high=h).Q
-                for h in (1e-3, 0.5, 3.0, 40.0, 2e3)]
-        gens.append(np.zeros((3, 3)))
-        stack = np.stack(gens)
-        for t in (0.0, 1e-3, 0.7, 30.0):
-            out = _expm_generator(stack, t)
-            assert out.shape == stack.shape
-            for Q, P in zip(stack, out):
-                assert np.abs(P - _expm_generator(Q, t)).max() <= 1e-14
-        grid = stack.reshape(2, 3, 3, 3)
-        assert np.abs(_expm_generator(grid, 0.7).reshape(stack.shape)
-                      - _expm_generator(stack, 0.7)).max() <= 1e-14
+    def test_expm_matches_pade(self, rng):
+        # random, stiff (rates near 1e3) and long (c t > 50, so the series
+        # runs in pieces recombined by matrix power) against scipy's Pade
+        for high, t in ((0.5, 0.7), (3.0, 1e-3), (3.0, 2.0), (40.0, 0.9),
+                        (1e3, 1e-3), (1e3, 0.2), (2e3, 1.5)):
+            for _ in range(3):
+                Q = random_model(rng, n_min=2, n_max=5, rate_high=high).Q
+                ref = scipy.linalg.expm(t * Q)
+                assert np.abs(_expm_generator(Q, t) - ref).max() <= 1e-12
+
+    def test_expm_stiff_rows_stay_stochastic(self, rng):
+        # rates 1e3 out of the outer states and 1e-3 out of the middle one
+        gen = validate_generator(["a", "b", "c"], [[0.0, 1e3, 0.0],
+                                                   [1e-3, 0.0, 1e-3],
+                                                   [0.0, 1e3, 0.0]])
+        for t in (1e-4, 1.0, 30.0):
+            P = _expm_generator(gen.Q, t)
+            assert P.min() >= 0.0
+            assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-12
+            assert np.abs(P - scipy.linalg.expm(t * gen.Q)).max() <= 1e-12
+
+    def test_expm_identity_at_zero(self, rng):
+        Q = random_model(rng).Q
+        assert np.array_equal(_expm_generator(Q, 0.0), np.eye(len(Q)))
+        assert np.array_equal(_expm_generator(np.zeros((3, 3)), 5.0), np.eye(3))
 
     def test_log_matrix_apply_matches_log_sum_exp(self, rng):
-        # spreads of several hundred stay in range at any offset, where
-        # e^f alone would overflow or underflow; empty rows give -inf
+        # any spread stays in range at any offset, where e^f alone would
+        # overflow or underflow; empty rows give -inf
         n = 5
         P = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.6)
         P[1] = 0.0
         P[2, 0] = -0.5  # negative weights count as zero
-        for spread, offset in itertools.product((1.0, 50.0, 300.0, 600.0),
+        for spread, offset in itertools.product((1.0, 50.0, 300.0, 600.0, 1500.0),
                                                 (0.0, 1e3, -1e3)):
             f = offset + rng.uniform(-spread / 2, spread / 2, n)
             out = _log_matrix_apply(P, f)

@@ -8,7 +8,9 @@ import pytest
 
 from ctmc_ldp import (
     BoundaryBridgeWarning,
+    DoobFlow,
     InfeasibleBridge,
+    MalformedModel,
     Measure,
     Potential,
     doob_flow,
@@ -17,10 +19,12 @@ from ctmc_ldp import (
     evolve_law,
     lagrangian_value,
     optimal_bridge,
+    path_action,
     pre_lagrangian,
     speed,
     transition_matrix,
     v_apply,
+    validate_generator,
     zero_cost_path,
 )
 from conftest import (
@@ -31,7 +35,7 @@ from conftest import (
     symmetric_chain,
 )
 from ctmc_ldp import trajectory
-from ctmc_ldp.hamiltonian import _log_matrix_apply, _tilted_rates
+from ctmc_ldp.hamiltonian import _log_matrix_apply
 from ctmc_ldp.markov import _expm_generator
 
 
@@ -92,21 +96,78 @@ class TestDoobFlow:
         flow = doob_flow(gen, Potential(gen.space, f), 0.9, 200)
         assert np.abs(flow.h - _nested_flow(gen, f, 0.9, 200)).max() <= 1e-12
 
+    def test_reducible_wide_spread_flow_is_finite(self):
+        # row a of P_dt only weighs a and b, so a shift by the global
+        # max f = 1000 underflows it; each row is shifted on its own support
+        gen = validate_generator(["a", "b", "c"],
+                                 [[0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        f = np.array([0.0, 1.0, 1000.0])
+        flow = doob_flow(gen, Potential(gen.space, f), 1.0, 100)
+        assert np.all(flow.h[:, 2] == 1000.0)
+        assert np.abs(flow.h - _nested_flow(gen, f, 1.0, 100)).max() == 0.0
+        ref = np.log(transition_matrix(gen, 1.0).P[:2, :2] @ np.exp(f[:2]))
+        assert np.abs(flow.h[0, :2] - ref).max() <= 1e-12
+
 
 class TestDoobForward:
-    def test_scanned_measures_match_sequential_steps(self, rng):
-        for K in (1, 3, 64, 1000):
+    def test_wide_spread_isolated_state_keeps_its_mass(self, monkeypatch):
+        # c has no rates in or out, so gamma_k(c) = mu0(c) on every node; a
+        # tilt of 1000 on c underflows e^{-(h_0 - min h_0)} there, so the
+        # nodes follow the transformed chain's steps, formed in log space
+        def no_doubling(*args):
+            raise AssertionError("doubling used beyond a spread of 600")
+
+        monkeypatch.setattr(trajectory, "_power_rows", no_doubling)
+        gen = validate_generator(["a", "b", "c"],
+                                 [[0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        mu0 = Measure(gen.space, [0.3, 0.2, 0.5])
+        flow = doob_flow(gen, Potential(gen.space, [0.0, 1.0, 1000.0]), 1.0, 200)
+        path, action = doob_forward(gen, mu0, flow)
+        assert np.abs(path.measures[:, 2] - 0.5).max() <= 1e-12
+        # on {a, b}, the closed-form transform of the chain's own block
+        for k in (1, 100, 200):
+            P = transition_matrix(gen, k * flow.dt).P[:2, :2]
+            ref = (mu0.p[:2] * np.exp(-flow.h[0, :2])) @ P \
+                * np.exp(flow.h[k, :2])
+            assert np.abs(path.measures[k, :2] - 0.5 * ref / ref.sum()).max() \
+                <= 1e-12
+        assert math.isfinite(action.value)
+
+    def test_steep_tilt_converges(self):
+        # a tilt spread of 100 drains a and b to ~1e-44 and ~1e-22 by time t;
+        # the exact nodes keep the Nisio residual first order in the grid
+        gen = validate_generator(["a", "b", "c"],
+                                 [[0.0, 1.0, 2.0], [0.5, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        mu0 = Measure(gen.space, [0.2, 0.3, 0.5])
+        f = Potential(gen.space, [0.0, 50.0, 100.0])
+        coarse = entropy_identity_check(gen, mu0, f, 1.0, 200)
+        fine = entropy_identity_check(gen, mu0, f, 1.0, 2000)
+        assert fine < coarse
+        assert fine < 2e-3
+
+    def test_warm_started_action_matches_path_action(self, rng):
+        # starting each cell at the flow moves where Newton begins, not the
+        # cell values path_action finds from f = 0
+        for _ in range(3):
             gen = random_model(rng)
             mu0 = random_measure(rng, gen)
-            flow = doob_flow(gen, random_potential(rng, gen, bound=2.0), 1.1, K)
-            p, ref = mu0.p, [mu0.p]
-            for Q in _tilted_rates(gen.off_diagonal, flow.h[:-1]):
-                np.fill_diagonal(Q, -Q.sum(axis=1))
-                p = p @ _expm_generator(Q, flow.dt)
-                p = p / p.sum()
-                ref.append(p)
-            scanned = trajectory._forward_measures(gen, mu0, flow)
-            assert np.abs(scanned - np.array(ref)).max() <= 1e-13
+            flow = doob_flow(gen, random_potential(rng, gen, bound=2.0), 1.0, 200)
+            path, action = doob_forward(gen, mu0, flow)
+            cold = path_action(gen, path)
+            assert np.abs(action.cell_values - cold.cell_values).max() <= 1e-13
+
+    def test_non_harmonic_flow_rejected(self, rng):
+        gen = random_model(rng, n_min=3, n_max=3)
+        other = random_model(rng, n_min=3, n_max=3)
+        mu0 = random_measure(rng, gen)
+        f = random_potential(rng, gen, bound=1.0)
+        flow = doob_flow(other, f, 1.0, 50)
+        with pytest.raises(MalformedModel):
+            doob_forward(gen, mu0, flow)
+        h = doob_flow(gen, f, 1.0, 50).h.copy()
+        h[-2] += 1e-3
+        with pytest.raises(MalformedModel):
+            doob_forward(gen, mu0, DoobFlow(gen.space, 1.0, h))
 
     def test_zero_tilt_reproduces_evolution(self, rng):
         gen = random_model(rng)
@@ -143,19 +204,16 @@ class TestDoobForward:
         assert abs(lhs - action.value) <= 1e-3
 
     def test_marginals_match_exact_transform(self, rng):
-        # gamma(s) = (mu0 e^{-h(0)}) P(s) e^{h(s)} in closed form
-        gen = random_model(rng, n_max=4)
-        mu0 = random_measure(rng, gen)
-        f = random_potential(rng, gen, bound=1.0)
-        t = 1.0
-        K = 1000
-        flow = doob_flow(gen, f, t, K)
-        path, _ = doob_forward(gen, mu0, flow)
-        for k in (K // 4, K // 2, K):
-            s = k * flow.dt
-            exact = (mu0.p * np.exp(-flow.h[0])) \
-                @ transition_matrix(gen, s).P * np.exp(flow.h[k])
-            assert np.abs(exact - path.measures[k]).sum() <= 3e-3
+        # gamma_k = e^{h_k} (mu0 e^{-h_0}) P(k dt), normalized, on the nodes
+        for K in (1, 3, 64, 1000):
+            gen = random_model(rng)
+            mu0 = random_measure(rng, gen)
+            flow = doob_flow(gen, random_potential(rng, gen, bound=2.0), 1.1, K)
+            path, _ = doob_forward(gen, mu0, flow)
+            for k in range(0, K + 1, max(1, K // 50)):
+                ref = (mu0.p * np.exp(-flow.h[0])) \
+                    @ transition_matrix(gen, k * flow.dt).P * np.exp(flow.h[k])
+                assert np.abs(path.measures[k] - ref / ref.sum()).max() <= 1e-12
 
     def test_measures_stay_valid(self, rng):
         gen = random_model(rng)
