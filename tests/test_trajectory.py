@@ -110,6 +110,22 @@ class TestDoobFlow:
 
 
 class TestDoobForward:
+    def test_scanned_measures_match_sequential_steps(self, rng):
+        # the doubled nodes against the transformed chain's own stochastic
+        # steps P_dt(x, y) e^{h_{k+1}(y) - h_k(x)}, taken one at a time
+        for K in (1, 3, 64, 1000):
+            gen = random_model(rng)
+            mu0 = random_measure(rng, gen)
+            flow = doob_flow(gen, random_potential(rng, gen, bound=2.0), 1.1, K)
+            Pdt = _expm_generator(gen.Q, flow.dt)
+            p, ref = mu0.p, [mu0.p]
+            for k in range(K):
+                p = p @ (Pdt * np.exp(flow.h[k + 1] - flow.h[k][:, None]))
+                p = p / p.sum()
+                ref.append(p)
+            scanned = trajectory._forward_measures(mu0, flow, Pdt)
+            assert np.abs(scanned - np.array(ref)).max() <= 1e-13
+
     def test_wide_spread_isolated_state_keeps_its_mass(self, monkeypatch):
         # c has no rates in or out, so gamma_k(c) = mu0(c) on every node; a
         # tilt of 1000 on c underflows e^{-(h_0 - min h_0)} there, so the
