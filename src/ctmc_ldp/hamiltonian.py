@@ -8,10 +8,11 @@ the g-tilted dynamics. The nonlinear semigroup ``V(t)f = log(e^{tQ} e^f)``
 has H as its generator and is approximated by iterating the nonlinear
 resolvent ``R(lam)f = log((I - lam*Q)^{-1} e^f)``.
 
-Every log-space evaluation ``log(P e^f)`` is a row-wise max-shifted
-mat-vec, ``c_x + log(sum_y P_xy e^{f_y - c_x})`` with ``c_x`` the largest f
-on the support of row x, so each row keeps its leading term at any spread
-of f. Tilted rates come from one broadcasting kernel, which also tilts
+Every log-space evaluation ``log(P e^f)`` is a max-shifted mat-vec,
+``c + log(P e^{f-c})`` with ``c = max f``; a row whose sum underflows there
+is recomputed as ``c_x + log(sum_y P_xy e^{f_y - c_x})`` with ``c_x`` the
+largest f on its own support, so each row keeps its leading term at any
+spread of f. Tilted rates come from one broadcasting kernel, which also tilts
 whole stacks of potentials at once.
 """
 
@@ -28,18 +29,24 @@ EXPONENT_CLIP = 700.0  # |exponent| bound that keeps e^x finite (overflow at 709
 
 
 def _log_matrix_apply(P: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Entrywise log of P @ exp(f), each row x max-shifted on its own
-    support: c_x + log(sum_y P_xy e^{f_y - c_x}), c_x = max{f_y : P_xy > 0}.
+    """Entrywise log of P @ exp(f) as the max-shifted c + log(P @ e^{f-c}),
+    c = max f. A row that this leaves below c - EXPONENT_CLIP, where its
+    sum underflows, is shifted by its own c_x = max{f_y : P_xy > 0} instead.
 
     Negative entries of P count as zero; a row with no weight, or weight
     only where f = -inf, gives -inf.
     """
     W = np.maximum(P, 0.0)
-    A = np.where(W > 0.0, f, -np.inf)
-    c = A.max(axis=1)
-    c[c == -np.inf] = 0.0  # such rows sum to zero below
+    c = f.max()
     with np.errstate(divide="ignore"):
-        return c + np.log((W * np.exp(A - c[:, None])).sum(axis=1))
+        out = c + np.log(W @ np.exp(f - c))
+        if out.min() < c - EXPONENT_CLIP:
+            low = np.flatnonzero(out < c - EXPONENT_CLIP)
+            A = np.where(W[low] > 0.0, f, -np.inf)
+            cx = A.max(axis=1)
+            cx[cx == -np.inf] = 0.0  # such rows sum to zero below
+            out[low] = cx + np.log((W[low] * np.exp(A - cx[:, None])).sum(axis=1))
+    return out
 
 
 def _tilted_rates(rates: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -280,8 +280,12 @@ def _lagrangian_cells(gen, mus, us, opts, gauge=0, initial=None):
     is exactly linear (singular Hessian), so they are screened out rather
     than iterated on. One state per component is pinned, ``gauge`` in its
     own and the lowest state in each other, since the objective is
-    invariant under per-component shifts. Cells with the same live channels
-    share components and pins, and go through one ``_newton_ascent``.
+    invariant under per-component shifts; a warm start is shifted within
+    each component so that its pin reads 0. Cells with the same live
+    channels share components and pins, and go through one
+    ``_newton_ascent``; a warm-started cell that does not converge is
+    solved again from f = 0, so a warm start changes where Newton begins,
+    not the verdict it can reach.
 
     Returns per-cell status, maximizer, value, iterations and gradient norm
     as ``_newton_ascent`` does (a screened cell is INFINITE at 0
@@ -292,12 +296,18 @@ def _lagrangian_cells(gen, mus, us, opts, gauge=0, initial=None):
     base = mus @ gen.exit_rates
     live = flux > 0.0
     keys = live.reshape(K, -1).view(f"V{n * n}")[:, 0]  # each cell's pattern as bytes
-    x = np.zeros((K, n)) if initial is None else initial - initial[:, gauge, None]
+    x = np.zeros((K, n)) if initial is None else np.array(initial, dtype=float)
     status, iters = np.full(K, _Status.INFINITE), np.zeros(K, dtype=int)
     value, norm = np.full(K, math.inf), np.full(K, math.inf)
     pinned = np.empty((K, n), dtype=bool)
     # an empty state has no outflux at any tilt, so it can only gain
     drains = (mus == 0.0) & (us < -STRUCTURAL_TOL)
+
+    def solve(rows, start, free):
+        objective, hessian = _lagrangian_objective(flux[rows], us[rows], base[rows])
+        status[rows], x[rows], value[rows], iters[rows], norm[rows] = \
+            _newton_ascent(objective, hessian, start, free, opts)
+
     rest = np.arange(K)
     while rest.size:
         same = keys[rest] == keys[rest[0]]
@@ -305,15 +315,17 @@ def _lagrangian_cells(gen, mus, us, opts, gauge=0, initial=None):
         reach = live[group[0]] | live[group[0]].T | np.eye(n, dtype=bool)
         for _ in range((n - 2).bit_length()):  # closure: paths of n - 1 jumps
             reach = reach @ reach
-        pins = (reach.argmax(axis=1) == np.arange(n)) & ~reach[:, gauge]
-        pins[gauge] = True
+        root = np.where(reach[:, gauge], gauge, reach.argmax(axis=1))
+        pins = root == np.arange(n)
         pinned[group] = pins
         unbalanced = np.abs(us[group] @ reach) > STRUCTURAL_TOL
         cells = group[~(drains[group] | unbalanced).any(axis=1)]
-        objective, hessian = _lagrangian_objective(flux[cells], us[cells], base[cells])
-        status[cells], x[cells], value[cells], iters[cells], norm[cells] = \
-            _newton_ascent(objective, hessian, np.where(pins, 0.0, x[cells]),
-                           np.flatnonzero(~pins), opts)
+        free = np.flatnonzero(~pins)
+        solve(cells, x[cells] - x[cells][:, root], free)
+        if initial is not None:  # a warm start that does not converge starts over
+            again = cells[status[cells] != _Status.CONVERGED]
+            if again.size:
+                solve(again, np.zeros((again.size, n)), free)
     return status, x, value, iters, norm, pinned
 
 

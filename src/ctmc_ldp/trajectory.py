@@ -137,6 +137,7 @@ def _forward_measures(mu0: Measure, flow: DoobFlow, Pdt: np.ndarray) -> np.ndarr
     low = h[0].min()
     if h[-1].max() - low <= 600.0:
         out = _power_rows(mu0.p * np.exp(low - h[0]), Pdt, flow.K) * np.exp(h - low)
+        out[0] = mu0.p
     else:
         with np.errstate(divide="ignore"):
             logP = np.log(Pdt)
@@ -144,7 +145,6 @@ def _forward_measures(mu0: Measure, flow: DoobFlow, Pdt: np.ndarray) -> np.ndarr
         out[0] = mu0.p
         for k in range(flow.K):
             out[k + 1] = out[k] @ np.exp(logP + (h[k + 1] - h[k][:, None]))
-    out[0] = mu0.p
     out[1:] /= out[1:].sum(axis=1, keepdims=True)
     return out
 

@@ -248,6 +248,21 @@ class TestBatchedCells:
             assert max(values[k], 0.0) == pytest.approx(cold.value, abs=1e-10)
             assert iterations[k] == cold.iterations
 
+    def test_warm_start_is_shifted_within_each_component(self):
+        # a, the gauge state, holds mass but no flux; a warm start at the
+        # maximizer (60, 0, 1) is taken relative to b inside {b, c}, so
+        # Newton starts at the maximizer instead of 60 away from it
+        gen = validate_generator(["a", "b", "c"],
+                                 [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 2.0, 0.0]])
+        mu = Measure(gen.space, [0.2, 0.3, 0.5])
+        f = np.array([60.0, 0.0, 1.0])
+        u = speed(gen, mu, Potential(gen.space, f)).u
+        status, x, values, iterations, _, _ = _lagrangian_cells(
+            gen, mu.p[None], u[None], DEFAULT_OPTIONS, initial=f[None])
+        assert status[0] == _Status.CONVERGED and iterations[0] <= 1
+        np.testing.assert_allclose(x[0], [0.0, 0.0, 1.0], atol=1e-9)
+        assert values[0] == pytest.approx(lagrangian_value(gen, mu, u).value, abs=1e-12)
+
     def test_pins_one_state_per_flux_component(self, rng):
         # reference: components of the live channels by graph search; the
         # gauge is pinned in its own component, the lowest state elsewhere

@@ -149,13 +149,15 @@ class TestDoobForward:
                 <= 1e-12
         assert math.isfinite(action.value)
 
-    def test_steep_tilt_converges(self):
-        # a tilt spread of 100 drains a and b to ~1e-44 and ~1e-22 by time t;
-        # the exact nodes keep the Nisio residual first order in the grid
+    @pytest.mark.parametrize("f", [[0.0, 50.0, 100.0], [0.0, 150.0, 300.0]])
+    def test_steep_tilt_converges(self, f):
+        # a tilt spread of 100 drains a and b to ~1e-44 and ~1e-22 by time t,
+        # one of 300 drains a to ~1e-131; the exact nodes keep the Nisio
+        # residual first order in the grid
         gen = validate_generator(["a", "b", "c"],
                                  [[0.0, 1.0, 2.0], [0.5, 0.0, 1.0], [2.0, 1.0, 0.0]])
         mu0 = Measure(gen.space, [0.2, 0.3, 0.5])
-        f = Potential(gen.space, [0.0, 50.0, 100.0])
+        f = Potential(gen.space, f)
         coarse = entropy_identity_check(gen, mu0, f, 1.0, 200)
         fine = entropy_identity_check(gen, mu0, f, 1.0, 2000)
         assert fine < coarse
@@ -163,13 +165,30 @@ class TestDoobForward:
 
     def test_warm_started_action_matches_path_action(self, rng):
         # starting each cell at the flow moves where Newton begins, not the
-        # cell values path_action finds from f = 0
+        # cell values path_action finds from f = 0: on steep flows (in the
+        # last cell of the spread-300 one the flow at the quadrature node lies
+        # far from the maximizer), on a capped boundary tilt spreading 51
+        # from the gauge state, with the gauge state isolated from the flux,
+        # and on random flows
+        steep = validate_generator(["a", "b", "c"],
+                                   [[0.0, 1.0, 2.0], [0.5, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        even = validate_generator(["a", "b", "c"],
+                                  [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        isolated = validate_generator(["a", "b", "c"],
+                                      [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 2.0, 0.0]])
+        cases = [(gen, Measure(gen.space, p), Potential(gen.space, f)) for gen, p, f in (
+            (steep, [0.2, 0.3, 0.5], [0.0, 50.0, 100.0]),
+            (steep, [0.2, 0.3, 0.5], [0.0, 150.0, 300.0]),
+            (even, [1 / 3, 1 / 3, 1 / 3], [-30.0, 0.0, 21.2]),
+            (isolated, [0.2, 0.3, 0.5], [60.0, 0.0, 1.0]))]
         for _ in range(3):
             gen = random_model(rng)
-            mu0 = random_measure(rng, gen)
-            flow = doob_flow(gen, random_potential(rng, gen, bound=2.0), 1.0, 200)
-            path, action = doob_forward(gen, mu0, flow)
+            cases.append((gen, random_measure(rng, gen),
+                          random_potential(rng, gen, bound=2.0)))
+        for gen, mu0, f in cases:
+            path, action = doob_forward(gen, mu0, doob_flow(gen, f, 1.0, 200))
             cold = path_action(gen, path)
+            assert action.infeasible_cell is None and cold.infeasible_cell is None
             assert np.abs(action.cell_values - cold.cell_values).max() <= 1e-13
 
     def test_non_harmonic_flow_rejected(self, rng):
