@@ -29,22 +29,18 @@ EXPONENT_CLIP = 700.0  # |exponent| bound that keeps e^x finite (overflow at 709
 
 
 def _log_matrix_apply(P: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Entrywise log of P @ exp(f) as the max-shifted c + log(P @ e^{f-c}),
-    c = max f. A row that this leaves below c - EXPONENT_CLIP, where its
-    sum underflows, is shifted by its own c_x = max{f_y : P_xy > 0} instead.
-
-    Negative entries of P count as zero; a row with no weight, or weight
-    only where f = -inf, gives -inf.
-    """
+    """Entrywise log of P @ exp(f), f finite, as c + log(P @ e^{f-c}) with
+    c = max f; a row whose sum underflows there (below c - EXPONENT_CLIP) is
+    shifted by its own max{f_y : P_xy > 0} instead. Negative entries of P
+    count as zero; a row with no weight gives -inf."""
     W = np.maximum(P, 0.0)
     c = f.max()
     with np.errstate(divide="ignore"):
         out = c + np.log(W @ np.exp(f - c))
-        if out.min() < c - EXPONENT_CLIP:
-            low = np.flatnonzero(out < c - EXPONENT_CLIP)
-            A = np.where(W[low] > 0.0, f, -np.inf)
+        low = out < c - EXPONENT_CLIP
+        if low.any():  # f.min() off the support keeps an empty row's shift finite
+            A = np.where(W[low] > 0.0, f, f.min())
             cx = A.max(axis=1)
-            cx[cx == -np.inf] = 0.0  # such rows sum to zero below
             out[low] = cx + np.log((W[low] * np.exp(A - cx[:, None])).sum(axis=1))
     return out
 

@@ -280,12 +280,10 @@ def _lagrangian_cells(gen, mus, us, opts, gauge=0, initial=None):
     is exactly linear (singular Hessian), so they are screened out rather
     than iterated on. One state per component is pinned, ``gauge`` in its
     own and the lowest state in each other, since the objective is
-    invariant under per-component shifts; a warm start is shifted within
-    each component so that its pin reads 0. Cells with the same live
-    channels share components and pins, and go through one
-    ``_newton_ascent``; a warm-started cell that does not converge is
-    solved again from f = 0, so a warm start changes where Newton begins,
-    not the verdict it can reach.
+    invariant under per-component shifts; a warm start is shifted so that
+    each pin reads 0. Cells with the same live channels share components
+    and pins, and go through one ``_newton_ascent``; a warm-started cell
+    that does not converge is solved again from f = 0.
 
     Returns per-cell status, maximizer, value, iterations and gradient norm
     as ``_newton_ascent`` does (a screened cell is INFINITE at 0
@@ -302,12 +300,6 @@ def _lagrangian_cells(gen, mus, us, opts, gauge=0, initial=None):
     pinned = np.empty((K, n), dtype=bool)
     # an empty state has no outflux at any tilt, so it can only gain
     drains = (mus == 0.0) & (us < -STRUCTURAL_TOL)
-
-    def solve(rows, start, free):
-        objective, hessian = _lagrangian_objective(flux[rows], us[rows], base[rows])
-        status[rows], x[rows], value[rows], iters[rows], norm[rows] = \
-            _newton_ascent(objective, hessian, start, free, opts)
-
     rest = np.arange(K)
     while rest.size:
         same = keys[rest] == keys[rest[0]]
@@ -320,12 +312,13 @@ def _lagrangian_cells(gen, mus, us, opts, gauge=0, initial=None):
         pinned[group] = pins
         unbalanced = np.abs(us[group] @ reach) > STRUCTURAL_TOL
         cells = group[~(drains[group] | unbalanced).any(axis=1)]
-        free = np.flatnonzero(~pins)
-        solve(cells, x[cells] - x[cells][:, root], free)
-        if initial is not None:  # a warm start that does not converge starts over
-            again = cells[status[cells] != _Status.CONVERGED]
-            if again.size:
-                solve(again, np.zeros((again.size, n)), free)
+        todo, start = cells, x[cells] - x[cells][:, root]
+        while todo.size:  # a warm start that does not converge starts over at 0
+            objective, hessian = _lagrangian_objective(flux[todo], us[todo], base[todo])
+            status[todo], x[todo], value[todo], iters[todo], norm[todo] = \
+                _newton_ascent(objective, hessian, start, np.flatnonzero(~pins), opts)
+            todo = todo[(status[todo] != _Status.CONVERGED) & start.any(axis=1)]
+            start = np.zeros((todo.size, n))
     return status, x, value, iters, norm, pinned
 
 
@@ -369,10 +362,9 @@ def lagrangian_value(gen: Generator, mu: Measure, u,
     if not isinstance(u, Speed):
         u = Speed(gen.space, np.asarray(u, dtype=float))
     p, u = mu.p, u.u
-    if initial is not None:
-        initial = np.asarray(initial, dtype=float)[None]
     status, f, value, iters, gnorm, pinned = (a[0] for a in _lagrangian_cells(
-        gen, p[None], u[None], opts, gen.space.index(gauge_state), initial))
+        gen, p[None], u[None], opts, gen.space.index(gauge_state),
+        None if initial is None else [initial]))
     if status == _Status.INFINITE and iters == 0:  # screened out
         return LagrangianResult(math.inf, None, 0, math.inf)
     _settled(status, opts)

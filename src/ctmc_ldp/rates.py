@@ -393,9 +393,10 @@ def path_action(gen: Generator, path: PathGrid,
     return _path_action(gen, path, opts)
 
 
-def _path_action(gen, path, opts=None, initial=None):
-    """``path_action`` with Newton started in cell k at row k of the (K, n)
-    ``initial`` instead of at f = 0: where it begins, not what it accepts."""
+def _path_action(gen, path, opts=None, h=None):
+    """``path_action`` with Newton started in each cell at the (K+1, n) node
+    potentials h taken at the quadrature node, as the measures are, instead
+    of at f = 0 (a start that does not converge is retried from f = 0)."""
     if path.space != gen.space:
         raise MalformedModel("path and generator use different state spaces")
     opts = opts or DEFAULT_OPTIONS
@@ -405,8 +406,8 @@ def _path_action(gen, path, opts=None, initial=None):
     mids = (1.0 - w) * m[:-1] + w * m[1:]
     speeds = (m[1:] - m[:-1]) / dt
     speeds = speeds - speeds.sum(axis=1, keepdims=True) / gen.size
-    status, _, values, _, _, _ = _lagrangian_cells(gen, mids, speeds, opts,
-                                                   initial=initial)
+    status, _, values, _, _, _ = _lagrangian_cells(
+        gen, mids, speeds, opts, initial=None if h is None else (1.0 - w) * h[:-1] + w * h[1:])
     cells = dt * np.maximum(values, 0.0)
     unsettled = (status == _Status.STALLED) | (status == _Status.MAX_ITERS)
     stop = np.flatnonzero(unsettled | ~np.isfinite(cells))

@@ -41,7 +41,6 @@ from .markov import (
 from .rates import (
     ActionResult,
     DEFAULT_TILT_CAP,
-    QUADRATURE_NODE,
     PathGrid,
     _path_action,
     conditional_rate,
@@ -128,10 +127,9 @@ def _forward_measures(mu0: Measure, flow: DoobFlow, Pdt: np.ndarray) -> np.ndarr
     For a space-time harmonic flow, h_k = log(P_dt e^{h_{k+1}}), the law is
     exact on every node: gamma_k is e^{h_k} (mu0 e^{-h_0}) P_dt^k,
     normalized. The rows mu0 e^{-(h_0 - min h_0)} P_dt^k come from one
-    doubling and are scaled by e^{h_k - min h_0}, which keeps each row sum
-    one up to rounding. Where that factor could pass e^600, the nodes are
-    stepped instead by the transformed chain's own stochastic steps
-    P_dt(x, y) e^{h_{k+1}(y) - h_k(x)}, each entry formed in log space.
+    doubling, scaled by e^{h_k - min h_0} to keep row sums near one. Where
+    that factor could pass e^600, the nodes follow the transformed chain's
+    steps P_dt(x, y) e^{h_{k+1}(y) - h_k(x)}, formed in log space.
     """
     h = flow.h
     low = h[0].min()
@@ -168,9 +166,7 @@ def doob_forward(gen: Generator, mu0: Measure, flow: DoobFlow,
         raise MalformedModel("flow is not space-time harmonic for this generator")
     path = PathGrid(gen.space, 0.0, flow.horizon,
                     _forward_measures(mu0, flow, Pdt))
-    w = QUADRATURE_NODE
-    return path, _path_action(gen, path, opts,
-                              (1.0 - w) * flow.h[:-1] + w * flow.h[1:])
+    return path, _path_action(gen, path, opts, flow.h)
 
 
 @dataclass(frozen=True)
