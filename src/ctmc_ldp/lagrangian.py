@@ -7,9 +7,9 @@ The cost of moving a law mu with instantaneous speed u is
 a Legendre transform over potentials. The objective is concave with an
 explicit gradient u - rho(mu, f), where rho(mu, f) is the forward speed of
 the f-tilted dynamics, and an explicit Hessian given by the weighted graph
-Laplacian of the symmetrized tilted flux. It is maximized over the
-gauge-fixed subspace f(x0) = 0; constant shifts of f never change the
-objective.
+Laplacian of the symmetrized tilted flux. Shifting f by a constant on a
+connected component of the live flux channels never changes the objective,
+so it is maximized with the lowest state of each component pinned at 0.
 
 Every concave maximization of the package (this one, the conditional and
 joint rates) runs through one damped Newton core over a leading batch axis,
@@ -20,7 +20,9 @@ pins stacks of cells and batches those with the same flux channels.
 
 Suprema need not be attained: holding mass on a state whose only exit
 channel must be shut down drives components of f to -infinity while the
-objective converges. Such results carry a finite value and no maximizer.
+objective converges. Such results carry a finite value and no maximizer;
+a converged solve counts as attained exactly when its next Newton step
+vanishes.
 Genuinely infeasible speeds (mass created from nothing, or more cost than
 any tilt can explain) are reported as +infinity.
 """
@@ -39,11 +41,10 @@ from .markov import Generator, Measure, Potential, StateSpace, _frozen
 
 SPEED_SUM_TOL = 1e-10
 
-# Behavioral divergence / boundary-detection constants.
+# Behavioral divergence constants.
 OBJECTIVE_CAP = 1e6          # objective beyond 1/eps counts as +infinity
+DIVERGENCE_NORM = 50.0       # iterate sup-norm past which a solve has diverged
 IMPROVEMENT_TOL = 1e-10      # still-improving threshold for the divergence rule
-BOUNDARY_NORM = 15.0         # iterate norm suggesting a limit-only supremum
-BOUNDARY_RATIO = 1e-6        # tilt ratio on an active channel treated as shut
 STRUCTURAL_TOL = 1e-12       # zero threshold for structural feasibility checks
 
 
@@ -71,7 +72,6 @@ class SolverOptions:
 
     gradient_tol: float = 1e-9
     max_iters: int = 200
-    divergence_norm: float = 50.0
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -129,7 +129,7 @@ def _newton_ascent(objective, hessian, x, free, opts):
     or no ascent), taken whole when it halves the gradient sup-norm, which
     keeps converging below the noise floor of the objective, else
     backtracked by Armijo halvings; one retry along the gradient if that
-    stalls; past ``divergence_norm``, +infinity while still improving, else
+    stalls; past DIVERGENCE_NORM, +infinity while still improving, else
     a supremum attained only in a limit.
 
     Returns per-cell arrays: status, x, value, iterations, gradient norm.
@@ -209,7 +209,7 @@ def _newton_ascent(objective, hessian, x, free, opts):
             step_to(stalled, 1.0, direction)
             stalled = search(stalled[~(nt[stalled] <= 0.5 * norm[stalled])],
                              direction, slope)
-        keep = np.abs(xt).max(axis=1) <= opts.divergence_norm
+        keep = np.abs(xt).max(axis=1) <= DIVERGENCE_NORM
         keep[stalled] = True
         if stalled.size or np.count_nonzero(~keep):
             moved = np.ones(len(cells), dtype=bool)
@@ -269,7 +269,7 @@ def _lagrangian_objective(flux, us, base):
     return objective, hessian
 
 
-def _lagrangian_cells(gen, mus, us, opts, gauge=0, initial=None):
+def _lagrangian_cells(gen, mus, us, opts, initial=None):
     """L(mu_k, u_k) on a stack of cells, from f = 0 or the warm starts
     ``initial`` (one row per cell).
 
@@ -278,12 +278,11 @@ def _lagrangian_cells(gen, mus, us, opts, gauge=0, initial=None):
     state must lose mass, or when a connected component of that graph has
     speed entries that do not balance: along such directions the objective
     is exactly linear (singular Hessian), so they are screened out rather
-    than iterated on. One state per component is pinned, ``gauge`` in its
-    own and the lowest state in each other, since the objective is
-    invariant under per-component shifts; a warm start is shifted so that
-    each pin reads 0. Cells with the same live channels share components
-    and pins, and go through one ``_newton_ascent``; a warm-started cell
-    that does not converge is solved again from f = 0.
+    than iterated on. The lowest state of each component is pinned, since
+    the objective is invariant under per-component shifts; a warm start is
+    shifted so that each pin reads 0. Cells with the same live channels
+    share components and pins, and go through one ``_newton_ascent``; a
+    warm-started cell that does not converge is solved again from f = 0.
 
     Returns per-cell status, maximizer, value, iterations and gradient norm
     as ``_newton_ascent`` does (a screened cell is INFINITE at 0
@@ -307,7 +306,7 @@ def _lagrangian_cells(gen, mus, us, opts, gauge=0, initial=None):
         reach = live[group[0]] | live[group[0]].T | np.eye(n, dtype=bool)
         for _ in range((n - 2).bit_length()):  # closure: paths of n - 1 jumps
             reach = reach @ reach
-        root = np.where(reach[:, gauge], gauge, reach.argmax(axis=1))
+        root = reach.argmax(axis=1)  # the lowest state of each component
         pins = root == np.arange(n)
         pinned[group] = pins
         unbalanced = np.abs(us[group] @ reach) > STRUCTURAL_TOL
@@ -322,20 +321,8 @@ def _lagrangian_cells(gen, mus, us, opts, gauge=0, initial=None):
     return status, x, value, iters, norm, pinned
 
 
-def _boundary_flags(base_flux, f):
-    """True when the optimum shuts an active channel (supremum in a limit)."""
-    if np.max(np.abs(f)) > BOUNDARY_NORM:
-        return True
-    active = base_flux > 0.0
-    if not np.any(active):
-        return False
-    d = f[None, :] - f[:, None]
-    return bool(np.min(np.exp(d)[active]) < BOUNDARY_RATIO)
-
-
 def lagrangian_value(gen: Generator, mu: Measure, u,
                      opts: SolverOptions | None = None,
-                     gauge_state: int = 0,
                      initial: np.ndarray | None = None) -> LagrangianResult:
     """Evaluate L(mu, u) = sup_f { <f, u> - <Hf, mu> }.
 
@@ -344,8 +331,6 @@ def lagrangian_value(gen: Generator, mu: Measure, u,
     u : Speed or array_like
         Target speed; raw arrays are validated (must sum to zero).
     opts : SolverOptions, optional
-    gauge_state : int
-        State whose potential component is pinned to zero.
     initial : ndarray, optional
         Warm start for the maximizer.
 
@@ -363,8 +348,7 @@ def lagrangian_value(gen: Generator, mu: Measure, u,
         u = Speed(gen.space, np.asarray(u, dtype=float))
     p, u = mu.p, u.u
     status, f, value, iters, gnorm, pinned = (a[0] for a in _lagrangian_cells(
-        gen, p[None], u[None], opts, gen.space.index(gauge_state),
-        None if initial is None else [initial]))
+        gen, p[None], u[None], opts, None if initial is None else [initial]))
     if status == _Status.INFINITE and iters == 0:  # screened out
         return LagrangianResult(math.inf, None, 0, math.inf)
     _settled(status, opts)
@@ -373,11 +357,12 @@ def lagrangian_value(gen: Generator, mu: Measure, u,
     undetermined = tuple(np.flatnonzero(idle).tolist())
 
     value = max(float(value), 0.0) if math.isfinite(value) else float(value)
-    attained = status == _Status.CONVERGED and not _boundary_flags(base_flux, f)
+    attained = status == _Status.CONVERGED
     if attained:
-        # The next Newton step vanishes at an interior maximizer, but stays
-        # near -1 on a channel that shuts only in the limit, at any flux
-        # scale: a small flux meets the gradient tolerance early.
+        # A converged solve is attained exactly when the next Newton step
+        # vanishes, as it does at an interior maximizer; on a channel that
+        # shuts only in the limit it stays near -1, at any flux scale: a
+        # small flux meets the gradient tolerance early.
         objective, hessian = _lagrangian_objective(
             base_flux[None], u[None], p[None] @ gen.exit_rates)
         _, grad, M = objective(f[None], slice(None))

@@ -37,7 +37,6 @@ from .errors import InvalidParameter, MalformedModel
 from .hamiltonian import EXPONENT_CLIP
 from .lagrangian import (
     DEFAULT_OPTIONS,
-    BOUNDARY_NORM,
     SolverOptions,
     _lagrangian_cells,
     _settled,
@@ -57,6 +56,7 @@ from .markov import (
 )
 
 DEFAULT_TILT_CAP = 30.0
+BOUNDARY_NORM = 15.0  # maximizer sup-norm beyond which a rate counts as unattained
 GRID_NODE_TOL = 1e-9  # relative distance at which a partition time is a grid node
 
 
@@ -141,8 +141,7 @@ class ConditionalRateResult:
 
 
 def conditional_rate(gen: Generator, mu: Measure, nu: Measure, t: float,
-                     opts: SolverOptions | None = None,
-                     gauge_state: int | None = None) -> ConditionalRateResult:
+                     opts: SolverOptions | None = None) -> ConditionalRateResult:
     """I_t(nu | mu): the cost of seeing law nu at time t having started at mu.
 
     The returned result carries a full-space maximizer only when the
@@ -169,12 +168,7 @@ def conditional_rate(gen: Generator, mu: Measure, nu: Measure, t: float,
     if np.any(PS.sum(axis=1) <= 0.0) or np.any(PS.sum(axis=0) <= 0.0):
         return ConditionalRateResult(math.inf, None, sup, None, 0, math.inf)
 
-    pin = 0
-    if gauge_state is not None:
-        hits = np.flatnonzero(support == gen.space.index(gauge_state))
-        if hits.size:
-            pin = int(hits[0])
-    free = np.array([i for i in range(support.size) if i != pin], dtype=int)
+    free = np.arange(1, support.size)  # the first support state is pinned
 
     # log(PS e^f) and the tilted row laws are both taken max-shifted, so even
     # an overshooting Newton iterate (entries in the thousands) is valued

@@ -168,8 +168,8 @@ class TestDoobForward:
         # cell values path_action finds from f = 0: on steep flows (in the
         # last cell of the spread-300 one the flow at the quadrature node lies
         # far from the maximizer), on a capped boundary tilt spreading 51
-        # from the gauge state, with the gauge state isolated from the flux,
-        # and on random flows
+        # from state a, with a pinned and isolated from the flux, and on
+        # random flows
         steep = validate_generator(["a", "b", "c"],
                                    [[0.0, 1.0, 2.0], [0.5, 0.0, 1.0], [2.0, 1.0, 0.0]])
         even = validate_generator(["a", "b", "c"],
