@@ -309,7 +309,9 @@ def _lagrangian_cells(gen, mus, us, opts, initial=None):
         root = reach.argmax(axis=1)  # the lowest state of each component
         pins = root == np.arange(n)
         pinned[group] = pins
-        unbalanced = np.abs(us[group] @ reach) > STRUCTURAL_TOL
+        # relative to the entries summed, which round off at their own scale
+        unbalanced = (np.abs(us[group] @ reach)
+                      > STRUCTURAL_TOL * np.maximum(1.0, np.abs(us[group]) @ reach))
         cells = group[~(drains[group] | unbalanced).any(axis=1)]
         todo, start = cells, x[cells] - x[cells][:, root]
         while todo.size:  # a warm start that does not converge starts over at 0

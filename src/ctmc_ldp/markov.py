@@ -23,7 +23,7 @@ from .errors import (
 )
 
 # Tolerances shared across the package.
-ROW_SUM_TOL = 1e-12          # generator rows must sum to zero this tightly
+ROW_SUM_TOL = 1e-12          # generator rows sum to zero this tightly, per unit rate
 MEASURE_SUM_TOL = 1e-10      # probability vectors must sum to one this tightly
 PROBABILITY_SLACK = 1e-12    # rounding tolerated outside [0, 1] before clipping
 RENORM_DRIFT = 1e-8          # beyond this drift evolution is considered broken
@@ -84,7 +84,9 @@ class Generator:
         off = Q[~np.eye(n, dtype=bool)]
         if np.any(off < 0):
             raise InvalidRate("off-diagonal rates must be nonnegative")
-        if np.max(np.abs(Q.sum(axis=1))) > ROW_SUM_TOL:
+        # relative to the row's rates, which round off at their own scale
+        scale = np.maximum(1.0, np.abs(Q).sum(axis=1))
+        if np.any(np.abs(Q.sum(axis=1)) > ROW_SUM_TOL * scale):
             raise MalformedModel("generator rows must sum to zero")
         object.__setattr__(self, "Q", _frozen(Q))
 

@@ -47,6 +47,7 @@ from .rates import (
 )
 
 HARMONIC_TOL = 1e-9  # last-interval mismatch relative to 1 + max|h_K|
+LINEAR_SPREAD = 600.0  # widest exponent spread the doubling takes out of log space
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,9 @@ def doob_flow(gen: Generator, f: Potential, t: float, K: int) -> DoobFlow:
 
     With c = max f, z_k = e^{h_k - c} = P_dt^{K-k} e^{f-c} is linear in
     e^{f-c} and stays in [e^{-spread}, 1], so all nodes come from doubling
-    and one vectorized log. Above a spread of 600, where e^{f-c} can
-    underflow, the flow is nested one max-shifted log-space step at a time.
+    and one vectorized log. Above a spread of LINEAR_SPREAD, where e^{f-c}
+    can underflow, the flow is nested one max-shifted log-space step at a
+    time.
     """
     if t <= 0:
         raise InvalidParameter(f"horizon must be positive, got {t}")
@@ -113,7 +115,7 @@ def doob_flow(gen: Generator, f: Potential, t: float, K: int) -> DoobFlow:
     h = np.empty((K + 1, gen.size))
     h[K] = f.f
     c = f.f.max()
-    if c - f.f.min() <= 600.0:
+    if c - f.f.min() <= LINEAR_SPREAD:
         h[:K] = c + np.log(_power_rows(np.exp(f.f - c), Pdt.T, K)[:0:-1])
     else:
         for k in range(K - 1, -1, -1):
@@ -128,12 +130,12 @@ def _forward_measures(mu0: Measure, flow: DoobFlow, Pdt: np.ndarray) -> np.ndarr
     exact on every node: gamma_k is e^{h_k} (mu0 e^{-h_0}) P_dt^k,
     normalized. The rows mu0 e^{-(h_0 - min h_0)} P_dt^k come from one
     doubling, scaled by e^{h_k - min h_0} to keep row sums near one. Where
-    that factor could pass e^600, the nodes follow the transformed chain's
-    steps P_dt(x, y) e^{h_{k+1}(y) - h_k(x)}, formed in log space.
+    that factor could pass e^LINEAR_SPREAD, the nodes follow the transformed
+    chain's steps P_dt(x, y) e^{h_{k+1}(y) - h_k(x)}, formed in log space.
     """
     h = flow.h
     low = h[0].min()
-    if h[-1].max() - low <= 600.0:
+    if h[-1].max() - low <= LINEAR_SPREAD:
         out = _power_rows(mu0.p * np.exp(low - h[0]), Pdt, flow.K) * np.exp(h - low)
         out[0] = mu0.p
     else:

@@ -87,6 +87,13 @@ class TestTiltedGenerator:
             assert off.min() >= 0.0
             assert np.abs(out.Q.sum(axis=1)).max() <= 1e-12
 
+    def test_steep_tilt_is_a_valid_generator(self):
+        # tilted rates in the hundreds round off beyond 1e-12 in a row sum
+        gen = validate_generator(["a", "b", "c"],
+                                 [[0.0, 1.0, 2.0], [0.5, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        out = tilted_generator(gen, Potential(gen.space, [6.6, -6.0, 3.9]))
+        assert out.Q[1, 0] == pytest.approx(0.5 * math.exp(12.6))
+
     def test_operator_identity(self, rng):
         # A^g f = e^{-g} Q(f e^g) - (e^{-g} Q e^g) f
         for _ in range(10):

@@ -81,13 +81,22 @@ class TestLagrangianValue:
 
     def test_matches_pre_lagrangian_along_tilts(self, rng):
         # L(mu, rho(mu, g)) = <Lg, mu>
+        cases = []
         for _ in range(25):
             gen = random_model(rng)
-            mu = random_measure(rng, gen)
-            g = random_potential(rng, gen, bound=2.0)
+            cases.append((gen, random_measure(rng, gen),
+                          random_potential(rng, gen, bound=2.0)))
+        # a steep tilt: the speed's entries near 1e4 sum to 1.8e-12 by
+        # rounding alone, which must not read as an unbalanced component
+        steep = validate_generator(["a", "b", "c"],
+                                   [[0.0, 1.0, 2.0], [0.5, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        cases.append((steep, Measure(steep.space, [0.2, 0.3, 0.5]),
+                      Potential(steep.space, [0.0, 5.0, 10.0])))
+        for gen, mu, g in cases:
             res = lagrangian_value(gen, mu, speed(gen, mu, g))
             closed = float(pre_lagrangian(gen, g).f @ mu.p)
-            assert abs(res.value - closed) <= 1e-6
+            assert res.value == pytest.approx(closed, rel=1e-9, abs=1e-6)
+            assert dual_check(gen, mu, g) <= 1e-9 * max(1.0, closed)
 
     def test_nonzero_sum_speed_rejected(self, rng):
         gen = random_model(rng)

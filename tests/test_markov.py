@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from ctmc_ldp import (
+    Generator,
     InvalidParameter,
     InvalidRate,
     InvalidTime,
     MalformedModel,
     Measure,
+    StateSpace,
     evolve_law,
     relative_entropy,
     resolvent_matrix,
@@ -45,6 +47,20 @@ class TestValidateGenerator:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(MalformedModel):
             validate_generator(["a", "a"], [[0.0, 1.0], [0.0, 0.0]])
+
+    def test_fast_rates_round_off_within_the_row_check(self):
+        # the recomputed diagonal leaves the first row summing to a few
+        # ulps of its rates, far above 1e-12 in absolute terms
+        gen = validate_generator(["a", "b", "c"], [[0.0, 9271.7, 7845.6],
+                                                   [128.3, 0.0, 98.1],
+                                                   [8274.7, 1103.7, 0.0]])
+        assert gen.exit_rates[0] == pytest.approx(17117.3)
+
+    def test_row_off_at_fast_rates_rejected(self):
+        Q = np.array([[-2e4, 1e4, 1e4], [1e4, -2e4, 1e4], [1e4, 1e4, -2e4]])
+        Q[0, 1] += 1e-6
+        with pytest.raises(MalformedModel, match="sum to zero"):
+            Generator(StateSpace(("a", "b", "c")), Q)
 
 
 class TestTransitionMatrix:
