@@ -6,7 +6,8 @@ generator by g multiplies each rate by ``e^{g(y)-g(x)}``, and the
 pre-Lagrangian ``Lg = A^g g - Hg`` is the entropy-production cost of running
 the g-tilted dynamics. The nonlinear semigroup ``V(t)f = log(e^{tQ} e^f)``
 has H as its generator and is approximated by iterating the nonlinear
-resolvent ``R(lam)f = log((I - lam*Q)^{-1} e^f)``.
+resolvent ``R(lam)f = log((I - lam*Q)^{-1} e^f)``; since R(lam) is
+log o J o exp, its k-fold product is ``log(J^k e^f)``, one matrix power.
 
 Every log-space evaluation ``log(P e^f)`` is a max-shifted mat-vec,
 ``c + log(P e^{f-c})`` with ``c = max f``; a row whose sum underflows there
@@ -26,6 +27,7 @@ from .errors import DegenerateModel, InvalidParameter, InvalidTime
 from .markov import Generator, Potential, _expm_generator, resolvent_matrix
 
 EXPONENT_CLIP = 700.0  # |exponent| bound that keeps e^x finite (overflow at 709.8)
+LINEAR_SPREAD = 600.0  # widest spread max f - min f taken out of log space
 
 
 def _log_matrix_apply(P: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -109,14 +111,23 @@ def nonlinear_resolvent(gen: Generator, f: Potential, lam: float) -> Potential:
 
 
 def resolvent_iterate(gen: Generator, f: Potential, t: float, n: int) -> Potential:
-    """Apply R(1/n) exactly floor(n*t) times; converges to V(t)f as n grows."""
+    """Apply R(1/n) exactly k = floor(n*t) times; converges to V(t)f as n grows.
+
+    With J = (I - Q/n)^{-1} and c = max f this is c + log(J^k e^{f-c}), J^k
+    by repeated squaring: each row of J^k sums to one, so no entry of the
+    product falls below e^{-spread}. Above a spread of LINEAR_SPREAD, and
+    for k = 0, the k steps are taken one log-space apply at a time.
+    """
     if n < 1:
         raise InvalidParameter(f"n must be a positive integer, got {n}")
     if t < 0:
         raise InvalidTime(f"time must be nonnegative, got {t}")
     steps = int(math.floor(n * t + 1e-9))
     J = resolvent_matrix(gen, 1.0 / n)
-    g = f.f
+    g, c = f.f, f.f.max()
+    if steps and c - g.min() <= LINEAR_SPREAD:
+        Jk = np.linalg.matrix_power(np.maximum(J, 0.0), steps)
+        return Potential(gen.space, c + np.log(Jk @ np.exp(g - c)))
     for _ in range(steps):
         g = _log_matrix_apply(J, g)
     return Potential(gen.space, g)

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ctmc_ldp import path_action
-from ctmc_ldp.cli import load_model, load_report, main, read_path_csv
+from ctmc_ldp import Potential, cli, path_action
+from ctmc_ldp.cli import build_parser, load_model, load_report, main, read_path_csv
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 ABSORBING = str(MODELS / "absorbing.json")
@@ -18,6 +18,14 @@ RING = str(MODELS / "ring3.json")
 # paths on the two states a, b of SYMMETRIC
 STATIONARY_PATH = "t,a,b\n0,0.5,0.5\n0.5,0.5,0.5\n1,0.5,0.5\n"
 DRIFTING_PATH = "t,a,b\n0,0.5,0.5\n0.5,0.6,0.4\n1,0.7,0.3\n"
+FAST_RATES = [[0.0, 9271.7, 7845.6], [128.3, 0.0, 98.1], [8274.7, 1103.7, 0.0]]
+
+
+def _write_model(tmp_path, rates):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"states": [f"s{i}" for i in range(len(rates))],
+                                "rates": rates}))
+    return str(path)
 
 
 def strict_loads(text):
@@ -74,6 +82,71 @@ class TestCheck:
 
     def test_ring_model_passes(self, tmp_path):
         assert main(["check", "--model", RING, "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("model", sorted(MODELS.glob("*.json")),
+                             ids=lambda p: p.stem)
+    def test_shipped_models_pass(self, tmp_path, model):
+        assert main(["check", "--model", str(model), "--out", str(tmp_path)]) == 0
+
+    def test_fast_model_passes(self, tmp_path, capsys):
+        # rates in the thousands: the Hamiltonian formulas differ by 6e-11
+        # from rounding alone, which is 2e-16 of the terms they sum
+        code = main(["check", "--model", _write_model(tmp_path, FAST_RATES),
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert "10/10 checks passed" in capsys.readouterr().out
+
+    def test_perturbed_hamiltonian_fails(self, tmp_path, capsys, monkeypatch):
+        exact = cli.apply_hamiltonian
+        monkeypatch.setattr(cli, "apply_hamiltonian", lambda gen, f: Potential(
+            gen.space, exact(gen, f).f * (1.0 + 1e-9)))
+        code = main(["check", "--model", _write_model(tmp_path, FAST_RATES),
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert "FAIL  two Hamiltonian formulas agree" in capsys.readouterr().out
+
+
+class TestDispatch:
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_subcommand_looked_up_at_call_time(self, tmp_path, monkeypatch):
+        # a rebinding of cli.cmd_rate, as a tracer makes, is what runs next
+        argv = ["rate", "--model", SYMMETRIC, "--t", "0.3",
+                "--target", "0.6,0.4", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_rate",
+                            lambda args, gen, mu0: seen.append(args.t) or (0, {}))
+        assert main(argv) == 0
+        assert seen == [0.3]
+        assert load_report(tmp_path / "rate_report.json")["outputs"] == {}
+
+    def test_options_do_not_carry_over(self, tmp_path):
+        def digest(*extra):
+            assert main(["check", "--model", SYMMETRIC, *extra,
+                         "--out", str(tmp_path)]) == 0
+            return load_report(tmp_path / "check_report.json")["inputs_digest"]
+
+        plain = digest()
+        assert digest("--tol", "1e-3") != plain
+        assert digest() == plain
+
+    @pytest.mark.parametrize("argv", [[], ["check"], ["semigroup"], ["rate"],
+                                      ["bridge"], ["action"], ["simulate"],
+                                      ["verify-ldp"]])
+    def test_help_matches_a_fresh_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        with pytest.raises(SystemExit):
+            build_parser.__wrapped__().parse_args([*argv, "--help"])
+        assert texts[0] == texts[1] == capsys.readouterr().out
+        assert texts[0].startswith(f"usage: {' '.join(['ctmc-ldp', *argv])}")
 
 
 class TestSemigroup:

@@ -20,6 +20,7 @@ from ctmc_ldp import (
     v_apply,
     validate_generator,
 )
+from ctmc_ldp import hamiltonian
 from ctmc_ldp.hamiltonian import _log_matrix_apply
 from ctmc_ldp.markov import _expm_generator
 from conftest import absorbing_chain, random_model, random_potential, symmetric_chain
@@ -274,6 +275,50 @@ class TestResolventIterate:
                 for n in (8, 64, 512)]
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 5e-3
+
+    @pytest.mark.parametrize("kind", ["random", "stiff", "sparse"])
+    def test_power_matches_explicit_steps(self, rng, kind):
+        # c + log(J^k e^{f-c}) against floor(n t) nonlinear_resolvent steps
+        for _ in range(8):
+            size = int(rng.integers(2, 6))
+            if kind == "stiff":
+                rates = 10.0 ** rng.uniform(-3.0, 3.0, (size, size))
+            else:
+                rates = rng.uniform(0.0, 3.0, (size, size))
+                if kind == "sparse":
+                    rates[rng.random((size, size)) < 0.5] = 0.0
+            gen = validate_generator([f"s{i}" for i in range(size)], rates)
+            f = random_potential(rng, gen, bound=float(10.0 ** rng.uniform(0, 2.4)))
+            t, n = float(rng.uniform(0.1, 1.5)), int(rng.choice([8, 64, 300]))
+            g = f
+            for _ in range(math.floor(n * t + 1e-9)):
+                g = nonlinear_resolvent(gen, g, 1.0 / n)
+            out = resolvent_iterate(gen, f, t, n).f
+            assert out == pytest.approx(g.f, rel=1e-12, abs=1e-12)
+
+    def test_wide_spread_steps_in_log_space(self, rng, monkeypatch):
+        # a spread of 1500 > LINEAR_SPREAD, where e^{f - max f} underflows
+        gen = random_model(rng, n_min=3, n_max=3)
+        f = Potential(gen.space, [0.0, 750.0, 1500.0])
+        g = f
+        for _ in range(40):
+            g = nonlinear_resolvent(gen, g, 1.0 / 64)
+        applies = []
+        monkeypatch.setattr(hamiltonian, "_log_matrix_apply",
+                            lambda P, h: applies.append(1) or _log_matrix_apply(P, h))
+        out = resolvent_iterate(gen, f, 40 / 64, 64).f
+        assert len(applies) == 40
+        assert np.all(np.isfinite(out))
+        assert out == pytest.approx(g.f, rel=1e-12, abs=1e-12)
+
+    def test_many_steps_keep_converging(self):
+        # 10^6 steps by repeated squaring: no loss of accuracy to rounding
+        gen = symmetric_chain()
+        f = Potential(gen.space, [0.0, 1.0])
+        exact = v_apply(gen, f, 1.0).f
+        err = {n: np.abs(resolvent_iterate(gen, f, 1.0, n).f - exact).max()
+               for n in (4096, 10**6)}
+        assert err[10**6] < err[4096]
 
 
 class TestBarrelRadius:
