@@ -27,7 +27,6 @@ from .errors import DegenerateModel, InvalidParameter, InvalidTime
 from .markov import Generator, Potential, _expm_generator, resolvent_matrix
 
 EXPONENT_CLIP = 700.0  # |exponent| bound that keeps e^x finite (overflow at 709.8)
-LINEAR_SPREAD = 600.0  # widest spread max f - min f taken out of log space
 
 
 def _log_matrix_apply(P: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -113,10 +112,10 @@ def nonlinear_resolvent(gen: Generator, f: Potential, lam: float) -> Potential:
 def resolvent_iterate(gen: Generator, f: Potential, t: float, n: int) -> Potential:
     """Apply R(1/n) exactly k = floor(n*t) times; converges to V(t)f as n grows.
 
-    With J = (I - Q/n)^{-1} and c = max f this is c + log(J^k e^{f-c}), J^k
-    by repeated squaring: each row of J^k sums to one, so no entry of the
-    product falls below e^{-spread}. Above a spread of LINEAR_SPREAD, and
-    for k = 0, the k steps are taken one log-space apply at a time.
+    Each step is log(J_+ e^f) with J = (I - Q/n)^{-1} and J_+ = max(J, 0)
+    (rounding can leave J slightly negative), so the k steps are one
+    log-space apply of J_+^k, which np.linalg.matrix_power forms by
+    repeated squaring.
     """
     if n < 1:
         raise InvalidParameter(f"n must be a positive integer, got {n}")
@@ -124,12 +123,9 @@ def resolvent_iterate(gen: Generator, f: Potential, t: float, n: int) -> Potenti
         raise InvalidTime(f"time must be nonnegative, got {t}")
     steps = int(math.floor(n * t + 1e-9))
     J = resolvent_matrix(gen, 1.0 / n)
-    g, c = f.f, f.f.max()
-    if steps and c - g.min() <= LINEAR_SPREAD:
-        Jk = np.linalg.matrix_power(np.maximum(J, 0.0), steps)
-        return Potential(gen.space, c + np.log(Jk @ np.exp(g - c)))
-    for _ in range(steps):
-        g = _log_matrix_apply(J, g)
+    g = f.f
+    if steps:
+        g = _log_matrix_apply(np.linalg.matrix_power(np.maximum(J, 0.0), steps), g)
     return Potential(gen.space, g)
 
 

@@ -28,7 +28,7 @@ from .errors import (
     InvalidParameter,
     MalformedModel,
 )
-from .hamiltonian import LINEAR_SPREAD, _log_matrix_apply, v_apply
+from .hamiltonian import _log_matrix_apply, v_apply
 from .lagrangian import SolverOptions
 from .markov import (
     Generator,
@@ -47,6 +47,7 @@ from .rates import (
 )
 
 HARMONIC_TOL = 1e-9  # last-interval mismatch relative to 1 + max|h_K|
+LINEAR_SPREAD = 600.0  # widest exponent spread the doubling takes out of log space
 
 
 @dataclass(frozen=True)

@@ -83,10 +83,8 @@ class TestCheck:
     def test_ring_model_passes(self, tmp_path):
         assert main(["check", "--model", RING, "--out", str(tmp_path)]) == 0
 
-    @pytest.mark.parametrize("model", sorted(MODELS.glob("*.json")),
-                             ids=lambda p: p.stem)
-    def test_shipped_models_pass(self, tmp_path, model):
-        assert main(["check", "--model", str(model), "--out", str(tmp_path)]) == 0
+    def test_absorbing_model_passes(self, tmp_path):
+        assert main(["check", "--model", ABSORBING, "--out", str(tmp_path)]) == 0
 
     def test_fast_model_passes(self, tmp_path, capsys):
         # rates in the thousands: the Hamiltonian formulas differ by 6e-11

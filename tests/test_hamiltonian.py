@@ -20,7 +20,6 @@ from ctmc_ldp import (
     v_apply,
     validate_generator,
 )
-from ctmc_ldp import hamiltonian
 from ctmc_ldp.hamiltonian import _log_matrix_apply
 from ctmc_ldp.markov import _expm_generator
 from conftest import absorbing_chain, random_model, random_potential, symmetric_chain
@@ -296,18 +295,14 @@ class TestResolventIterate:
             out = resolvent_iterate(gen, f, t, n).f
             assert out == pytest.approx(g.f, rel=1e-12, abs=1e-12)
 
-    def test_wide_spread_steps_in_log_space(self, rng, monkeypatch):
-        # a spread of 1500 > LINEAR_SPREAD, where e^{f - max f} underflows
+    def test_wide_spread_steps_in_log_space(self, rng):
+        # a spread of 1500, where e^{f - max f} underflows
         gen = random_model(rng, n_min=3, n_max=3)
         f = Potential(gen.space, [0.0, 750.0, 1500.0])
         g = f
         for _ in range(40):
             g = nonlinear_resolvent(gen, g, 1.0 / 64)
-        applies = []
-        monkeypatch.setattr(hamiltonian, "_log_matrix_apply",
-                            lambda P, h: applies.append(1) or _log_matrix_apply(P, h))
         out = resolvent_iterate(gen, f, 40 / 64, 64).f
-        assert len(applies) == 40
         assert np.all(np.isfinite(out))
         assert out == pytest.approx(g.f, rel=1e-12, abs=1e-12)
 
