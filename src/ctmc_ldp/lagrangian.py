@@ -16,13 +16,16 @@ joint rates) runs through one damped Newton core over a leading batch axis,
 ``_newton_ascent``; its callers supply the objective, gradient and Hessian,
 and keep their structural screens. A single Lagrangian and the cells of a
 path action share one evaluator, ``_lagrangian_cells``, which screens and
-pins stacks of cells and batches those with the same flux channels.
+pins stacks of cells and batches those with the same flux channels. Where
+those channels form a forest (Dirac laws, 2-state and birth-death chains),
+the speed fixes the net current on every edge and the transform splits
+into one-edge problems, solved in closed form without Newton.
 
 Suprema need not be attained: holding mass on a state whose only exit
 channel must be shut down drives components of f to -infinity while the
 objective converges. Such results carry a finite value and no maximizer;
 a converged solve counts as attained exactly when its next Newton step
-vanishes.
+vanishes, a forest cell when no one-way edge is left without current.
 Genuinely infeasible speeds (mass created from nothing, or more cost than
 any tilt can explain) are reported as +infinity.
 """
@@ -37,7 +40,7 @@ import numpy as np
 
 from .errors import InfeasibleSpeed, MalformedModel, NumericalFailure
 from .hamiltonian import _hamiltonian_raw, _tilted_rates
-from .markov import Generator, Measure, Potential, StateSpace, _frozen
+from .markov import Generator, Measure, Potential, StateSpace, _frozen, _reachable
 
 SPEED_SUM_TOL = 1e-10
 
@@ -118,12 +121,13 @@ class _Status:
     CONVERGED, INFINITE, BOUNDARY, STALLED, MAX_ITERS = range(5)
 
 
-def _newton_ascent(objective, hessian, x, free, opts):
+def _newton_ascent(objective, hessian, x, free, opts, first=None):
     """Damped Newton ascent of a batch of concave maximizations.
 
     ``objective(x, rows)`` gives the values, gradients and a state of batch
     rows ``rows`` (indices, or a slice for all) at iterates x (b, m), and
-    ``hessian(state)`` minus the (b, m, m) Hessians. Only the ``free``
+    ``hessian(state)`` minus the (b, m, m) Hessians; ``first``, if given,
+    is what ``objective`` gives at the start x. Only the ``free``
     coordinates move. Per cell: the OBJECTIVE_CAP test, then the gradient
     tolerance; the Newton step (the gradient if it is singular, non-finite
     or no ascent), taken whole when it halves the gradient sup-norm, which
@@ -168,7 +172,7 @@ def _newton_ascent(objective, hessian, x, free, opts):
         return back
 
     live = slice(None)  # every cell, until one settles
-    value, grad, state = objective(x, live)
+    value, grad, state = objective(x, live) if first is None else first
     norm = sup_norm(grad)
     for it in range(1, opts.max_iters + 1):
         capped = value > OBJECTIVE_CAP
@@ -238,10 +242,10 @@ def _settled(status, opts):
             f"no convergence or divergence evidence within {opts.max_iters} iterations")
 
 
-def _solve_one(objective, hessian, x, free, opts):
+def _solve_one(objective, hessian, x, free, opts, first=None):
     """``_newton_ascent`` on a batch of one; fails unless it settles."""
     status, x, value, iters, norm = (
-        a[0] for a in _newton_ascent(objective, hessian, x[None], free, opts))
+        a[0] for a in _newton_ascent(objective, hessian, x[None], free, opts, first))
     _settled(status, opts)
     return status, x, float(value), int(iters), float(norm)
 
@@ -269,6 +273,39 @@ def _lagrangian_objective(flux, us, base):
     return objective, hessian
 
 
+def _forest_cells(flux, us, tail, head, free):
+    """L in closed form on cells whose live channels form a forest, each
+    edge oriented along a live channel: a = mu_x r_xy > 0, b = mu_y r_yx.
+
+    Balance on the free rows fixes each edge's net current j, and the
+    transform splits into one-edge costs sup_d { j d - a(e^d - 1) -
+    b(e^-d - 1) } (Bertini, Faggionato and Gabrielli's current costs):
+    e^d is the positive root of a z^2 - j z - b, where a z + b/z =
+    sqrt(j^2 + 4ab). A one-way edge without current costs a, reached only
+    as d -> -infinity; against its channel it costs +infinity. Returns
+    per-cell status, maximizer (zero unless attained) and value.
+    """
+    edges = np.arange(tail.size)
+    B = np.zeros((flux.shape[1], tail.size))
+    B[head, edges], B[tail, edges] = 1.0, -1.0
+    B = B[free]  # square: one row per edge
+    j = np.linalg.solve(B, us[:, free].T).T
+    a, b = flux[:, tail, head], flux[:, head, tail]
+    root = np.sqrt(j * j + 4.0 * a * b)
+    w = np.abs(j) + root  # cancellation-free for either sign of j
+    scale = STRUCTURAL_TOL * np.maximum(1.0, np.abs(us).sum(axis=1))
+    shut = (b == 0.0) & (np.abs(j) <= scale[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.where(j >= 0.0, np.log(w / (2.0 * a)), np.log(2.0 * b / w))
+        value = np.where(shut, a, j * d + a + b - root).sum(axis=1)
+    attained = np.isfinite(value) & ~shut.any(axis=1)
+    status = np.where(attained, _Status.CONVERGED, np.where(
+        np.isfinite(value), _Status.BOUNDARY, _Status.INFINITE))
+    f = np.zeros(us.shape)
+    f[np.ix_(attained, free)] = np.linalg.solve(B.T, d[attained].T).T
+    return status, f, value
+
+
 def _lagrangian_cells(gen, mus, us, opts, initial=None):
     """L(mu_k, u_k) on a stack of cells, from f = 0 or the warm starts
     ``initial`` (one row per cell).
@@ -281,11 +318,13 @@ def _lagrangian_cells(gen, mus, us, opts, initial=None):
     than iterated on. The lowest state of each component is pinned, since
     the objective is invariant under per-component shifts; a warm start is
     shifted so that each pin reads 0. Cells with the same live channels
-    share components and pins, and go through one ``_newton_ascent``; a
-    warm-started cell that does not converge is solved again from f = 0.
+    share components and pins. On a forest (as many undirected edges as
+    free states) ``_forest_cells`` settles them; otherwise they go through
+    one ``_newton_ascent``, and a warm-started cell that does not converge
+    is solved again from f = 0.
 
     Returns per-cell status, maximizer, value, iterations and gradient norm
-    as ``_newton_ascent`` does (a screened cell is INFINITE at 0
+    as ``_newton_ascent`` does (a screened or forest cell has 0
     iterations), and the (K, n) mask of pinned states.
     """
     K, n = mus.shape
@@ -303,9 +342,7 @@ def _lagrangian_cells(gen, mus, us, opts, initial=None):
     while rest.size:
         same = keys[rest] == keys[rest[0]]
         group, rest = rest[same], rest[~same]
-        reach = live[group[0]] | live[group[0]].T | np.eye(n, dtype=bool)
-        for _ in range((n - 2).bit_length()):  # closure: paths of n - 1 jumps
-            reach = reach @ reach
+        reach = _reachable(live[group[0]] | live[group[0]].T)
         root = reach.argmax(axis=1)  # the lowest state of each component
         pins = root == np.arange(n)
         pinned[group] = pins
@@ -313,6 +350,12 @@ def _lagrangian_cells(gen, mus, us, opts, initial=None):
         unbalanced = (np.abs(us[group] @ reach)
                       > STRUCTURAL_TOL * np.maximum(1.0, np.abs(us[group]) @ reach))
         cells = group[~(drains[group] | unbalanced).any(axis=1)]
+        tail, head = np.nonzero(live[group[0]] & ~np.tril(live[group[0]].T, -1))
+        if tail.size == n - np.count_nonzero(pins):  # a forest: no ascent
+            status[cells], x[cells], value[cells] = _forest_cells(
+                flux[cells], us[cells], tail, head, np.flatnonzero(~pins))
+            norm[cells[np.isfinite(value[cells])]] = 0.0
+            continue
         todo, start = cells, x[cells] - x[cells][:, root]
         while todo.size:  # a warm start that does not converge starts over at 0
             objective, hessian = _lagrangian_objective(flux[todo], us[todo], base[todo])
@@ -360,7 +403,7 @@ def lagrangian_value(gen: Generator, mu: Measure, u,
 
     value = max(float(value), 0.0) if math.isfinite(value) else float(value)
     attained = status == _Status.CONVERGED
-    if attained:
+    if attained and iters:  # a closed-form forest cell has its verdict
         # A converged solve is attained exactly when the next Newton step
         # vanishes, as it does at an interior maximizer; on a channel that
         # shuts only in the limit it stays near -1, at any flux scale: a

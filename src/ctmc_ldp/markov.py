@@ -310,15 +310,27 @@ def transition_matrix(gen: Generator, t: float) -> StochasticMatrix:
     return StochasticMatrix(gen.space, _expm_generator(gen.Q, float(t)))
 
 
+def _reachable(adjacency: np.ndarray) -> np.ndarray:
+    """Boolean closure: (x, y) is True when y can be reached from x in zero
+    or more steps along the True entries of ``adjacency``."""
+    reach = adjacency | np.eye(len(adjacency), dtype=bool)
+    for _ in range((len(reach) - 2).bit_length()):  # paths of n - 1 steps
+        reach = reach @ reach
+    return reach
+
+
 def resolvent_matrix(gen: Generator, lam: float) -> np.ndarray:
     """(I - lam*Q)^{-1}: the law after an independent Exp(mean lam) time.
 
-    The result is row-stochastic.
+    The result is row-stochastic, and exactly zero where y cannot be
+    reached from x: rounding leaves weight there, which log-space use
+    multiplies by e^{f_y - f_x}.
     """
     if lam <= 0:
         raise InvalidParameter(f"resolvent parameter must be positive, got {lam}")
     n = gen.size
-    return np.linalg.solve(np.eye(n) - lam * gen.Q, np.eye(n))
+    J = np.linalg.solve(np.eye(n) - lam * gen.Q, np.eye(n))
+    return np.where(_reachable(gen.off_diagonal > 0.0), J, 0.0)
 
 
 def _fix_probability_vector(p: np.ndarray) -> np.ndarray:

@@ -272,80 +272,62 @@ def joint_rate(gen: Generator, mu0: Measure, partition: Partition,
         for i in range(k)
     ]
 
-    supports = [np.flatnonzero(nu > 0.0) for nu in nus]
-    blocks = []
-    offset = 0
-    for sup in supports:
-        blocks.append(np.arange(offset, offset + sup.size))
-        offset += sup.size
-    total_vars = offset
-    pins = np.array([b[0] for b in blocks])
-    free = np.array([j for j in range(total_vars) if j not in set(pins)], dtype=int)
-    # Hessian index blocks for each pair of times i <= j: the supports'
-    # cross block of a joint law, and the (i, j) and (j, i) Hessian blocks
-    pair_blocks = {(i, j): (np.ix_(supports[i], supports[j]),
-                            np.ix_(blocks[i], blocks[j]),
-                            np.ix_(blocks[j], blocks[i]))
-                   for i in range(k + 1) for j in range(i, k + 1)}
+    # each tilt component's place in the (k+1, n) grid of times and states
+    supports = [i * n + np.flatnonzero(nu > 0.0) for i, nu in enumerate(nus)]
+    idx = np.concatenate(supports)
+    pins = np.cumsum([0] + [sup.size for sup in supports[:-1]])
+    free = np.setdiff1d(np.arange(idx.size), pins)
+    target = np.concatenate(nus)[idx]
+    block = np.ix_(idx, idx)
 
     def objective(x, rows):
-        x = x[0]
-        E = np.zeros((k + 1, n))
-        for i, sup in enumerate(supports):
-            E[i, sup] = np.exp(np.clip(x[blocks[i]], -EXPONENT_CLIP, EXPONENT_CLIP))
+        E = np.zeros((k + 1) * n)
+        E[idx] = np.exp(np.clip(x[0], -EXPONENT_CLIP, EXPONENT_CLIP))
+        E = E.reshape(k + 1, n)
         alphas, betas, logZ = _joint_messages(Ps, E, mu0.p)
         if not math.isfinite(logZ):
-            return (np.array([-math.inf]), np.full((1, total_vars), np.nan),
+            return (np.array([-math.inf]), np.full((1, idx.size), np.nan),
                     np.full((1, 3, k + 1, n), np.nan))
-        lin = sum(float(nus[i][supports[i]] @ x[blocks[i]]) for i in range(k + 1))
-        grad = np.concatenate([nus[i][sup] - (alphas[i] * betas[i])[sup]
-                               for i, sup in enumerate(supports)])
-        return np.array([lin - logZ]), grad[None], np.array([alphas, betas, E])[None]
+        marg = (np.array(alphas) * np.array(betas)).ravel()[idx]
+        return (np.array([target @ x[0] - logZ]), (target - marg)[None],
+                np.array([alphas, betas, E])[None])
 
     def hessian(state):
         # Hessian of logZ: two-time covariances of the tilted chain.
         alphas, betas, E = state[0]
         marg = alphas * betas
-        hess = np.zeros((total_vars, total_vars))
+        cov = np.empty((k + 1, n, k + 1, n))
         for i in range(k + 1):
-            mi = marg[i][supports[i]]
-            hess[pair_blocks[i, i][1]] = np.diag(mi) - np.outer(mi, mi)
+            cov[i, :, i] = np.diag(marg[i]) - np.outer(marg[i], marg[i])
             carry = np.diag(alphas[i])
             for j in range(i + 1, k + 1):
                 carry = (carry @ Ps[j - 1]) * E[j][None, :]
                 joint = carry * betas[j][None, :]
                 joint = joint / joint.sum()  # running normalizations cancel
-                on_support, block_ij, block_ji = pair_blocks[i, j]
-                cov = (joint - np.outer(marg[i], marg[j]))[on_support]
-                hess[block_ij] = cov
-                hess[block_ji] = cov.T
-        return hess[None]
+                cov[i, :, j] = joint - np.outer(marg[i], marg[j])
+                cov[j, :, i] = cov[i, :, j].T
+        return cov.reshape(E.size, E.size)[block][None]
 
-    x = np.zeros(total_vars)
-    value, _, state = objective(x[None], None)
     # no admissible path through the marginal supports; or marginal mass
     # demanded at (time, state) pairs the support-constrained dynamics
     # cannot realize, which makes the objective linearly unbounded in the
     # corresponding tilt component: screened via the two-sided marginals at
-    # zero tilt
-    if not math.isfinite(value[0]) or any(
-            np.any((state[0, 0, i] * state[0, 1, i])[sup] <= 0.0)
-            for i, sup in enumerate(supports)):
+    # zero tilt, an evaluation the Newton core then starts from
+    x = np.zeros(idx.size)
+    first = objective(x[None], None)
+    value, _, state = first
+    if not math.isfinite(value[0]) or np.any((state[0, 0] * state[0, 1]).ravel()[idx] <= 0.0):
         return JointRateResult(math.inf, None, 0, math.inf)
 
-    status, x, value, it, grad_norm = _solve_one(objective, hessian, x, free, opts)
+    status, x, value, it, grad_norm = _solve_one(objective, hessian, x, free, opts, first)
     if status == _Status.INFINITE:
         return JointRateResult(math.inf, None, it, grad_norm)
     value = max(value, 0.0)
-    if status == _Status.BOUNDARY or any(sup.size != n for sup in supports) \
+    if status == _Status.BOUNDARY or idx.size != (k + 1) * n \
             or np.max(np.abs(x)) > BOUNDARY_NORM:
         return JointRateResult(value, None, it, grad_norm)
-    pots = []
-    for i in range(k + 1):
-        vec = np.zeros(n)
-        vec[supports[i]] = x[blocks[i]]
-        pots.append(Potential(gen.space, vec))
-    return JointRateResult(value, tuple(pots), it, grad_norm)
+    return JointRateResult(value, tuple(Potential(gen.space, f) for f in x.reshape(k + 1, n)),
+                           it, grad_norm)
 
 
 @dataclass(frozen=True)

@@ -306,6 +306,17 @@ class TestResolventIterate:
         assert np.all(np.isfinite(out))
         assert out == pytest.approx(g.f, rel=1e-12, abs=1e-12)
 
+    def test_unreachable_weight_stays_zero(self):
+        # state 0 is absorbing, so R(lam)f and every iterate keep f_0; the
+        # rounding weight that solving for J leaves on states 1 and 2
+        # (1e-17 and 1e-22) was raised by e^{spread} to f_0 + 468
+        gen = validate_generator(["s0", "s1", "s2"], [[0.0, 0.0, 0.0],
+                                                      [0.325, 0.0, 0.081],
+                                                      [229.8, 0.0022, 0.0]])
+        f = Potential(gen.space, [-65.2, 266.4, 440.6])
+        assert nonlinear_resolvent(gen, f, 1.0 / 64).f[0] == pytest.approx(-65.2, abs=1e-12)
+        assert resolvent_iterate(gen, f, 1.0, 64).f[0] == pytest.approx(-65.2, abs=1e-12)
+
     def test_many_steps_keep_converging(self):
         # 10^6 steps by repeated squaring: no loss of accuracy to rounding
         gen = symmetric_chain()

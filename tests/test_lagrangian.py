@@ -1,6 +1,7 @@
 """Lagrangian evaluation, duality, and the speed map."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,14 @@ from ctmc_ldp import (
     apply_hamiltonian,
     validate_generator,
 )
-from ctmc_ldp.lagrangian import DEFAULT_OPTIONS, _lagrangian_cells, _Status
+from ctmc_ldp import lagrangian
+from ctmc_ldp.lagrangian import (
+    DEFAULT_OPTIONS,
+    _lagrangian_cells,
+    _lagrangian_objective,
+    _newton_ascent,
+    _Status,
+)
 from conftest import (
     absorbing_chain,
     random_measure,
@@ -171,11 +179,14 @@ class TestLagrangianValue:
             assert fd == pytest.approx(analytic[i], rel=1e-6, abs=1e-8)
 
     def test_result_metadata(self, rng):
-        gen = random_model(rng)
-        mu = random_measure(rng, gen)
-        res = lagrangian_value(gen, mu, speed(gen, mu, random_potential(rng, gen)))
-        assert res.iterations >= 1
-        assert res.gradient_norm <= SolverOptions().gradient_tol
+        # full support on 3 or more states: the flux graph has cycles, so
+        # Newton runs; a 2-state chain is a forest, settled in closed form
+        for n_min, n_max in [(3, 5), (2, 2)]:
+            gen = random_model(rng, n_min=n_min, n_max=n_max)
+            mu = random_measure(rng, gen)
+            res = lagrangian_value(gen, mu, speed(gen, mu, random_potential(rng, gen)))
+            assert (res.iterations >= 1) == (n_min == 3)
+            assert res.gradient_norm <= SolverOptions().gradient_tol
 
     def test_unreachable_idle_state_is_undetermined(self):
         # no mass on c and no channel into c: its tilt component is a flat
@@ -199,7 +210,8 @@ class TestNearAbsorbingVerdict:
     # Rates of three benchmark ops (`solves` seed 25 op 557, seed 7026 op
     # 16, seed 7027 op 103): s1 leaves only at a rate below 1.6e-3, so a
     # small flux meets the gradient tolerance long before the tilt ratio
-    # shows the shut channel.
+    # shows the shut channel. Those flux graphs are forests, settled in
+    # closed form; inside a cycle, the next Newton step decides.
     @pytest.mark.parametrize("rate_in, rate_out", [
         (1.0266306012053712, 0.00012669471857254584),
         (2.139652706374402, 0.0003520712746616644),
@@ -212,6 +224,127 @@ class TestNearAbsorbingVerdict:
                                np.zeros(2))
         assert res.value == pytest.approx(rate_out, abs=1e-6)
         assert not res.attained
+
+    @pytest.mark.parametrize("rate", [1e-6, 1e-4, 3e-3])
+    def test_slowly_fed_empty_state_in_a_cycle_is_not_attained(self, rate):
+        # a and b trade mass and both feed the empty state c slowly;
+        # keeping c empty shuts both feeds only as f_c -> -infinity
+        gen = validate_generator(["a", "b", "c"], [[0.0, 1.0, rate],
+                                                   [2.0, 0.0, 2.0 * rate],
+                                                   [1.0, 1.0, 0.0]])
+        res = lagrangian_value(gen, Measure(gen.space, [0.6, 0.4, 0.0]),
+                               np.zeros(3))
+        assert res.iterations >= 1
+        assert res.value == pytest.approx(
+            (math.sqrt(0.6) - math.sqrt(0.8)) ** 2 + 1.4 * rate, abs=1e-8)
+        assert not res.attained
+
+
+def _newton_reference(gen, p, u, pins):
+    """Status, maximizer and value of L(p, u) by ``_newton_ascent`` on
+    ``_lagrangian_objective`` from f = 0, with the attainment test of
+    ``lagrangian_value``: a converged solve whose next step moves is not
+    attained.
+
+    Newton moves f by about one unit per shut channel and iteration, so on
+    a path of several shut channels it passes DIVERGENCE_NORM = 50 while
+    the value still improves by more than IMPROVEMENT_TOL, and calls a
+    finite supremum infinite (zero speed on the one-way chain
+    s0 -> ... -> s4 does). The reference runs with room for such paths.
+    """
+    flux = p[:, None] * gen.off_diagonal
+    objective, hessian = _lagrangian_objective(
+        flux[None], u[None], (p @ gen.exit_rates)[None])
+    free = np.flatnonzero(~pins)
+    with mock.patch.object(lagrangian, "DIVERGENCE_NORM", 50.0 * gen.size):
+        status, f, value, _, _ = (a[0] for a in _newton_ascent(
+            objective, hessian, np.zeros((1, gen.size)), free, DEFAULT_OPTIONS))
+    if status == _Status.CONVERGED:
+        _, grad, M = objective(f[None], slice(None))
+        step = np.linalg.solve(hessian(M)[0][np.ix_(free, free)], grad[0, free])
+        if np.abs(step).max(initial=0.0) > 0.5:
+            status = _Status.BOUNDARY
+    return status, f, value
+
+
+class TestForestClosedForm:
+    def test_large_value_on_a_forest_is_finite(self):
+        # a and b trade mass fast and c is empty: the flux graph is one
+        # edge, whose closed form is above the Newton core's cap of 1e6
+        gen = validate_generator(["a", "b", "c"], [[0.0, 1000.0, 0.0],
+                                                   [800.0, 0.0, 0.0],
+                                                   [1.0, 0.0, 0.0]])
+        mu = Measure(gen.space, [0.5, 0.5, 0.0])
+        g = Potential(gen.space, [0.0, 7.0, -3.0])
+        res = lagrangian_value(gen, mu, speed(gen, mu, g))
+        exact = float(pre_lagrangian(gen, g).f @ mu.p)
+        assert exact == pytest.approx(3290796.557, abs=1e-3)
+        assert res.value == pytest.approx(exact, rel=1e-12)
+        assert res.attained and res.iterations == 0
+        np.testing.assert_allclose(res.maximizer.f, [0.0, 7.0, 0.0], atol=1e-12)
+
+    def test_standstill_on_a_one_way_chain_is_finite(self):
+        # holding s0 -> s1 -> ... -> s4 still shuts all four channels: the
+        # cost is their total flux, though f runs to -infinity along the
+        # chain, faster the further down (Newton alone reads +inf here)
+        rates = np.diag(np.ones(4), 1)
+        gen = validate_generator([f"s{i}" for i in range(5)], rates)
+        res = lagrangian_value(gen, Measure.uniform(gen.space), np.zeros(5))
+        assert res.value == pytest.approx(0.8, rel=1e-15)
+        assert not res.attained and res.iterations == 0
+
+    @settings(max_examples=60, deadline=2000, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(("dirac", "birth-death", "partial", "two-state")),
+           drive=st.sampled_from(("zero", "tilt", "currents")))
+    def test_closed_form_matches_newton(self, seed, kind, drive):
+        # Dirac laws on dense chains, birth-death chains (some channels
+        # one-way) with full or partial support, and 2-state chains; speeds
+        # zero, rho(mu, g), or random currents on the live edges, so that
+        # one-way edges carry positive, zero and negative currents
+        rng = np.random.default_rng(seed)
+        n = 2 if kind == "two-state" else int(rng.integers(3, 6))
+        rates = rng.uniform(0.1, 3.0, (n, n))
+        if kind in ("birth-death", "partial"):
+            rates[np.abs(np.subtract.outer(range(n), range(n))) != 1] = 0.0
+            rates[rng.random((n, n)) < 0.2] = 0.0
+        gen = validate_generator([f"s{i}" for i in range(n)], rates)
+        if kind == "dirac" or (kind == "two-state" and rng.random() < 0.5):
+            p = np.eye(n)[rng.integers(n)]
+        else:
+            p = rng.dirichlet(np.ones(n))
+            if kind == "partial":
+                p[rng.random(n) < 0.4] = 0.0
+                p = p / p.sum() if p.sum() > 0.0 else np.eye(n)[0]
+        flux = p[:, None] * gen.off_diagonal
+        tail, head = np.nonzero((flux > 0.0) & ~np.tril(flux.T > 0.0, -1))
+        if drive == "zero":
+            u = np.zeros(n)
+        elif drive == "tilt":
+            u = speed(gen, Measure(gen.space, p), random_potential(rng, gen)).u
+        else:
+            j = rng.choice([-1.0, 0.0, 1.0], tail.size) * rng.uniform(0.2, 2.0, tail.size)
+            u = np.zeros(n)
+            np.add.at(u, head, j)
+            np.add.at(u, tail, -j)
+        status, x, value, iters, _, pinned = (a[0] for a in _lagrangian_cells(
+            gen, p[None], u[None], DEFAULT_OPTIONS))
+        assert iters == 0
+        drains = ((p == 0.0) & (u < -1e-12)).any()
+        if drains:  # screened before either route
+            assert status == _Status.INFINITE
+            return
+        ref_status, ref_x, ref_value = _newton_reference(gen, p, u, pinned)
+        assert status == ref_status
+        if math.isinf(ref_value):
+            assert math.isinf(value)
+            return
+        # Newton stops once the flux left on a shut channel is below the
+        # gradient tolerance, so its value may be short by that much
+        assert value == pytest.approx(
+            ref_value, rel=1e-8, abs=2 * DEFAULT_OPTIONS.gradient_tol)
+        if status == _Status.CONVERGED:
+            np.testing.assert_allclose(x, ref_x, rtol=1e-6, atol=1e-6)
 
 
 class TestBatchedCells:

@@ -83,7 +83,7 @@ def _solve(name, opts=None):
 # (value, attained, iterations)
 PINNED = {
     "lagrangian_interior": (1.3675484523830772, True, 6),
-    "lagrangian_stay": (2.7999999992189486, False, 23),
+    "lagrangian_stay": (2.8, False, 0),  # a Dirac law's star: closed form
     "lagrangian_warm": (7.549406761150533, True, 1),
     "conditional_evolved": (0.0, True, 1),
     "conditional_interior": (0.0033470078640377987, True, 4),

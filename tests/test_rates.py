@@ -382,11 +382,10 @@ class TestBatchedPathAction:
 
     def test_infeasible_cell_after_batched_cells(self, monkeypatch):
         # drift towards the absorbing state is feasible; the way back is not
-        gen = absorbing_chain()
         pa = np.array([0.9, 0.8, 0.7, 0.6, 0.5, 0.6, 0.5, 0.4, 0.3])
-        grid = PathGrid(gen.space, 0.0, 1.0, np.column_stack([pa, 1 - pa]))
-        k = 4
-        assert _settled(_cell_status(gen, grid))[:k].all()
+        cycle = validate_generator(["a", "b", "c"], [[0.0, 1.0, 1.0],
+                                                     [0.5, 0.0, 1.0],
+                                                     [0.0, 0.0, 0.0]])
         ascents = []
         ascent = lagrangian._newton_ascent
 
@@ -395,17 +394,27 @@ class TestBatchedPathAction:
             return ascent(objective, hessian, x, free, opts)
 
         monkeypatch.setattr(lagrangian, "_newton_ascent", counted)
-        res = path_action(gen, grid)
-        # every cell shares one flux pattern, so one ascent solves them all,
-        # and its +inf verdict on cell k is final: no cell is solved again
-        assert ascents == [grid.K]
-        assert res.value == math.inf
-        assert res.infeasible_cell == k
-        assert len(res.cell_values) == k + 1
-        assert res.cell_values[k] == math.inf
-        np.testing.assert_allclose(res.cell_values[:k] / grid.dt,
-                                   _cold_lagrangians(gen, grid)[:k],
-                                   rtol=0.0, atol=1e-10)
+        k = 4
+        # every cell shares one flux pattern: on the 2-state chain, a
+        # forest, all are settled in closed form; on the chain where a and
+        # b trade mass both ways and both feed c, one ascent solves them
+        # all. Either way the +inf verdict on cell k is final: no cell is
+        # solved again
+        for gen, m, runs in [
+                (absorbing_chain(), np.column_stack([pa, 1 - pa]), []),
+                (cycle, np.column_stack([0.6 * pa, 0.4 * pa, 1 - pa]), [8])]:
+            grid = PathGrid(gen.space, 0.0, 1.0, m)
+            assert _settled(_cell_status(gen, grid))[:k].all()
+            ascents.clear()
+            res = path_action(gen, grid)
+            assert ascents == runs
+            assert res.value == math.inf
+            assert res.infeasible_cell == k
+            assert len(res.cell_values) == k + 1
+            assert res.cell_values[k] == math.inf
+            np.testing.assert_allclose(res.cell_values[:k] / grid.dt,
+                                       _cold_lagrangians(gen, grid)[:k],
+                                       rtol=0.0, atol=1e-10)
 
     def test_unsettled_cell_raises(self, rng):
         # one Newton iteration cannot settle the cells of a tilted path
