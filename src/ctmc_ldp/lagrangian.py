@@ -350,6 +350,7 @@ def _lagrangian_cells(gen, mus, us, opts, initial=None):
         unbalanced = (np.abs(us[group] @ reach)
                       > STRUCTURAL_TOL * np.maximum(1.0, np.abs(us[group]) @ reach))
         cells = group[~(drains[group] | unbalanced).any(axis=1)]
+        # each undirected edge once, oriented along a live channel
         tail, head = np.nonzero(live[group[0]] & ~np.tril(live[group[0]].T, -1))
         if tail.size == n - np.count_nonzero(pins):  # a forest: no ascent
             status[cells], x[cells], value[cells] = _forest_cells(
