@@ -342,7 +342,8 @@ def _lagrangian_cells(gen, mus, us, opts, initial=None):
     while rest.size:
         same = keys[rest] == keys[rest[0]]
         group, rest = rest[same], rest[~same]
-        reach = _reachable(live[group[0]] | live[group[0]].T)
+        pattern = live[group[0]]
+        reach = _reachable(pattern | pattern.T)
         root = reach.argmax(axis=1)  # the lowest state of each component
         pins = root == np.arange(n)
         pinned[group] = pins
@@ -351,7 +352,7 @@ def _lagrangian_cells(gen, mus, us, opts, initial=None):
                       > STRUCTURAL_TOL * np.maximum(1.0, np.abs(us[group]) @ reach))
         cells = group[~(drains[group] | unbalanced).any(axis=1)]
         # each undirected edge once, oriented along a live channel
-        tail, head = np.nonzero(live[group[0]] & ~np.tril(live[group[0]].T, -1))
+        tail, head = np.nonzero(pattern & ~np.tril(pattern.T, -1))
         if tail.size == n - np.count_nonzero(pins):  # a forest: no ascent
             status[cells], x[cells], value[cells] = _forest_cells(
                 flux[cells], us[cells], tail, head, np.flatnonzero(~pins))
