@@ -11,8 +11,8 @@ Laplacian of the symmetrized tilted flux. Shifting f by a constant on a
 connected component of the live flux channels never changes the objective,
 so it is maximized with the lowest state of each component pinned at 0.
 
-Every concave maximization of the package (this one, the conditional and
-joint rates) runs through one damped Newton core over a leading batch axis,
+Every concave maximization of the package (this one and the conditional
+rate) runs through one damped Newton core over a leading batch axis,
 ``_newton_ascent``; its callers supply the objective, gradient and Hessian,
 and keep their structural screens. A single Lagrangian and the cells of a
 path action share one evaluator, ``_lagrangian_cells``, which screens and
@@ -131,10 +131,11 @@ def _newton_ascent(objective, hessian, x, free, opts, first=None):
     coordinates move. Per cell: the OBJECTIVE_CAP test, then the gradient
     tolerance; the Newton step (the gradient if it is singular, non-finite
     or no ascent), taken whole when it halves the gradient sup-norm, which
-    keeps converging below the noise floor of the objective, else
-    backtracked by Armijo halvings; one retry along the gradient if that
-    stalls; past DIVERGENCE_NORM, +infinity while still improving, else
-    a supremum attained only in a limit.
+    keeps converging below the noise floor of the objective, and does not
+    lower the value by more than rounding, else backtracked by Armijo
+    halvings; one retry along the gradient if that stalls; past
+    DIVERGENCE_NORM, +infinity while still improving, else a supremum
+    attained only in a limit.
 
     Returns per-cell arrays: status, x, value, iterations, gradient norm.
     """
@@ -156,6 +157,11 @@ def _newton_ascent(objective, hessian, x, free, opts, first=None):
         xt[rows] = x[rows] + alpha * direction[rows]
         vt[rows], gt[rows], st[rows] = objective(xt[rows], cells[rows])
         nt[rows] = sup_norm(gt[rows])
+
+    def to_backtrack():
+        """Cells whose full step is backtracked: it does not halve the
+        gradient sup-norm, or it lowers the value by more than rounding."""
+        return ~((nt <= 0.5 * norm) & (vt >= value - 1e-12 * (1.0 + np.abs(value))))
 
     def search(back, direction, slope):
         """Armijo backtrack of rows ``back`` from xt; returns those that stall."""
@@ -206,13 +212,12 @@ def _newton_ascent(objective, hessian, x, free, opts, first=None):
         xt = x + direction
         vt, gt, st = objective(xt, live)
         nt = sup_norm(gt)
-        stalled = search((~(nt <= 0.5 * norm)).nonzero()[0], direction, slope)
+        stalled = search(to_backtrack().nonzero()[0], direction, slope)
         if stalled.size:  # one retry along the gradient
             direction[np.ix_(stalled, free)] = g[stalled]
             slope[stalled] = (g[stalled] ** 2).sum(axis=1)
             step_to(stalled, 1.0, direction)
-            stalled = search(stalled[~(nt[stalled] <= 0.5 * norm[stalled])],
-                             direction, slope)
+            stalled = search(stalled[to_backtrack()[stalled]], direction, slope)
         keep = np.abs(xt).max(axis=1) <= DIVERGENCE_NORM
         keep[stalled] = True
         if stalled.size or np.count_nonzero(~keep):

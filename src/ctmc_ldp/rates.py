@@ -8,21 +8,19 @@ is a concave maximization over gauge-fixed potentials; its gradient is
 nu minus the tilted one-step prediction, so stationarity matches moments.
 States where nu vanishes push their potential components to -infinity; the
 limit is taken exactly by restricting the transition matrix to the support
-of nu before optimizing, which also detects unreachable targets (+infinity).
+of nu before optimizing. A component of the live (start, target) pairs
+whose masses do not balance has no coupling and is +infinity.
 
-The joint rate over several time points maximizes
-
-    sum_i <f_i, nu_i> - log E[ e^{ sum_i f_i(X(t_i)) } ]
-
-over the concatenated potentials; the log-moment term and its derivatives
-come from forward/backward message passing through the tilted chain. Both
-rates, like the Lagrangian, are solved by the Newton core of
-``lagrangian``, which takes each objective with its gradient and Hessian.
+The joint rate over several time points is the initial relative entropy
+plus the chain of conditional rates between consecutive marginals; its
+potentials follow from the step maximizers in closed form. The conditional
+rate, like the Lagrangian, is solved by the Newton core of ``lagrangian``,
+which takes each objective with its gradient and Hessian.
 
 The action of a discretized measure path is the cell-by-cell Lagrangian of
 within-cell measures and finite-difference speeds, all cells evaluated at
-once by the evaluator behind ``lagrangian_value``; the partition rate
-chains conditional rates across a coarse time partition of grid nodes and
+once by the evaluator behind ``lagrangian_value``; the partition rate is
+the joint rate of the grid nodes at a coarse time partition and
 underestimates the action supremum.
 """
 
@@ -34,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, MalformedModel
-from .hamiltonian import EXPONENT_CLIP
+from .hamiltonian import _log_matrix_apply
 from .lagrangian import (
     DEFAULT_OPTIONS,
     SolverOptions,
@@ -52,6 +50,7 @@ from .markov import (
     StateSpace,
     _expm_generator,
     _frozen,
+    _reachable,
     relative_entropy,
 )
 
@@ -161,14 +160,21 @@ def conditional_rate(gen: Generator, mu: Measure, nu: Measure, t: float,
     PS = P[np.ix_(rows, support)]
     muX = mu.p[rows]
     nuS = nu.p[support]
-    # Some started mass cannot land on the support of nu at all, or nu puts
-    # mass on a state no started mass can reach; the objective then grows
-    # linearly in that tilt component (singular Hessian), so it must be
-    # screened structurally.
-    if np.any(PS.sum(axis=1) <= 0.0) or np.any(PS.sum(axis=0) <= 0.0):
-        return ConditionalRateResult(math.inf, None, sup, None, 0, math.inf)
-
-    free = np.arange(1, support.size)  # the first support state is pinned
+    # Started mass reaches the support of nu only along live pairs, P_xy > 0.
+    # A state with no live pair, or a connected component of live pairs whose
+    # mu- and nu-mass differ by more than the measures' rounding, admits no
+    # coupling: the objective is linear in that component's shift (singular
+    # Hessian), so it is screened. Each balanced component's lowest support
+    # state is pinned; when every pair is live there is one component.
+    live = PS > 0.0
+    free = np.arange(1, support.size)
+    if not live.all():
+        reach = _reachable(live.T @ live)
+        balance = muX @ reach[live.argmax(axis=1)] - nuS @ reach
+        if not (live.any(axis=1).all() and live.any(axis=0).all()) \
+                or np.any(np.abs(balance) > 2 * MEASURE_SUM_TOL):
+            return ConditionalRateResult(math.inf, None, sup, None, 0, math.inf)
+        free = np.flatnonzero(reach.argmax(axis=1) != np.arange(support.size))
 
     # log(PS e^f) and the tilted row laws are both taken max-shifted, so even
     # an overshooting Newton iterate (entries in the thousands) is valued
@@ -179,10 +185,11 @@ def conditional_rate(gen: Generator, mu: Measure, nu: Measure, t: float,
         c = f.max()
         e = np.exp(f - c)
         z = PS @ e
-        value = float(nuS @ f) - float(muX @ (c + np.log(z))) \
-            if z.min() > 0.0 else -math.inf
-        weighted = PS * e
-        W = weighted / weighted.sum(axis=1)[:, None]
+        if z.min() <= 0.0:
+            return (np.array([-math.inf]), np.full((1, f.size), np.nan),
+                    np.full((1,) + PS.shape, np.nan))
+        W = PS * e / z[:, None]
+        value = float(nuS @ f) - float(muX @ (c + np.log(z)))
         return np.array([value]), (nuS - muX @ W)[None], W[None]
 
     def hessian(W):
@@ -220,114 +227,44 @@ class JointRateResult:
         return self.potentials is not None
 
 
-def _joint_messages(Ps, E, mu0):
-    """Normalized forward/backward messages of the tilted chain.
-
-    Returns (alphas, betas, logZ); alphas[i] sums to one, betas are scaled
-    so alpha_i . beta_i = 1 holds at every time.
-    """
-    k = len(Ps)
-    alpha = mu0 * E[0]
-    total = alpha.sum()
-    if total <= 0.0:
-        return None, None, -math.inf
-    logZ = math.log(total)
-    alpha = alpha / total
-    alphas = [alpha]
-    for i in range(k):
-        alpha = (alphas[-1] @ Ps[i]) * E[i + 1]
-        total = alpha.sum()
-        if total <= 0.0:
-            return None, None, -math.inf
-        logZ += math.log(total)
-        alphas.append(alpha / total)
-    betas = [None] * (k + 1)
-    beta = np.ones_like(mu0)
-    betas[k] = beta / float(alphas[k] @ beta)
-    for i in range(k - 1, -1, -1):
-        beta = Ps[i] @ (E[i + 1] * betas[i + 1])
-        betas[i] = beta / float(alphas[i] @ beta)
-    return alphas, betas, logZ
-
-
 def joint_rate(gen: Generator, mu0: Measure, partition: Partition,
                marginals, opts: SolverOptions | None = None) -> JointRateResult:
     """Joint rate of observing the given marginals at times (0, t_1, ..., t_k).
 
-    ``marginals`` holds k+1 measures, the first at time zero. The inner
-    log-moment functional is evaluated by message passing through the
-    tilted chain, and the whole concatenated potential vector is maximized
-    as one concave problem.
+    ``marginals`` holds k+1 measures, the first at time zero. Under the
+    Markov reference law the cheapest coupling of fixed marginals can be
+    taken Markov, so the rate is the chain
+
+        H(nu_0 | mu0) + sum_i I_{t_{i+1} - t_i}(nu_{i+1} | nu_i),
+
+    summed up to its first infinite term. When mu0 and nu_0 have full
+    support and every step is attained at g_{i+1}, the joint maximizer is
+    f_k = g_k, f_i = g_i - log(P_i e^{g_{i+1}}) for 0 < i < k, and
+    f_0 = log(nu_0 / mu0) - log(P_0 e^{g_1}).
     """
-    opts = opts or DEFAULT_OPTIONS
     times = (0.0,) + partition.times
-    nus = [m.p if isinstance(m, Measure) else np.asarray(m, float) for m in marginals]
+    if times[1] <= 0.0:
+        raise InvalidParameter(f"partition times must be positive, got {times[1]}")
+    nus = [m if isinstance(m, Measure) else Measure(gen.space, m) for m in marginals]
     if len(nus) != len(times):
         raise MalformedModel(
             f"need {len(times)} marginals for {len(times) - 1} partition times")
-    n = gen.size
-    k = len(times) - 1
-    Ps = [
-        _expm_generator(gen.Q, times[i + 1] - times[i])
-        for i in range(k)
-    ]
-
-    # each tilt component's place in the (k+1, n) grid of times and states
-    supports = [i * n + np.flatnonzero(nu > 0.0) for i, nu in enumerate(nus)]
-    idx = np.concatenate(supports)
-    pins = np.cumsum([0] + [sup.size for sup in supports[:-1]])
-    free = np.setdiff1d(np.arange(idx.size), pins)
-    target = np.concatenate(nus)[idx]
-    block = np.ix_(idx, idx)
-
-    def objective(x, rows):
-        E = np.zeros((k + 1) * n)
-        E[idx] = np.exp(np.clip(x[0], -EXPONENT_CLIP, EXPONENT_CLIP))
-        E = E.reshape(k + 1, n)
-        alphas, betas, logZ = _joint_messages(Ps, E, mu0.p)
-        if not math.isfinite(logZ):
-            return (np.array([-math.inf]), np.full((1, idx.size), np.nan),
-                    np.full((1, 3, k + 1, n), np.nan))
-        marg = (np.array(alphas) * np.array(betas)).ravel()[idx]
-        return (np.array([target @ x[0] - logZ]), (target - marg)[None],
-                np.array([alphas, betas, E])[None])
-
-    def hessian(state):
-        # Hessian of logZ: two-time covariances of the tilted chain.
-        alphas, betas, E = state[0]
-        marg = alphas * betas
-        cov = np.empty((k + 1, n, k + 1, n))
-        for i in range(k + 1):
-            cov[i, :, i] = np.diag(marg[i]) - np.outer(marg[i], marg[i])
-            carry = np.diag(alphas[i])
-            for j in range(i + 1, k + 1):
-                carry = (carry @ Ps[j - 1]) * E[j][None, :]
-                joint = carry * betas[j][None, :]
-                joint = joint / joint.sum()  # running normalizations cancel
-                cov[i, :, j] = joint - np.outer(marg[i], marg[j])
-                cov[j, :, i] = cov[i, :, j].T
-        return cov.reshape(E.size, E.size)[block][None]
-
-    # no admissible path through the marginal supports; or marginal mass
-    # demanded at (time, state) pairs the support-constrained dynamics
-    # cannot realize, which makes the objective linearly unbounded in the
-    # corresponding tilt component: screened via the two-sided marginals at
-    # zero tilt, an evaluation the Newton core then starts from
-    x = np.zeros(idx.size)
-    first = objective(x[None], None)
-    value, _, state = first
-    if not math.isfinite(value[0]) or np.any((state[0, 0] * state[0, 1]).ravel()[idx] <= 0.0):
-        return JointRateResult(math.inf, None, 0, math.inf)
-
-    status, x, value, it, grad_norm = _solve_one(objective, hessian, x, free, opts, first)
-    if status == _Status.INFINITE:
-        return JointRateResult(math.inf, None, it, grad_norm)
-    value = max(value, 0.0)
-    if status == _Status.BOUNDARY or idx.size != (k + 1) * n \
-            or np.max(np.abs(x)) > BOUNDARY_NORM:
-        return JointRateResult(value, None, it, grad_norm)
-    return JointRateResult(value, tuple(Potential(gen.space, f) for f in x.reshape(k + 1, n)),
-                           it, grad_norm)
+    value, steps = relative_entropy(nus[0], mu0), []
+    for i in range(len(times) - 1):
+        if not math.isfinite(value):
+            break
+        steps.append(conditional_rate(gen, nus[i], nus[i + 1],
+                                      times[i + 1] - times[i], opts=opts))
+        value += steps[-1].value
+    iters = sum(step.iterations for step in steps)
+    gnorm = max((step.gradient_norm for step in steps), default=math.inf)
+    attained = math.isfinite(value) and all(step.attained for step in steps)
+    if not (attained and np.all(mu0.p > 0.0) and np.all(nus[0].p > 0.0)):
+        return JointRateResult(value, None, iters, gnorm)
+    g = [np.log(nus[0].p / mu0.p)] + [step.maximizer.f for step in steps]
+    f = [gi - _log_matrix_apply(_expm_generator(gen.Q, times[i + 1] - times[i]), g[i + 1])
+         for i, gi in enumerate(g[:-1])] + [g[-1]]
+    return JointRateResult(value, tuple(Potential(gen.space, fi) for fi in f), iters, gnorm)
 
 
 @dataclass(frozen=True)
@@ -396,7 +333,7 @@ def _path_action(gen, path, opts=None, h=None):
 
 def partition_rate(gen: Generator, path: PathGrid, partition: Partition,
                    P0: Measure, opts: SolverOptions | None = None) -> float:
-    """Initial entropy plus chained conditional rates across the partition.
+    """``joint_rate`` of the grid nodes at the partition times, from P0.
 
     Partition times must coincide with grid nodes after t0, to within
     GRID_NODE_TOL times the length of the grid.
@@ -412,13 +349,5 @@ def partition_rate(gen: Generator, path: PathGrid, partition: Partition,
     if any(b <= a for a, b in zip(idx, idx[1:])):
         raise InvalidParameter("partition times collapse onto the same grid node")
 
-    total = relative_entropy(path.measure(0), P0)
-    prev = 0
-    for j in idx:
-        seg = conditional_rate(gen, path.measure(prev), path.measure(j),
-                               (j - prev) * dt, opts=opts)
-        total += seg.value
-        if not math.isfinite(total):
-            return math.inf
-        prev = j
-    return float(total)
+    nodes = [path.measure(j) for j in [0] + idx]
+    return joint_rate(gen, P0, Partition(tuple(j * dt for j in idx)), nodes, opts).value

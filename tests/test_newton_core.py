@@ -88,7 +88,7 @@ PINNED = {
     "conditional_evolved": (0.0, True, 1),
     "conditional_interior": (0.0033470078640377987, True, 4),
     "conditional_restricted": (0.3799305512122871, False, 4),
-    "joint": (0.07557090019651228, False, 5),
+    "joint": (0.07557090019651228, False, 13),  # the sum over 3 steps
 }
 
 
@@ -107,6 +107,20 @@ def test_iteration_cap_raises(name):
     # each needs several Newton steps; one iteration ends without a verdict
     with pytest.raises(NumericalFailure, match="within 1 iterations"):
         _solve(name, SolverOptions(max_iters=1))
+
+
+def test_full_step_must_not_lower_the_value():
+    # from a Dirac start the rate is a relative entropy; the first full step
+    # halves the gradient but lowers the value, and taking it would end the
+    # solve at 0.0, unattained
+    gen = validate_generator(["a", "b"], [[0.0, 0.0114], [0.9196, 0.0]])
+    nu = Measure(gen.space, [0.1381, 0.8619])
+    t = 0.4077
+    res = conditional_rate(gen, Measure.dirac(gen.space, "a"), nu, t)
+    kl = float(nu.p @ np.log(nu.p / transition_matrix(gen, t).P[0]))
+    assert res.value == pytest.approx(kl, rel=1e-9)
+    assert res.value == pytest.approx(4.387023, abs=1e-6)
+    assert res.attained
 
 
 def _quadratic_or_flat(centre):

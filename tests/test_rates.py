@@ -1,10 +1,12 @@
 """Conditional and joint rates, path action, partition rates."""
 
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctmc_ldp import (
     BoundaryBridgeWarning,
@@ -148,6 +150,48 @@ class TestConditionalRate:
         assert res.value == pytest.approx(1.997843, abs=1e-6)
         assert res.attained
 
+    def test_unbalanced_component_is_infinite(self):
+        # b and c are absorbing, so {c} is a component of the live pairs on
+        # its own, and c cannot gain the mass nu asks of it
+        gen = validate_generator(["a", "b", "c"], [[0.0, 0.5, 0.0],
+                                                   [0.0, 0.0, 0.0],
+                                                   [0.0, 0.0, 0.0]])
+        sp = gen.space
+        res = conditional_rate(gen, Measure(sp, [0.3, 0.27, 0.43]),
+                               Measure(sp, [0.19, 0.35, 0.46]), 0.7)
+        assert res.value == math.inf and res.iterations == 0
+
+    def test_component_balance_allows_measure_rounding(self):
+        # mu and nu may each miss a total mass of 1 by MEASURE_SUM_TOL
+        gen = validate_generator(["a", "b"], [[0.0, 1.0], [2.0, 0.0]])
+        sp = gen.space
+        res = conditional_rate(gen, Measure(sp, [0.5 + 5e-11, 0.5]),
+                               Measure(sp, [0.3, 0.7 - 5e-11]), 0.5)
+        assert res.value == pytest.approx(0.236208, abs=1e-6)
+        assert res.attained
+
+    def test_state_without_live_pair_is_infinite_however_small(self):
+        gen = absorbing_chain()
+        res = conditional_rate(gen, Measure(gen.space, [1.0 - 1e-11, 1e-11]),
+                               Measure.dirac(gen.space, "a"), 0.5)
+        assert res.value == math.inf and res.iterations == 0
+
+    def test_underflowing_row_is_rejected_without_warning(self):
+        # a Newton iterate underflows the weight of row b: it is valued at
+        # -infinity without dividing 0 by 0
+        gen = validate_generator(["a", "b"], [[0.0, 0.108], [0.0, 0.0]])
+        sp = gen.space
+        mu, nu, t = Measure(sp, [0.8855, 0.1145]), Measure(sp, [0.185, 0.815]), 0.5566
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = conditional_rate(gen, mu, nu, t)
+        P = transition_matrix(gen, t).P
+        # b stays put, so a must send 0.7005 to b and keep 0.185
+        kl = 0.185 * math.log(0.185 / (0.8855 * P[0, 0])) \
+            + 0.7005 * math.log(0.7005 / (0.8855 * P[0, 1]))
+        assert res.value == pytest.approx(kl, rel=1e-9)
+        assert res.value == pytest.approx(1.547708, abs=1e-6)
+
 
 class TestJointRate:
     def test_true_marginals_cost_nothing(self, rng):
@@ -197,48 +241,71 @@ class TestJointRate:
         with pytest.raises(MalformedModel):
             joint_rate(gen, mu0, Partition((0.5,)), [mu0])
 
-    def test_log_moment_hessian_matches_finite_differences(self, rng):
-        # the two-time covariance blocks from message passing agree with
-        # central differences of the tilted marginals
-        from ctmc_ldp.markov import _expm_generator
-        from ctmc_ldp.rates import _joint_messages
+    def test_raw_marginals_are_validated(self):
+        gen = validate_generator(["a", "b"], [[0.0, 1.0], [2.0, 0.0]])
+        mu0 = Measure.uniform(gen.space)
+        with pytest.raises(MalformedModel):
+            joint_rate(gen, mu0, Partition((0.5,)), [[0.5, 0.5], [0.6, 0.5]])
 
-        gen = random_model(rng, n_max=3)
-        n = gen.size
-        mu0 = random_measure(rng, gen)
-        times = (0.4, 0.9, 1.3)
-        Ps = [_expm_generator(gen.Q, dt) for dt in (0.4, 0.5, 0.4)]
-        x = rng.uniform(-0.8, 0.8, size=(len(times) + 1, n))
+    def test_partition_time_must_be_positive(self):
+        gen = validate_generator(["a", "b"], [[0.0, 1.0], [2.0, 0.0]])
+        mu0 = Measure.uniform(gen.space)
+        with pytest.raises(InvalidParameter):
+            joint_rate(gen, mu0, Partition((-0.5,)), [mu0, mu0])
 
-        def marginals(xmat):
-            E = [np.exp(row) for row in xmat]
-            alphas, betas, _ = _joint_messages(Ps, E, mu0.p)
-            return [alphas[i] * betas[i] for i in range(len(E))]
+    def test_large_first_step_on_absorbing_chain(self):
+        # the first Newton step of the conditional step lands at |f| ~ 1e4,
+        # which must be valued exactly, not with a clipped exponent
+        gen = validate_generator(["a", "b"], [[0.0, 0.3], [0.0, 0.0]])
+        sp = gen.space
+        res = joint_rate(gen, Measure(sp, [0.0065, 0.9935]), Partition((0.3,)),
+                         [Measure(sp, [0.63, 0.37]), Measure(sp, [0.53, 0.47])])
+        assert res.value == pytest.approx(2.533407, abs=1e-6)
+        assert res.attained
 
-        base = marginals(x)
-        # analytic covariance via the same propagation used by joint_rate
-        E = [np.exp(row) for row in x]
-        alphas, betas, _ = _joint_messages(Ps, E, mu0.p)
-        h = 1e-5
-        for i in range(len(times) + 1):
-            for j in range(i, len(times) + 1):
-                if i == j:
-                    analytic = np.diag(base[i]) - np.outer(base[i], base[i])
-                else:
-                    carry = np.diag(alphas[i])
-                    for l in range(i + 1, j + 1):
-                        carry = (carry @ Ps[l - 1]) * E[l][None, :]
-                    joint = carry * betas[j][None, :]
-                    joint = joint / joint.sum()
-                    analytic = joint - np.outer(base[i], base[j])
-                for z in range(n):
-                    bumped_up = x.copy()
-                    bumped_up[j, z] += h
-                    bumped_dn = x.copy()
-                    bumped_dn[j, z] -= h
-                    fd = (marginals(bumped_up)[i]
-                          - marginals(bumped_dn)[i]) / (2 * h)
-                    assert np.abs(fd - analytic[:, z]).max() <= 1e-6
+    def test_full_step_that_lowers_the_value_is_backtracked(self):
+        # a full step halves the gradient but lowers the value to about
+        # -117 and passes the divergence norm: it must be backtracked
+        gen = validate_generator(["a", "b", "c", "d"], [[0.0, 1.27, 0.5, 0.59],
+                                                        [0.0, 0.0, 0.0, 0.0],
+                                                        [0.0, 0.25, 0.0, 0.81],
+                                                        [0.06, 0.78, 0.09, 0.0]])
+        sp = gen.space
+        res = joint_rate(gen, Measure(sp, [0.0025, 0.0054, 0.9194, 0.0727]),
+                         Partition((0.57,)),
+                         [Measure(sp, [0.56, 0.106, 0.027, 0.307]),
+                          Measure(sp, [0.4947, 0.1772, 0.1286, 0.1995])])
+        assert res.value == pytest.approx(4.229120, abs=1e-6)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_potentials_tilt_the_chain_onto_the_marginals(self, seed):
+        # independent of the chain that computes them: enumerate every path
+        # through the partition, tilt each by sum_i f_i(x_i), and read off
+        # the log-moment and the tilted marginals
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        rates = rng.uniform(0.05, 2.0, (n, n))
+        rates[rng.random((n, n)) < 0.4] = 0.0
+        gen = validate_generator([f"s{i}" for i in range(n)], rates)
+        mu0, *nus = (Measure(gen.space, 0.9 * rng.dirichlet(np.ones(n)) + 0.1 / n)
+                     for _ in range(k + 2))
+        times = np.cumsum(rng.uniform(0.1, 1.0, k))
+        res = joint_rate(gen, mu0, Partition(tuple(times)), nus)
+        if not res.attained:
+            return
+        Ps = [transition_matrix(gen, dt).P for dt in np.diff(times, prepend=0.0)]
+        f = np.array([pot.f for pot in res.potentials])
+        paths = np.array(list(itertools.product(range(n), repeat=k + 1)))
+        weight = mu0.p[paths[:, 0]] * np.exp(f[np.arange(k + 1), paths].sum(axis=1))
+        for i, P in enumerate(Ps):
+            weight *= P[paths[:, i], paths[:, i + 1]]
+        nu = np.array([m.p for m in nus])
+        value = float((f * nu).sum()) - math.log(weight.sum())
+        assert value == pytest.approx(res.value, rel=0.0, abs=1e-12 * (1.0 + res.value))
+        for i in range(k + 1):
+            tilted = np.bincount(paths[:, i], weight, minlength=n) / weight.sum()
+            np.testing.assert_allclose(tilted, nu[i], rtol=0.0, atol=1e-8)
 
 
 class TestPathAction:
