@@ -30,7 +30,7 @@ class InfeasibleSpeed(ToolkitError):
 
 
 class NumericalFailure(ToolkitError):
-    """An iterative solver stopped without convergence or divergence evidence."""
+    """An iterative solver stopped without converging."""
 
 
 class InfeasibleBridge(ToolkitError):

@@ -14,20 +14,20 @@ so it is maximized with the lowest state of each component pinned at 0.
 Every concave maximization of the package (this one and the conditional
 rate) runs through one damped Newton core over a leading batch axis,
 ``_newton_ascent``; its callers supply the objective, gradient and Hessian,
-and keep their structural screens. A single Lagrangian and the cells of a
-path action share one evaluator, ``_lagrangian_cells``, which screens and
-pins stacks of cells and batches those with the same flux channels. Where
-those channels form a forest (Dirac laws, 2-state and birth-death chains),
-the speed fixes the net current on every edge and the transform splits
-into one-edge problems, solved in closed form without Newton.
+and decide beforehand that the supremum is finite and attained. A single
+Lagrangian and the cells of a path action share one evaluator,
+``_lagrangian_cells``, which screens and pins stacks of cells and batches
+those with the same flux channels. Where those channels form a forest
+(Dirac laws, 2-state and birth-death chains), the speed fixes the net
+current on every edge and the transform splits into one-edge problems,
+solved in closed form without Newton.
 
-Suprema need not be attained: holding mass on a state whose only exit
-channel must be shut down drives components of f to -infinity while the
-objective converges. Such results carry a finite value and no maximizer;
-a converged solve counts as attained exactly when its next Newton step
-vanishes, a forest cell when no one-way edge is left without current.
-Genuinely infeasible speeds (mass created from nothing, or more cost than
-any tilt can explain) are reported as +infinity.
+Whether L is finite, and whether its supremum is attained, are flow
+questions with exact answers, settled before Newton: L is the cheapest
+current that realizes u along the live channels, finite exactly when some
+current does, and attained exactly when some current uses every one-way
+channel. A channel no current can use shuts only as f -> -infinity; it
+costs its flux, and the result carries a finite value and no maximizer.
 """
 
 from __future__ import annotations
@@ -40,14 +40,12 @@ import numpy as np
 
 from .errors import InfeasibleSpeed, MalformedModel, NumericalFailure
 from .hamiltonian import _hamiltonian_raw, _tilted_rates
-from .markov import Generator, Measure, Potential, StateSpace, _frozen, _reachable
+from .markov import (
+    Generator, Measure, Potential, StateSpace, _frozen, _reachable, _transport)
 
 SPEED_SUM_TOL = 1e-10
 
-# Behavioral divergence constants.
-OBJECTIVE_CAP = 1e6          # objective beyond 1/eps counts as +infinity
-DIVERGENCE_NORM = 50.0       # iterate sup-norm past which a solve has diverged
-IMPROVEMENT_TOL = 1e-10      # still-improving threshold for the divergence rule
+STEP_CAP = 10.0              # largest move of one coordinate in one Newton step
 STRUCTURAL_TOL = 1e-12       # zero threshold for structural feasibility checks
 
 
@@ -115,27 +113,27 @@ def speed(gen: Generator, mu: Measure, g: Potential) -> Speed:
 
 
 class _Status:
-    """Per-cell verdicts of ``_newton_ascent``; STALLED means no step gains
-    along the Newton step or the gradient, MAX_ITERS the cap without one."""
+    """Per-cell verdicts: ``_newton_ascent`` settles CONVERGED, STALLED (no
+    step gains along the Newton step or the gradient) or MAX_ITERS; INFINITE
+    and BOUNDARY (attained only in a limit) are decided before Newton."""
 
     CONVERGED, INFINITE, BOUNDARY, STALLED, MAX_ITERS = range(5)
 
 
-def _newton_ascent(objective, hessian, x, free, opts, first=None):
-    """Damped Newton ascent of a batch of concave maximizations.
+def _newton_ascent(objective, hessian, x, free, opts):
+    """Damped Newton ascent of a batch of concave maximizations, each finite
+    and attained.
 
     ``objective(x, rows)`` gives the values, gradients and a state of batch
     rows ``rows`` (indices, or a slice for all) at iterates x (b, m), and
-    ``hessian(state)`` minus the (b, m, m) Hessians; ``first``, if given,
-    is what ``objective`` gives at the start x. Only the ``free``
-    coordinates move. Per cell: the OBJECTIVE_CAP test, then the gradient
-    tolerance; the Newton step (the gradient if it is singular, non-finite
-    or no ascent), taken whole when it halves the gradient sup-norm, which
-    keeps converging below the noise floor of the objective, and does not
-    lower the value by more than rounding, else backtracked by Armijo
-    halvings; one retry along the gradient if that stalls; past
-    DIVERGENCE_NORM, +infinity while still improving, else a supremum
-    attained only in a limit.
+    ``hessian(state)`` minus the (b, m, m) Hessians. Only the ``free``
+    coordinates move. Per cell: the gradient tolerance; the Newton step (the
+    gradient if it is singular, non-finite or no ascent), scaled to move no
+    coordinate by more than STEP_CAP, taken whole when it halves the
+    gradient sup-norm, which keeps converging below the noise floor of the
+    objective, and does not lower the value by more than rounding, else
+    backtracked by Armijo halvings; one retry along the gradient if that
+    stalls.
 
     Returns per-cell arrays: status, x, value, iterations, gradient norm.
     """
@@ -152,6 +150,10 @@ def _newton_ascent(objective, hessian, x, free, opts, first=None):
         rows = cells[done]
         status[rows], out_x[rows], out_value[rows] = verdict, xs[done], values[done]
         out_norm[rows], iters[rows] = norm[done], it
+
+    def capped(step, slope):  # scaled to move no coordinate past STEP_CAP
+        scale = STEP_CAP / np.abs(step).max(axis=1, initial=STEP_CAP)
+        return step * scale[:, None], slope * scale
 
     def step_to(rows, alpha, direction):
         xt[rows] = x[rows] + alpha * direction[rows]
@@ -178,15 +180,13 @@ def _newton_ascent(objective, hessian, x, free, opts, first=None):
         return back
 
     live = slice(None)  # every cell, until one settles
-    value, grad, state = objective(x, live) if first is None else first
+    value, grad, state = objective(x, live)
     norm = sup_norm(grad)
     for it in range(1, opts.max_iters + 1):
-        capped = value > OBJECTIVE_CAP
-        done = capped | (norm <= opts.gradient_tol)
+        done = norm <= opts.gradient_tol
         n_done = np.count_nonzero(done)
         if n_done:
-            settle(done, np.where(capped, _Status.INFINITE, _Status.CONVERGED)[done],
-                   x, np.where(capped, math.inf, value))
+            settle(done, _Status.CONVERGED, x, value)
         if n_done == len(cells):  # every cell settled, or none left
             break
         if n_done:
@@ -208,28 +208,21 @@ def _newton_ascent(objective, hessian, x, free, opts, first=None):
         if np.count_nonzero(fallback):
             step[fallback], slope[fallback] = g[fallback], (g[fallback] ** 2).sum(axis=1)
         direction = np.zeros(x.shape)
-        direction[:, free] = step
+        direction[:, free], slope = capped(step, slope)
         xt = x + direction
         vt, gt, st = objective(xt, live)
         nt = sup_norm(gt)
         stalled = search(to_backtrack().nonzero()[0], direction, slope)
         if stalled.size:  # one retry along the gradient
-            direction[np.ix_(stalled, free)] = g[stalled]
-            slope[stalled] = (g[stalled] ** 2).sum(axis=1)
+            direction[np.ix_(stalled, free)], slope[stalled] = capped(
+                g[stalled], (g[stalled] ** 2).sum(axis=1))
             step_to(stalled, 1.0, direction)
             stalled = search(stalled[to_backtrack()[stalled]], direction, slope)
-        keep = np.abs(xt).max(axis=1) <= DIVERGENCE_NORM
-        keep[stalled] = True
-        if stalled.size or np.count_nonzero(~keep):
+        if stalled.size:
             moved = np.ones(len(cells), dtype=bool)
             moved[stalled] = False
             settle(~moved, _Status.STALLED, x, value)
-            diverged = ~keep
-            improving = vt - value > IMPROVEMENT_TOL
-            settle(diverged, np.where(improving, _Status.INFINITE, _Status.BOUNDARY)[diverged],
-                   xt, np.where(improving, math.inf, vt))
-            keep &= moved
-            cells, xt, vt, gt, st, nt = (a[keep] for a in (cells, xt, vt, gt, st, nt))
+            cells, xt, vt, gt, st, nt = (a[moved] for a in (cells, xt, vt, gt, st, nt))
             live = cells
         x, value, grad, state, norm = xt, vt, gt, st, nt
     else:
@@ -243,16 +236,15 @@ def _settled(status, opts):
         raise NumericalFailure(
             "line search stalled before reaching the gradient tolerance")
     if status == _Status.MAX_ITERS:
-        raise NumericalFailure(
-            f"no convergence or divergence evidence within {opts.max_iters} iterations")
+        raise NumericalFailure(f"no convergence within {opts.max_iters} iterations")
 
 
-def _solve_one(objective, hessian, x, free, opts, first=None):
-    """``_newton_ascent`` on a batch of one; fails unless it settles."""
+def _solve_one(objective, hessian, x, free, opts):
+    """``_newton_ascent`` on a batch of one; fails unless it converges."""
     status, x, value, iters, norm = (
-        a[0] for a in _newton_ascent(objective, hessian, x[None], free, opts, first))
+        a[0] for a in _newton_ascent(objective, hessian, x[None], free, opts))
     _settled(status, opts)
-    return status, x, float(value), int(iters), float(norm)
+    return x, float(value), int(iters), float(norm)
 
 
 def _lagrangian_objective(flux, us, base):
@@ -315,34 +307,31 @@ def _lagrangian_cells(gen, mus, us, opts, initial=None):
     """L(mu_k, u_k) on a stack of cells, from f = 0 or the warm starts
     ``initial`` (one row per cell).
 
-    Mass moves only along channels carrying flux, mu_x r_xy > 0, whose
-    support does not depend on the tilt. A cell is +infinity when an empty
-    state must lose mass, or when a connected component of that graph has
-    speed entries that do not balance: along such directions the objective
-    is exactly linear (singular Hessian), so they are screened out rather
-    than iterated on. The lowest state of each component is pinned, since
-    the objective is invariant under per-component shifts; a warm start is
-    shifted so that each pin reads 0. Cells with the same live channels
-    share components and pins. On a forest (as many undirected edges as
-    free states) ``_forest_cells`` settles them; otherwise they go through
-    one ``_newton_ascent``, and a warm-started cell that does not converge
-    is solved again from f = 0.
+    Mass moves only along channels carrying flux, mu_x r_xy > 0; cells with
+    the same live channels are grouped. A connected component of them whose
+    speed entries do not balance is +infinity, and balance is enough where
+    every channel lies on a directed cycle. Otherwise ``_transport`` sends
+    the mass the speed drains to the states it fills along directed paths:
+    +infinity if it cannot, and a channel no usable pair routes through
+    shuts only as f -> -infinity, costs its flux and is dropped, the cell
+    grouped again and reported unattained. Each component's lowest state is
+    pinned (a warm start is shifted so that each pin reads 0). A forest (as
+    many undirected edges as free states) goes to ``_forest_cells``, other
+    groups through one ``_newton_ascent``; a warm start that does not
+    converge is solved again from f = 0.
 
     Returns per-cell status, maximizer, value, iterations and gradient norm
-    as ``_newton_ascent`` does (a screened or forest cell has 0
-    iterations), and the (K, n) mask of pinned states.
+    as ``_newton_ascent`` does (a screened or forest cell has 0 iterations).
     """
     K, n = mus.shape
     flux = mus[:, :, None] * gen.off_diagonal
     base = mus @ gen.exit_rates
     live = flux > 0.0
-    keys = live.reshape(K, -1).view(f"V{n * n}")[:, 0]  # each cell's pattern as bytes
+    keys = live.reshape(K, -1).view(f"V{n * n}")[:, 0]  # views of live's rows as bytes
     x = np.zeros((K, n)) if initial is None else np.array(initial, dtype=float)
     status, iters = np.full(K, _Status.INFINITE), np.zeros(K, dtype=int)
     value, norm = np.full(K, math.inf), np.full(K, math.inf)
-    pinned = np.empty((K, n), dtype=bool)
-    # an empty state has no outflux at any tilt, so it can only gain
-    drains = (mus == 0.0) & (us < -STRUCTURAL_TOL)
+    shut = np.zeros(K)  # flux of the idle channels taken out of each cell
     rest = np.arange(K)
     while rest.size:
         same = keys[rest] == keys[rest[0]]
@@ -351,11 +340,10 @@ def _lagrangian_cells(gen, mus, us, opts, initial=None):
         reach = _reachable(pattern | pattern.T)
         root = reach.argmax(axis=1)  # the lowest state of each component
         pins = root == np.arange(n)
-        pinned[group] = pins
         # relative to the entries summed, which round off at their own scale
         unbalanced = (np.abs(us[group] @ reach)
                       > STRUCTURAL_TOL * np.maximum(1.0, np.abs(us[group]) @ reach))
-        cells = group[~(drains[group] | unbalanced).any(axis=1)]
+        cells = group[~unbalanced.any(axis=1)]
         # each undirected edge once, oriented along a live channel
         tail, head = np.nonzero(pattern & ~np.tril(pattern.T, -1))
         if tail.size == n - np.count_nonzero(pins):  # a forest: no ascent
@@ -363,14 +351,30 @@ def _lagrangian_cells(gen, mus, us, opts, initial=None):
                 flux[cells], us[cells], tail, head, np.flatnonzero(~pins))
             norm[cells[np.isfinite(value[cells])]] = 0.0
             continue
+        ahead = _reachable(pattern)
+        between = pattern & ~ahead.T  # channels off every directed cycle
+        for c in cells if between.any() else ():
+            u = us[c] * (np.abs(us[c]) > STRUCTURAL_TOL * max(1.0, np.abs(us[c]).sum()))
+            feasible, usable = _transport(np.maximum(-u, 0.0), np.maximum(u, 0.0),
+                                          ahead, STRUCTURAL_TOL)
+            idle = between & ~(ahead.T @ usable @ ahead.T)  # no usable pair's route
+            if not feasible or idle.any():
+                cells = cells[cells != c]
+                if feasible:  # grouped again, without its idle channels
+                    live[c] &= ~idle
+                    shut[c] += flux[c][idle].sum()
+                    flux[c][idle] = 0.0
+                    rest = np.append(rest, c)
         todo, start = cells, x[cells] - x[cells][:, root]
         while todo.size:  # a warm start that does not converge starts over at 0
-            objective, hessian = _lagrangian_objective(flux[todo], us[todo], base[todo])
+            objective, hessian = _lagrangian_objective(
+                flux[todo], us[todo], base[todo] - shut[todo])
             status[todo], x[todo], value[todo], iters[todo], norm[todo] = \
                 _newton_ascent(objective, hessian, start, np.flatnonzero(~pins), opts)
             todo = todo[(status[todo] != _Status.CONVERGED) & start.any(axis=1)]
             start = np.zeros((todo.size, n))
-    return status, x, value, iters, norm, pinned
+    status[(shut > 0.0) & (status == _Status.CONVERGED)] = _Status.BOUNDARY
+    return status, x, value + shut, iters, norm
 
 
 def lagrangian_value(gen: Generator, mu: Measure, u,
@@ -393,40 +397,21 @@ def lagrangian_value(gen: Generator, mu: Measure, u,
     NumericalFailure
         if the line search stalls, along the Newton step and then along the
         gradient, before the gradient tolerance is met, or if the iteration
-        cap is hit without convergence or divergence evidence.
+        cap is hit without convergence.
     """
     opts = opts or DEFAULT_OPTIONS
     if not isinstance(u, Speed):
         u = Speed(gen.space, np.asarray(u, dtype=float))
     p, u = mu.p, u.u
-    status, f, value, iters, gnorm, pinned = (a[0] for a in _lagrangian_cells(
+    status, f, value, iters, gnorm = (a[0] for a in _lagrangian_cells(
         gen, p[None], u[None], opts, None if initial is None else [initial]))
-    if status == _Status.INFINITE and iters == 0:  # screened out
+    if status == _Status.INFINITE:
         return LagrangianResult(math.inf, None, 0, math.inf)
     _settled(status, opts)
-    base_flux = p[:, None] * gen.off_diagonal
-    idle = (p == 0.0) & (base_flux.sum(axis=0) <= 0.0)
-    undetermined = tuple(np.flatnonzero(idle).tolist())
-
-    value = max(float(value), 0.0) if math.isfinite(value) else float(value)
-    attained = status == _Status.CONVERGED
-    if attained and iters:  # a closed-form forest cell has its verdict
-        # A converged solve is attained exactly when the next Newton step
-        # vanishes, as it does at an interior maximizer; on a channel that
-        # shuts only in the limit it stays near -1, at any flux scale: a
-        # small flux meets the gradient tolerance early.
-        objective, hessian = _lagrangian_objective(
-            base_flux[None], u[None], p[None] @ gen.exit_rates)
-        _, grad, M = objective(f[None], slice(None))
-        free = np.flatnonzero(~pinned)
-        try:
-            step = np.linalg.solve(hessian(M)[0][free[:, None], free], grad[0, free])
-        except np.linalg.LinAlgError:
-            step = np.full(free.size, np.nan)
-        attained = not (np.abs(step).max(initial=0.0) > 0.5
-                        and np.isfinite(step).all())
-    maximizer = Potential(gen.space, f) if attained else None
-    return LagrangianResult(value, maximizer, int(iters), float(gnorm), undetermined)
+    unfed = (p == 0.0) & ((p[:, None] * gen.off_diagonal).sum(axis=0) <= 0.0)
+    maximizer = Potential(gen.space, f) if status == _Status.CONVERGED else None
+    return LagrangianResult(max(float(value), 0.0), maximizer, int(iters), float(gnorm),
+                            tuple(np.flatnonzero(unfed).tolist()))
 
 
 def dual_check(gen: Generator, mu: Measure, f: Potential,

@@ -319,6 +319,44 @@ def _reachable(adjacency: np.ndarray) -> np.ndarray:
     return reach
 
 
+def _transport(supply, demand, allowed, tol):
+    """Whether supply (m,) can meet demand (k,) along the allowed (m, k)
+    pairs, uncapped, to within tol of the total and every positive entry by
+    a usable pair; and which pairs some such plan uses. One shortest-path
+    augmenting max-flow: a pair is usable when it carries above tol times its
+    smaller mass, or its target reaches its source in the residual graph."""
+    m, k = allowed.shape
+    flow, left, need = np.zeros((m, k)), supply.astype(float), demand.astype(float)
+    while True:
+        via_row, via_col = np.full(k, -1), np.where(left > 0.0, k, -1)  # k: the source
+        rows, ends = np.flatnonzero(left > 0.0), np.empty(0, dtype=int)
+        while rows.size and not ends.size:  # breadth-first, rows then columns
+            cols = np.flatnonzero(allowed[rows].any(axis=0) & (via_row < 0))
+            via_row[cols] = rows[allowed[np.ix_(rows, cols)].argmax(axis=0)]
+            ends = cols[need[cols] > 0.0]
+            carrying = flow[:, cols] > 0.0
+            rows = np.flatnonzero(carrying.any(axis=1) & (via_col < 0))
+            via_col[rows] = [cols[carrying[i].argmax()] for i in rows]
+        if not ends.size:
+            break
+        r, c = [via_row[ends[0]]], [ends[0]]
+        while via_col[r[-1]] != k:
+            c.append(via_col[r[-1]])
+            r.append(via_row[c[-1]])
+        back = (r[:-1], c[1:])  # the pairs whose flow the path cancels
+        delta = min(need[c[0]], left[r[-1]], flow[back].min(initial=math.inf))
+        flow[r, c] += delta
+        flow[back] -= delta
+        left[r[-1]] -= delta
+        need[c[0]] -= delta
+    carried = flow > tol * np.minimum.outer(supply, demand)
+    usable = allowed & (carried @ _reachable(carried.T @ allowed).T)
+    feasible = (max(left.sum(), need.sum()) <= tol * max(supply.sum(), demand.sum())
+                and usable.any(axis=1)[supply > 0.0].all()
+                and usable.any(axis=0)[demand > 0.0].all())
+    return feasible, usable
+
+
 def resolvent_matrix(gen: Generator, lam: float) -> np.ndarray:
     """(I - lam*Q)^{-1}: the law after an independent Exp(mean lam) time.
 

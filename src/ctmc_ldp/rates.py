@@ -8,8 +8,11 @@ is a concave maximization over gauge-fixed potentials; its gradient is
 nu minus the tilted one-step prediction, so stationarity matches moments.
 States where nu vanishes push their potential components to -infinity; the
 limit is taken exactly by restricting the transition matrix to the support
-of nu before optimizing. A component of the live (start, target) pairs
-whose masses do not balance has no coupling and is +infinity.
+of nu before optimizing. The rate is the relative entropy of the cheapest
+coupling of mu and nu (Csiszar's I-projection); one transport test over
+the live (start, target) pairs decides whether any coupling exists
+(else +infinity) and which pairs some coupling uses (the others are
+dropped, and the supremum is attained only in a limit).
 
 The joint rate over several time points is the initial relative entropy
 plus the chain of conditional rates between consecutive marginals; its
@@ -51,11 +54,11 @@ from .markov import (
     _expm_generator,
     _frozen,
     _reachable,
+    _transport,
     relative_entropy,
 )
 
 DEFAULT_TILT_CAP = 30.0
-BOUNDARY_NORM = 15.0  # maximizer sup-norm beyond which a rate counts as unattained
 GRID_NODE_TOL = 1e-9  # relative distance at which a partition time is a grid node
 
 
@@ -145,8 +148,9 @@ def conditional_rate(gen: Generator, mu: Measure, nu: Measure, t: float,
 
     The returned result carries a full-space maximizer only when the
     supremum is attained at a finite potential on every state; when nu has
-    zero mass on states the base dynamics can reach, the value is exact but
-    reported as unattained (the optimal tilt diverges there).
+    zero mass on some state, or a live pair carries mass in no coupling,
+    the value is exact but reported as unattained (the optimal tilt
+    diverges there).
     """
     if t <= 0:
         raise InvalidParameter(f"time must be positive, got {t}")
@@ -161,20 +165,17 @@ def conditional_rate(gen: Generator, mu: Measure, nu: Measure, t: float,
     muX = mu.p[rows]
     nuS = nu.p[support]
     # Started mass reaches the support of nu only along live pairs, P_xy > 0.
-    # A state with no live pair, or a connected component of live pairs whose
-    # mu- and nu-mass differ by more than the measures' rounding, admits no
-    # coupling: the objective is linear in that component's shift (singular
-    # Hessian), so it is screened. Each balanced component's lowest support
-    # state is pinned; when every pair is live there is one component.
-    live = PS > 0.0
-    free = np.arange(1, support.size)
+    # Unless all are live, a coupling on them may not exist (+infinity), and
+    # a live pair that no coupling uses is dropped: the value does not change
+    # (unattained). Each component of the pairs kept pins its lowest state.
+    live = usable = PS > 0.0
     if not live.all():
-        reach = _reachable(live.T @ live)
-        balance = muX @ reach[live.argmax(axis=1)] - nuS @ reach
-        if not (live.any(axis=1).all() and live.any(axis=0).all()) \
-                or np.any(np.abs(balance) > 2 * MEASURE_SUM_TOL):
+        feasible, usable = _transport(muX, nuS, live, 2 * MEASURE_SUM_TOL)
+        if not feasible:
             return ConditionalRateResult(math.inf, None, sup, None, 0, math.inf)
-        free = np.flatnonzero(reach.argmax(axis=1) != np.arange(support.size))
+    PS = np.where(usable, PS, 0.0)
+    roots = _reachable(usable.T @ usable).argmax(axis=1) == np.arange(support.size)
+    free = np.flatnonzero(~roots)
 
     # log(PS e^f) and the tilted row laws are both taken max-shifted, so even
     # an overshooting Newton iterate (entries in the thousands) is valued
@@ -197,20 +198,15 @@ def conditional_rate(gen: Generator, mu: Measure, nu: Measure, t: float,
         W = W[0]
         return (np.diag(muX @ W) - W.T @ (muX[:, None] * W))[None]
 
-    status, f, value, iters, gnorm = _solve_one(
+    f, value, iters, gnorm = _solve_one(
         objective, hessian, np.zeros(support.size), free, opts)
-    if math.isfinite(value):
-        value = max(value, 0.0)
-    if status != _Status.CONVERGED:
-        return ConditionalRateResult(value, None, sup, f, iters, gnorm)
-    full = support.size == gen.size
-    interior = np.max(np.abs(f)) <= BOUNDARY_NORM
-    maximizer = None
-    if full and interior:
-        vec = np.zeros(gen.size)
-        vec[support] = f
-        maximizer = Potential(gen.space, vec)
-    return ConditionalRateResult(value, maximizer, sup, f, iters, gnorm)
+    # a dropped pair shuts as its target's component sinks below its row's:
+    # each component sinks by its count of components upstream of it
+    upstream = _reachable(usable.T @ live)[roots].sum(axis=0) - 1
+    f = f - DEFAULT_TILT_CAP * upstream / max(1, upstream.max())
+    attained = support.size == gen.size and (usable == live).all()
+    maximizer = Potential(gen.space, f) if attained else None
+    return ConditionalRateResult(max(value, 0.0), maximizer, sup, f, iters, gnorm)
 
 
 @dataclass(frozen=True)
@@ -319,7 +315,7 @@ def _path_action(gen, path, opts=None, h=None):
     mids = (1.0 - w) * m[:-1] + w * m[1:]
     speeds = (m[1:] - m[:-1]) / dt
     speeds = speeds - speeds.sum(axis=1, keepdims=True) / gen.size
-    status, _, values, _, _, _ = _lagrangian_cells(
+    status, _, values, _, _ = _lagrangian_cells(
         gen, mids, speeds, opts, initial=None if h is None else (1.0 - w) * h[:-1] + w * h[1:])
     cells = dt * np.maximum(values, 0.0)
     unsettled = (status == _Status.STALLED) | (status == _Status.MAX_ITERS)

@@ -1,7 +1,6 @@
 """Lagrangian evaluation, duality, and the speed map."""
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from ctmc_ldp import (
     apply_hamiltonian,
     validate_generator,
 )
-from ctmc_ldp import lagrangian
 from ctmc_ldp.lagrangian import (
     DEFAULT_OPTIONS,
     _lagrangian_cells,
@@ -29,6 +27,7 @@ from ctmc_ldp.lagrangian import (
     _newton_ascent,
     _Status,
 )
+from ctmc_ldp.markov import _reachable, _transport
 from conftest import (
     absorbing_chain,
     random_measure,
@@ -211,7 +210,8 @@ class TestNearAbsorbingVerdict:
     # 16, seed 7027 op 103): s1 leaves only at a rate below 1.6e-3, so a
     # small flux meets the gradient tolerance long before the tilt ratio
     # shows the shut channel. Those flux graphs are forests, settled in
-    # closed form; inside a cycle, the next Newton step decides.
+    # closed form; inside a cycle, the transport test finds the channels
+    # that must shut.
     @pytest.mark.parametrize("rate_in, rate_out", [
         (1.0266306012053712, 0.00012669471857254584),
         (2.139652706374402, 0.0003520712746616644),
@@ -228,43 +228,91 @@ class TestNearAbsorbingVerdict:
     @pytest.mark.parametrize("rate", [1e-6, 1e-4, 3e-3])
     def test_slowly_fed_empty_state_in_a_cycle_is_not_attained(self, rate):
         # a and b trade mass and both feed the empty state c slowly;
-        # keeping c empty shuts both feeds only as f_c -> -infinity
+        # keeping c empty shuts both feeds only as f_c -> -infinity. No
+        # plan uses them, so they cost their flux and leave the edge a-b,
+        # a forest settled without Newton
         gen = validate_generator(["a", "b", "c"], [[0.0, 1.0, rate],
                                                    [2.0, 0.0, 2.0 * rate],
                                                    [1.0, 1.0, 0.0]])
         res = lagrangian_value(gen, Measure(gen.space, [0.6, 0.4, 0.0]),
                                np.zeros(3))
-        assert res.iterations >= 1
+        assert res.iterations == 0
         assert res.value == pytest.approx(
             (math.sqrt(0.6) - math.sqrt(0.8)) ** 2 + 1.4 * rate, abs=1e-8)
         assert not res.attained
 
 
-def _newton_reference(gen, p, u, pins):
-    """Status, maximizer and value of L(p, u) by ``_newton_ascent`` on
-    ``_lagrangian_objective`` from f = 0, with the attainment test of
-    ``lagrangian_value``: a converged solve whose next step moves is not
-    attained.
+class TestTransportVerdicts:
+    def test_standstill_without_cycles_costs_the_exit_flux(self):
+        # a -> (c, d), b -> d, c -> b, and d is empty: no live channel lies
+        # on a directed cycle, so holding still shuts every one of them, at
+        # the cost of their flux, mu . r
+        rates = np.zeros((4, 4))
+        rates[0, 2], rates[0, 3], rates[1, 3], rates[2, 1] = 0.69, 2.55, 0.19, 2.2
+        rates[3, 1], rates[3, 2] = 0.46, 6.6
+        gen = validate_generator(["a", "b", "c", "d"], rates)
+        mu = Measure(gen.space, [0.958, 0.03, 0.012, 0.0])
+        res = lagrangian_value(gen, mu, np.zeros(4))
+        assert res.value == pytest.approx(mu.p @ gen.exit_rates, rel=1e-12)
+        assert res.value == pytest.approx(3.13602, abs=1e-12)
+        assert not res.attained
 
-    Newton moves f by about one unit per shut channel and iteration, so on
-    a path of several shut channels it passes DIVERGENCE_NORM = 50 while
-    the value still improves by more than IMPROVEMENT_TOL, and calls a
-    finite supremum infinite (zero speed on the one-way chain
-    s0 -> ... -> s4 does). The reference runs with room for such paths.
+    def test_cycle_feeding_a_one_way_chain_at_standstill(self):
+        # s0 -> s1 -> s2 -> s0 feeds s2 -> s3 -> s4 -> s5 at unit rates:
+        # holding the uniform law still shuts the three chain channels
+        # carrying flux, each at its flux 1/6, while the cycle rests
+        rates = np.zeros((6, 6))
+        rates[[0, 1, 2, 2, 3, 4], [1, 2, 0, 3, 4, 5]] = 1.0
+        gen = validate_generator([f"s{i}" for i in range(6)], rates)
+        res = lagrangian_value(gen, Measure.uniform(gen.space), np.zeros(6))
+        assert res.value == pytest.approx(0.5, rel=1e-12)
+        assert not res.attained
+
+    @settings(max_examples=80, deadline=2000, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_standstill_costs_at_most_the_exit_flux(self, seed):
+        # Hf >= -r pointwise, so 0 <= L(mu, 0) <= sum_x mu_x r_x on every
+        # chain, sparse ones and laws with empty states included
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        rates = rng.uniform(0.05, 3.0, (n, n))
+        rates[rng.random((n, n)) < 0.55] = 0.0
+        gen = validate_generator([f"s{i}" for i in range(n)], rates)
+        p = rng.dirichlet(np.ones(n))
+        p[rng.random(n) < 0.3] = 0.0
+        p = p / p.sum() if p.sum() > 0.0 else np.eye(n)[0]
+        res = lagrangian_value(gen, Measure(gen.space, p), np.zeros(n))
+        assert 0.0 <= res.value <= (p @ gen.exit_rates) * (1.0 + 1e-12)
+
+
+def _newton_reference(gen, p, u):
+    """Status, maximizer and value of L(p, u) by ``_newton_ascent`` on
+    ``_lagrangian_objective`` from f = 0, with no closed form.
+
+    The problem is first reduced as the evaluator reduces it: by the
+    transport over the directed reachability of the live channels, +inf
+    when infeasible, and with every channel that no usable (source, sink)
+    pair can route through shut at the cost of its flux (unattained).
     """
     flux = p[:, None] * gen.off_diagonal
+    live = flux > 0.0
+    ahead = _reachable(live)
+    tiny = 1e-12 * max(1.0, np.abs(u).sum())
+    feasible, usable = _transport(np.where(-u > tiny, -u, 0.0),
+                                  np.where(u > tiny, u, 0.0), ahead, 1e-12)
+    if not feasible:
+        return _Status.INFINITE, None, math.inf
+    idle = live & ~ahead.T & ~(ahead.T @ usable @ ahead.T)
+    flux[idle] = 0.0
+    reach = _reachable((flux > 0.0) | (flux > 0.0).T)
+    free = np.flatnonzero(reach.argmax(axis=1) != np.arange(gen.size))
     objective, hessian = _lagrangian_objective(
-        flux[None], u[None], (p @ gen.exit_rates)[None])
-    free = np.flatnonzero(~pins)
-    with mock.patch.object(lagrangian, "DIVERGENCE_NORM", 50.0 * gen.size):
-        status, f, value, _, _ = (a[0] for a in _newton_ascent(
-            objective, hessian, np.zeros((1, gen.size)), free, DEFAULT_OPTIONS))
-    if status == _Status.CONVERGED:
-        _, grad, M = objective(f[None], slice(None))
-        step = np.linalg.solve(hessian(M)[0][np.ix_(free, free)], grad[0, free])
-        if np.abs(step).max(initial=0.0) > 0.5:
-            status = _Status.BOUNDARY
-    return status, f, value
+        flux[None], u[None], flux.sum()[None])
+    status, f, value, _, _ = (a[0] for a in _newton_ascent(
+        objective, hessian, np.zeros((1, gen.size)), free, DEFAULT_OPTIONS))
+    if status == _Status.CONVERGED and idle.any():
+        status = _Status.BOUNDARY
+    return status, f, value + p @ gen.exit_rates - flux.sum()
 
 
 class TestForestClosedForm:
@@ -327,14 +375,10 @@ class TestForestClosedForm:
             u = np.zeros(n)
             np.add.at(u, head, j)
             np.add.at(u, tail, -j)
-        status, x, value, iters, _, pinned = (a[0] for a in _lagrangian_cells(
+        status, x, value, iters, _ = (a[0] for a in _lagrangian_cells(
             gen, p[None], u[None], DEFAULT_OPTIONS))
         assert iters == 0
-        drains = ((p == 0.0) & (u < -1e-12)).any()
-        if drains:  # screened before either route
-            assert status == _Status.INFINITE
-            return
-        ref_status, ref_x, ref_value = _newton_reference(gen, p, u, pinned)
+        ref_status, ref_x, ref_value = _newton_reference(gen, p, u)
         assert status == ref_status
         if math.isinf(ref_value):
             assert math.isinf(value)
@@ -377,7 +421,7 @@ class TestBatchedCells:
                        for j in at])
         us[::2] += rng.normal(0.0, 0.1, us[::2].shape)
         us -= us.mean(axis=1, keepdims=True)
-        status, _, values, iterations, _, _ = _lagrangian_cells(
+        status, _, values, iterations, _ = _lagrangian_cells(
             gen, mus, us, DEFAULT_OPTIONS)
         for k in range(len(mus)):
             try:
@@ -398,7 +442,7 @@ class TestBatchedCells:
         mu = Measure(gen.space, [0.2, 0.3, 0.5])
         f = np.array([60.0, 0.0, 1.0])
         u = speed(gen, mu, Potential(gen.space, f)).u
-        status, x, values, iterations, _, _ = _lagrangian_cells(
+        status, x, values, iterations, _ = _lagrangian_cells(
             gen, mu.p[None], u[None], DEFAULT_OPTIONS, initial=f[None])
         assert status[0] == _Status.CONVERGED and iterations[0] <= 1
         np.testing.assert_allclose(x[0], [0.0, 0.0, 1.0], atol=1e-9)
@@ -406,7 +450,8 @@ class TestBatchedCells:
 
     def test_pins_one_state_per_flux_component(self, rng):
         # reference: components of the live channels by graph search, each
-        # pinned at its lowest state
+        # pinned at its lowest state. The speed of a tilt g is attained at
+        # g, so the maximizer is g less g at the pin of each component
         for trial in range(60):
             n = int(rng.integers(2, 11))
             if trial % 3:
@@ -421,24 +466,25 @@ class TestBatchedCells:
             p[rng.random(n) < 0.3 * (trial % 2)] = 0.0
             p = p / p.sum() if p.sum() > 0.0 else np.eye(n)[0]
             live = p[:, None] * gen.off_diagonal > 0.0
-            expected = np.zeros(n, dtype=bool)
-            seen = np.zeros(n, dtype=bool)
+            pin = np.full(n, -1)
             for s in range(n):
-                if seen[s]:
+                if pin[s] >= 0:
                     continue
                 comp, stack = [s], [s]
-                seen[s] = True
+                pin[s] = s
                 while stack:
                     x = stack.pop()
                     for y in np.flatnonzero(live[x] | live[:, x]):
-                        if not seen[y]:
-                            seen[y] = True
+                        if pin[y] < 0:
+                            pin[y] = s
                             comp.append(y)
                             stack.append(y)
-                expected[min(comp)] = True
-            pinned = _lagrangian_cells(gen, p[None], np.zeros((1, n)),
-                                       DEFAULT_OPTIONS)[5][0]
-            np.testing.assert_array_equal(pinned, expected)
+            g = random_potential(rng, gen)
+            u = speed(gen, Measure(gen.space, p), g).u
+            status, x = (a[0] for a in _lagrangian_cells(
+                gen, p[None], u[None], DEFAULT_OPTIONS)[:2])
+            assert status == _Status.CONVERGED
+            np.testing.assert_allclose(x, g.f - g.f[pin], rtol=0.0, atol=1e-6)
 
 
 class TestSolverRobustness:

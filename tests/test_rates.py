@@ -192,6 +192,73 @@ class TestConditionalRate:
         assert res.value == pytest.approx(kl, rel=1e-9)
         assert res.value == pytest.approx(1.547708, abs=1e-6)
 
+    def test_interior_maximizer_far_from_zero_is_attained(self):
+        # every P_xy > 0 and nu has full support, so the maximizer is
+        # interior, though nu = (1 - 2e, e, e) puts it at |f| ~ 16.5
+        gen = validate_generator(["a", "b", "c"], [[0.0, 1.0, 2.0],
+                                                   [0.5, 0.0, 1.0],
+                                                   [2.0, 1.0, 0.0]])
+        mu = Measure.uniform(gen.space)
+        nu = Measure(gen.space, [1.0 - 2e-7, 1e-7, 1e-7])
+        res = conditional_rate(gen, mu, nu, 1.0)
+        assert res.attained
+        assert np.abs(res.maximizer.f).max() > 15.0
+        # the maximizer tilts the chain's one-step law onto nu
+        P = transition_matrix(gen, 1.0).P
+        e = np.exp(res.maximizer.f)
+        np.testing.assert_allclose(mu.p @ (P * e / (P @ e)[:, None]), nu.p,
+                                   rtol=0.0, atol=1e-9)
+
+    def test_first_step_into_a_flat_region_is_capped(self):
+        # a -> c, b -> a, c -> a: the target b can only keep its own mass.
+        # The first full Newton step lands at |f| ~ 243, where the
+        # objective is flat; capped steps converge
+        gen = validate_generator(["a", "b", "c"], [[0.0, 0.0, 0.0683],
+                                                   [0.6082, 0.0, 0.0],
+                                                   [0.0579, 0.0, 0.0]])
+        sp = gen.space
+        res = conditional_rate(gen, Measure(sp, [0.015, 0.985, 0.0]),
+                               Measure(sp, [0.0, 0.016, 0.984]), 0.41)
+        assert res.value == pytest.approx(5.554147, abs=1e-6)
+        assert not res.attained  # nu misses a
+
+    def test_balanced_pairs_without_a_coupling_are_infinite(self):
+        # nothing enters b, which must gain 0.0016: the live pairs form one
+        # balanced component, but no coupling exists (Hall's condition
+        # fails for the started states other than b)
+        gen = validate_generator(["a", "b", "c"], [[0.0, 0.0, 1.3],
+                                                   [0.396, 0.0, 0.275],
+                                                   [0.188, 0.0, 0.0]])
+        sp = gen.space
+        res = conditional_rate(gen, Measure(sp, [0.1837, 0.3129, 0.5034]),
+                               Measure(sp, [0.3616, 0.3145, 0.3239]), 0.2255)
+        assert res.value == math.inf and res.iterations == 0
+
+    @settings(max_examples=80, deadline=2000, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_infinite_exactly_when_halls_condition_fails(self, seed):
+        # A coupling of mu and nu on the live pairs P_xy > 0 exists exactly
+        # when every set S of started states has mu(S) <= nu(N(S)), N(S)
+        # the targets S reaches (Hall's condition with masses); checked by
+        # enumerating the sets, on random sparse chains
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5))
+        rates = rng.uniform(0.05, 3.0, (n, n))
+        rates[rng.random((n, n)) < 0.6] = 0.0
+        gen = validate_generator([f"s{i}" for i in range(n)], rates)
+        laws = rng.dirichlet(np.ones(n), 2)
+        laws[rng.random((2, n)) < 0.3] = 0.0
+        laws[laws.sum(axis=1) == 0.0, 0] = 1.0
+        mu, nu = laws / laws.sum(axis=1, keepdims=True)
+        t = float(rng.uniform(0.1, 1.0))
+        live = transition_matrix(gen, t).P > 0.0
+        started = np.flatnonzero(mu > 0.0)
+        hall = all(mu[list(S)].sum() <= nu[live[list(S)].any(axis=0)].sum() + 1e-12
+                   for size in range(1, started.size + 1)
+                   for S in itertools.combinations(started, size))
+        res = conditional_rate(gen, Measure(gen.space, mu), Measure(gen.space, nu), t)
+        assert math.isinf(res.value) == (not hall)
+
 
 class TestJointRate:
     def test_true_marginals_cost_nothing(self, rng):
@@ -464,12 +531,13 @@ class TestBatchedPathAction:
         k = 4
         # every cell shares one flux pattern: on the 2-state chain, a
         # forest, all are settled in closed form; on the chain where a and
-        # b trade mass both ways and both feed c, one ascent solves them
-        # all. Either way the +inf verdict on cell k is final: no cell is
-        # solved again
+        # b trade mass both ways and both feed c, the transport test finds
+        # cell k infeasible, since c cannot send mass back, and one ascent
+        # solves the other cells. Either way the +inf verdict on cell k is
+        # final: no cell is solved again
         for gen, m, runs in [
                 (absorbing_chain(), np.column_stack([pa, 1 - pa]), []),
-                (cycle, np.column_stack([0.6 * pa, 0.4 * pa, 1 - pa]), [8])]:
+                (cycle, np.column_stack([0.6 * pa, 0.4 * pa, 1 - pa]), [7])]:
             grid = PathGrid(gen.space, 0.0, 1.0, m)
             assert _settled(_cell_status(gen, grid))[:k].all()
             ascents.clear()

@@ -338,6 +338,22 @@ class TestOptimalBridge:
         assert gaps[0] >= gaps[1] >= gaps[2]
         assert gaps[2] <= 1e-2
 
+    def test_pair_no_coupling_uses_is_shut_by_the_tilt(self):
+        # b is absorbing and nu keeps its mass exactly, so a may send
+        # nothing to b: that live pair is dropped from the rate, and the
+        # tilt sinks b below a so that the bridge still delivers nu
+        gen = validate_generator(["a", "b", "c"], [[0.0, 0.7, 0.4],
+                                                   [0.0, 0.0, 0.0],
+                                                   [0.3, 0.0, 0.0]])
+        mu, nu = Measure(gen.space, [0.5, 0.5, 0.0]), Measure(gen.space, [0.2, 0.5, 0.3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryBridgeWarning)
+            bridge = optimal_bridge(gen, mu, nu, 0.8, 400)
+        assert bridge.boundary
+        assert bridge.rate == pytest.approx(0.330962215, abs=1e-8)
+        assert bridge.delivery_error <= 1e-9
+        assert bridge.action_gap <= 1e-4
+
     def test_unreachable_target_raises(self):
         gen = absorbing_chain()
         with pytest.raises(InfeasibleBridge):
