@@ -303,6 +303,30 @@ def _forest_cells(flux, us, tail, head, free):
     return status, f, value
 
 
+def _idle_channels(us, ahead, between):
+    """Whether a current realizes each cell's speed u along directed paths
+    of the live channels (reachability ``ahead``), and which ``between``
+    channels no such current uses. Mass circulates freely inside a strongly
+    connected component, so this is a transport between components of the
+    sums of u over each, relative to max(1, sum |u|) and zero within
+    STRUCTURAL_TOL. Where every sender reaches every receiver it is feasible
+    with every pair usable; else ``_transport`` decides, leaving unrouted
+    one STRUCTURAL_TOL per zeroed sum and per undirected component."""
+    heads, comp = np.unique((ahead & ahead.T).argmax(axis=1), return_inverse=True)
+    reach = ahead[np.ix_(heads, heads)]
+    net = us @ (comp[:, None] == np.arange(heads.size))
+    net /= np.maximum(1.0, np.abs(us).sum(axis=1))[:, None]
+    net[np.abs(net) <= STRUCTURAL_TOL] = 0.0
+    usable = (net < 0.0)[:, :, None] & (net > 0.0)[:, None, :]
+    feasible = np.ones(len(us), dtype=bool)
+    for c in np.flatnonzero((usable & ~reach).any(axis=(1, 2))):
+        feasible[c], usable[c] = _transport(np.maximum(-net[c], 0.0), np.maximum(
+            net[c], 0.0), reach, 2 * heads.size * STRUCTURAL_TOL)
+    # a channel is used when a sender reaches it and it reaches a receiver
+    # that sender can use
+    return feasible, between & ~(reach.T @ usable @ reach.T)[:, comp][:, :, comp]
+
+
 def _lagrangian_cells(gen, mus, us, opts, initial=None):
     """L(mu_k, u_k) on a stack of cells, from f = 0 or the warm starts
     ``initial`` (one row per cell).
@@ -310,13 +334,13 @@ def _lagrangian_cells(gen, mus, us, opts, initial=None):
     Mass moves only along channels carrying flux, mu_x r_xy > 0; cells with
     the same live channels are grouped. A connected component of them whose
     speed entries do not balance is +infinity, and balance is enough where
-    every channel lies on a directed cycle. Otherwise ``_transport`` sends
-    the mass the speed drains to the states it fills along directed paths:
-    +infinity if it cannot, and a channel no usable pair routes through
-    shuts only as f -> -infinity, costs its flux and is dropped, the cell
-    grouped again and reported unattained. Each component's lowest state is
-    pinned (a warm start is shifted so that each pin reads 0). A forest (as
-    many undirected edges as free states) goes to ``_forest_cells``, other
+    every channel lies on a directed cycle. Otherwise ``_idle_channels``
+    decides whether a current realizes the speed (else +infinity), and a
+    channel no such current uses shuts only as f -> -infinity, costs its
+    flux and is dropped, the cell grouped again under its reduced pattern
+    and reported unattained. Each component's lowest state is pinned (a
+    warm start is shifted so that each pin reads 0). A forest (as many
+    undirected edges as free states) goes to ``_forest_cells``, other
     groups through one ``_newton_ascent``; a warm start that does not
     converge is solved again from f = 0.
 
@@ -327,7 +351,7 @@ def _lagrangian_cells(gen, mus, us, opts, initial=None):
     flux = mus[:, :, None] * gen.off_diagonal
     base = mus @ gen.exit_rates
     live = flux > 0.0
-    keys = live.reshape(K, -1).view(f"V{n * n}")[:, 0]  # views of live's rows as bytes
+    keys = live.reshape(K, n * n).view(f"V{n * n}")[:, 0].copy()  # the rows as bytes
     x = np.zeros((K, n)) if initial is None else np.array(initial, dtype=float)
     status, iters = np.full(K, _Status.INFINITE), np.zeros(K, dtype=int)
     value, norm = np.full(K, math.inf), np.full(K, math.inf)
@@ -353,18 +377,16 @@ def _lagrangian_cells(gen, mus, us, opts, initial=None):
             continue
         ahead = _reachable(pattern)
         between = pattern & ~ahead.T  # channels off every directed cycle
-        for c in cells if between.any() else ():
-            u = us[c] * (np.abs(us[c]) > STRUCTURAL_TOL * max(1.0, np.abs(us[c]).sum()))
-            feasible, usable = _transport(np.maximum(-u, 0.0), np.maximum(u, 0.0),
-                                          ahead, STRUCTURAL_TOL)
-            idle = between & ~(ahead.T @ usable @ ahead.T)  # no usable pair's route
-            if not feasible or idle.any():
-                cells = cells[cells != c]
-                if feasible:  # grouped again, without its idle channels
-                    live[c] &= ~idle
-                    shut[c] += flux[c][idle].sum()
-                    flux[c][idle] = 0.0
-                    rest = np.append(rest, c)
+        if between.any() and cells.size:
+            feasible, idle = _idle_channels(us[cells], ahead, between)
+            reduced = feasible & idle.any(axis=(1, 2))
+            out, idle = cells[reduced], idle[reduced]
+            live[out] &= ~idle
+            shut[out] += (flux[out] * idle).sum(axis=(1, 2))
+            flux[out] *= ~idle
+            keys[out] = live[out].reshape(out.size, n * n).view(keys.dtype)[:, 0]
+            rest = np.append(rest, out)  # grouped again by the reduced pattern
+            cells = cells[feasible & ~reduced]
         todo, start = cells, x[cells] - x[cells][:, root]
         while todo.size:  # a warm start that does not converge starts over at 0
             objective, hessian = _lagrangian_objective(

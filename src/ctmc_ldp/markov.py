@@ -321,10 +321,11 @@ def _reachable(adjacency: np.ndarray) -> np.ndarray:
 
 def _transport(supply, demand, allowed, tol):
     """Whether supply (m,) can meet demand (k,) along the allowed (m, k)
-    pairs, uncapped, to within tol of the total and every positive entry by
-    a usable pair; and which pairs some such plan uses. One shortest-path
-    augmenting max-flow: a pair is usable when it carries above tol times its
-    smaller mass, or its target reaches its source in the residual graph."""
+    pairs, uncapped, leaving at most the mass tol over and every positive
+    entry with a usable pair; and which pairs some such plan uses. Masses
+    are on the scale of 1. One shortest-path augmenting max-flow: a pair is
+    usable when it carries above tol times its smaller mass, or its target
+    reaches its source in the residual graph."""
     m, k = allowed.shape
     flow, left, need = np.zeros((m, k)), supply.astype(float), demand.astype(float)
     while True:
@@ -351,7 +352,7 @@ def _transport(supply, demand, allowed, tol):
         need[c[0]] -= delta
     carried = flow > tol * np.minimum.outer(supply, demand)
     usable = allowed & (carried @ _reachable(carried.T @ allowed).T)
-    feasible = (max(left.sum(), need.sum()) <= tol * max(supply.sum(), demand.sum())
+    feasible = (max(left.sum(), need.sum()) <= tol
                 and usable.any(axis=1)[supply > 0.0].all()
                 and usable.any(axis=0)[demand > 0.0].all())
     return feasible, usable

@@ -116,12 +116,15 @@ class Partition:
 
 @dataclass(frozen=True)
 class ConditionalRateResult:
-    """Value and (when attained) maximizer of a conditional rate."""
+    """Value and (when attained) maximizer of a conditional rate.
+    ``support_levels`` counts the components of kept pairs upstream of each
+    support state's own, through dropped pairs."""
 
     value: float
     maximizer: Potential | None
     support: tuple[int, ...]
     support_potential: np.ndarray | None
+    support_levels: np.ndarray | None
     iterations: int
     gradient_norm: float
 
@@ -131,14 +134,16 @@ class ConditionalRateResult:
 
     def tilt_potential(self, space: StateSpace,
                        cap: float = DEFAULT_TILT_CAP) -> Potential:
-        """Best available terminal tilt, capped at sup-norm ``cap``.
-
-        Off-support components sit at -cap, realizing the limiting tilt to
-        within e^{-cap}.
-        """
+        """Best available terminal tilt, realizing the limiting tilt to
+        within e^{-cap}: the support potential clipped to [-cap, cap], each
+        component sunk cap below those feeding it, off-support states at
+        -cap, and at least cap below every sunk state."""
         f = np.full(space.size, -cap)
         if self.support_potential is not None:
-            f[list(self.support)] = np.clip(self.support_potential, -cap, cap)
+            g = np.clip(self.support_potential, -cap, cap)
+            g = g - self.support_levels * (np.ptp(g) + cap)
+            f[:] = min(-cap, g[self.support_levels > 0].min(initial=cap) - cap)
+            f[list(self.support)] = g
         return Potential(space, f)
 
 
@@ -172,7 +177,7 @@ def conditional_rate(gen: Generator, mu: Measure, nu: Measure, t: float,
     if not live.all():
         feasible, usable = _transport(muX, nuS, live, 2 * MEASURE_SUM_TOL)
         if not feasible:
-            return ConditionalRateResult(math.inf, None, sup, None, 0, math.inf)
+            return ConditionalRateResult(math.inf, None, sup, None, None, 0, math.inf)
     PS = np.where(usable, PS, 0.0)
     roots = _reachable(usable.T @ usable).argmax(axis=1) == np.arange(support.size)
     free = np.flatnonzero(~roots)
@@ -200,13 +205,11 @@ def conditional_rate(gen: Generator, mu: Measure, nu: Measure, t: float,
 
     f, value, iters, gnorm = _solve_one(
         objective, hessian, np.zeros(support.size), free, opts)
-    # a dropped pair shuts as its target's component sinks below its row's:
-    # each component sinks by its count of components upstream of it
-    upstream = _reachable(usable.T @ live)[roots].sum(axis=0) - 1
-    f = f - DEFAULT_TILT_CAP * upstream / max(1, upstream.max())
+    # a dropped pair shuts as its target's component sinks below its row's
+    levels = _reachable(usable.T @ live)[roots].sum(axis=0) - 1
     attained = support.size == gen.size and (usable == live).all()
     maximizer = Potential(gen.space, f) if attained else None
-    return ConditionalRateResult(max(value, 0.0), maximizer, sup, f, iters, gnorm)
+    return ConditionalRateResult(max(value, 0.0), maximizer, sup, f, levels, iters, gnorm)
 
 
 @dataclass(frozen=True)

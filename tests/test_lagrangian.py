@@ -1,5 +1,6 @@
 """Lagrangian evaluation, duality, and the speed map."""
 
+import itertools
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from ctmc_ldp.lagrangian import (
     _newton_ascent,
     _Status,
 )
-from ctmc_ldp.markov import _reachable, _transport
+from ctmc_ldp.markov import _reachable
 from conftest import (
     absorbing_chain,
     random_measure,
@@ -268,6 +269,54 @@ class TestTransportVerdicts:
         assert res.value == pytest.approx(0.5, rel=1e-12)
         assert not res.attained
 
+    def test_rounding_size_speed_into_an_empty_absorbing_state(self):
+        # a -> b -> c -> a, and c feeds the empty, absorbing d: a speed of
+        # 5e-13 into d is rounding, and the cell costs what it costs with 0
+        # there, the cycle's part plus the flux of the shut channel c -> d
+        gen = validate_generator(["a", "b", "c", "d"], [[0.0, 1.0, 0.0, 0.0],
+                                                        [0.0, 0.0, 1.0, 0.0],
+                                                        [1.0, 0.0, 0.0, 0.5],
+                                                        [0.0, 0.0, 0.0, 0.0]])
+        mu = Measure(gen.space, [0.4, 0.3, 0.3, 0.0])
+        exact = lagrangian_value(gen, mu, [-0.01, 0.01, 0.0, 0.0])
+        res = lagrangian_value(gen, mu, [-0.01, 0.01 - 5e-13, 0.0, 5e-13])
+        assert exact.value == pytest.approx(0.157604556305, abs=1e-11)
+        assert res.value == pytest.approx(exact.value, rel=1e-9)
+        assert not res.attained and not exact.attained
+
+    @settings(max_examples=60, deadline=3000, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_verdicts_match_set_enumeration(self, seed):
+        # chains with a cycle among s0, s1, s2 and sparse channels besides;
+        # the speed is the net of random currents on live channels, some
+        # against them and some zero, plus rounding-size entries. Finite,
+        # attained and the value agree with the reference, which decides
+        # by enumerating sets of states instead of by transport
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 6))
+        rates = rng.uniform(0.05, 3.0, (n, n))
+        rates[rng.random((n, n)) < 0.6] = 0.0
+        rates[[0, 1, 2], [1, 2, 0]] = rng.uniform(0.2, 2.0, 3)
+        gen = validate_generator([f"s{i}" for i in range(n)], rates)
+        p = rng.dirichlet(np.ones(n))
+        p[3:][rng.random(n - 3) < 0.5] = 0.0
+        p = p / p.sum()
+        tail, head = np.nonzero(p[:, None] * gen.off_diagonal > 0.0)
+        j = rng.choice([-1.0, 0.0, 1.0], tail.size, p=[0.125, 0.625, 0.25]) \
+            * 10.0 ** rng.uniform(-3, 0, tail.size)
+        u = np.zeros(n)
+        np.add.at(u, head, j)
+        np.add.at(u, tail, -j)
+        noise = rng.uniform(-1e-13, 1e-13, n) * (rng.random(n) < 0.5)
+        u = u + noise - noise.mean()
+        res = lagrangian_value(gen, Measure(gen.space, p), u)
+        ref_status, _, ref_value = _newton_reference(gen, p, u)
+        assert math.isinf(res.value) == math.isinf(ref_value)
+        if math.isfinite(ref_value):
+            assert res.attained == (ref_status == _Status.CONVERGED)
+            assert res.value == pytest.approx(
+                ref_value, rel=1e-8, abs=2 * DEFAULT_OPTIONS.gradient_tol)
+
     @settings(max_examples=80, deadline=2000, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_standstill_costs_at_most_the_exit_flux(self, seed):
@@ -287,29 +336,37 @@ class TestTransportVerdicts:
 
 def _newton_reference(gen, p, u):
     """Status, maximizer and value of L(p, u) by ``_newton_ascent`` on
-    ``_lagrangian_objective`` from f = 0, with no closed form.
+    ``_lagrangian_objective`` from f = 0, with no closed form and no
+    transport kernel.
 
-    The problem is first reduced as the evaluator reduces it: by the
-    transport over the directed reachability of the live channels, +inf
-    when infeasible, and with every channel that no usable (source, sink)
-    pair can route through shut at the cost of its flux (unattained).
+    A current realizing u along the live channels exists exactly when no
+    set S of states that no live channel enters gains mass, sum_S u > 0
+    (Gale's theorem, uncapped). A channel y -> z carries current in some
+    such plan exactly when no such S with sum_S u = 0 holds y but not z;
+    the others shut at the cost of their flux (unattained). The sets are
+    enumerated (n <= 5), each sum read as zero within 1e-10 max(1, sum|u|).
     """
+    n = gen.size
     flux = p[:, None] * gen.off_diagonal
     live = flux > 0.0
-    ahead = _reachable(live)
-    tiny = 1e-12 * max(1.0, np.abs(u).sum())
-    feasible, usable = _transport(np.where(-u > tiny, -u, 0.0),
-                                  np.where(u > tiny, u, 0.0), ahead, 1e-12)
-    if not feasible:
-        return _Status.INFINITE, None, math.inf
-    idle = live & ~ahead.T & ~(ahead.T @ usable @ ahead.T)
+    tol = 1e-10 * max(1.0, np.abs(u).sum())
+    idle = np.zeros((n, n), dtype=bool)
+    for size in range(1, n):
+        for S in itertools.combinations(range(n), size):
+            inside = np.isin(np.arange(n), S)
+            if live[np.ix_(~inside, inside)].any():  # a channel enters S
+                continue
+            if u[inside].sum() > tol:
+                return _Status.INFINITE, None, math.inf
+            if u[inside].sum() >= -tol:
+                idle |= live & inside[:, None] & ~inside
     flux[idle] = 0.0
     reach = _reachable((flux > 0.0) | (flux > 0.0).T)
-    free = np.flatnonzero(reach.argmax(axis=1) != np.arange(gen.size))
+    free = np.flatnonzero(reach.argmax(axis=1) != np.arange(n))
     objective, hessian = _lagrangian_objective(
         flux[None], u[None], flux.sum()[None])
     status, f, value, _, _ = (a[0] for a in _newton_ascent(
-        objective, hessian, np.zeros((1, gen.size)), free, DEFAULT_OPTIONS))
+        objective, hessian, np.zeros((1, n)), free, DEFAULT_OPTIONS))
     if status == _Status.CONVERGED and idle.any():
         status = _Status.BOUNDARY
     return status, f, value + p @ gen.exit_rates - flux.sum()

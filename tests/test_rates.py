@@ -34,6 +34,7 @@ from ctmc_ldp import (
 )
 from ctmc_ldp import lagrangian
 from ctmc_ldp.lagrangian import DEFAULT_OPTIONS, _lagrangian_cells, _Status
+from ctmc_ldp.markov import _transport
 from ctmc_ldp.rates import QUADRATURE_NODE
 from conftest import (
     absorbing_chain,
@@ -550,6 +551,22 @@ class TestBatchedPathAction:
             np.testing.assert_allclose(res.cell_values[:k] / grid.dt,
                                        _cold_lagrangians(gen, grid)[:k],
                                        rtol=0.0, atol=1e-10)
+
+    def test_cells_draining_a_cycle_into_what_it_reaches_skip_the_kernel(
+            self, monkeypatch):
+        # a and b trade mass both ways and both feed the absorbing c: every
+        # cell of the zero-cost path sends from the cycle to c, which the
+        # cycle reaches, so no cell needs the transport kernel
+        calls = []
+        monkeypatch.setattr(lagrangian, "_transport",
+                            lambda *args: calls.append(args) or _transport(*args))
+        gen = validate_generator(["a", "b", "c"], [[0.0, 1.0, 1.0],
+                                                   [0.5, 0.0, 1.0],
+                                                   [0.0, 0.0, 0.0]])
+        res = path_action(gen, zero_cost_path(
+            gen, Measure(gen.space, [0.6, 0.4, 0.0]), 1.0, 1000))
+        assert 0.0 <= res.value <= 1e-8
+        assert calls == []
 
     def test_unsettled_cell_raises(self, rng):
         # one Newton iteration cannot settle the cells of a tilted path

@@ -354,6 +354,27 @@ class TestOptimalBridge:
         assert bridge.delivery_error <= 1e-9
         assert bridge.action_gap <= 1e-4
 
+    def test_tilt_sinks_a_fed_component_below_its_feeder_at_any_cap(self):
+        # b <-> d is closed and nu keeps its mass 0.5, so a may send nothing
+        # to b or d: the component {b, d}, whose own tilt spreads over
+        # 1.1, sinks a spread plus cap below {a, c}, which feeds it. The
+        # leak is then e^{-cap}, and b and d still split their mass right
+        gen = validate_generator(["a", "b", "c", "d"], [[0.0, 0.7, 0.4, 0.0],
+                                                        [0.0, 0.0, 0.0, 1.0],
+                                                        [0.3, 0.0, 0.0, 0.0],
+                                                        [0.0, 0.5, 0.0, 0.0]])
+        mu = Measure(gen.space, [0.5, 0.3, 0.0, 0.2])
+        nu = Measure(gen.space, [0.2, 0.1, 0.3, 0.4])
+        for cap, delivery in ((12.0, 1e-5), (30.0, 1e-9)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", BoundaryBridgeWarning)
+                bridge = optimal_bridge(gen, mu, nu, 0.8, 400, cap=cap)
+            assert bridge.boundary
+            assert bridge.rate == pytest.approx(0.386922228, abs=1e-8)
+            assert bridge.tilt.f[[1, 3]].max() <= bridge.tilt.f[[0, 2]].min() - cap
+            assert bridge.delivery_error <= delivery
+            assert bridge.action_gap <= 1e-4
+
     def test_unreachable_target_raises(self):
         gen = absorbing_chain()
         with pytest.raises(InfeasibleBridge):
