@@ -424,7 +424,7 @@ def lagrangian_value(gen: Generator, mu: Measure, u,
     opts = opts or DEFAULT_OPTIONS
     if not isinstance(u, Speed):
         u = Speed(gen.space, np.asarray(u, dtype=float))
-    p, u = mu.p, u.u
+    p, u = mu.p, u.u - u.u.sum() / u.u.size  # exact mass conservation
     status, f, value, iters, gnorm = (a[0] for a in _lagrangian_cells(
         gen, p[None], u[None], opts, None if initial is None else [initial]))
     if status == _Status.INFINITE:

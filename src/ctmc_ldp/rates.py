@@ -12,7 +12,9 @@ of nu before optimizing. The rate is the relative entropy of the cheapest
 coupling of mu and nu (Csiszar's I-projection); one transport test over
 the live (start, target) pairs decides whether any coupling exists
 (else +infinity) and which pairs some coupling uses (the others are
-dropped, and the supremum is attained only in a limit).
+dropped, and the supremum is attained only in a limit). From a Dirac law,
+or to one, the only coupling is mu x nu, and the rate is Sanov's relative
+entropy in closed form, with no Newton step (0 iterations).
 
 The joint rate over several time points is the initial relative entropy
 plus the chain of conditional rates between consecutive marginals; its
@@ -159,10 +161,14 @@ def conditional_rate(gen: Generator, mu: Measure, nu: Measure, t: float,
     """
     if t <= 0:
         raise InvalidParameter(f"time must be positive, got {t}")
+    return _conditional_rate(gen, mu, nu, _expm_generator(gen.Q, float(t)), opts)
+
+
+def _conditional_rate(gen, mu, nu, P, opts):
+    """``conditional_rate`` from the transition matrix P = e^{tQ}."""
     if mu.space != nu.space or mu.space != gen.space:
         raise MalformedModel("inputs live on different state spaces")
     opts = opts or DEFAULT_OPTIONS
-    P = _expm_generator(gen.Q, float(t))
     support = np.flatnonzero(nu.p > 0.0)
     sup = tuple(int(i) for i in support)
     rows = np.flatnonzero(mu.p > 0.0)
@@ -203,8 +209,14 @@ def conditional_rate(gen: Generator, mu: Measure, nu: Measure, t: float,
         W = W[0]
         return (np.diag(muX @ W) - W.T @ (muX[:, None] * W))[None]
 
-    f, value, iters, gnorm = _solve_one(
-        objective, hessian, np.zeros(support.size), free, opts)
+    if rows.size == 1 or support.size == 1:
+        # the only coupling is mu x nu: KL(nu | P_x) from a Dirac start,
+        # -sum_x mu_x log P_xy to a Dirac target; one component, pinned at 0
+        f = np.log(nuS / PS[0])
+        f, value, iters, gnorm = f - f[0], float(muX @ np.log(nuS / PS) @ nuS), 0, 0.0
+    else:
+        f, value, iters, gnorm = _solve_one(
+            objective, hessian, np.zeros(support.size), free, opts)
     # a dropped pair shuts as its target's component sinks below its row's
     levels = _reachable(usable.T @ live)[roots].sum(axis=0) - 1
     attained = support.size == gen.size and (usable == live).all()
@@ -248,12 +260,12 @@ def joint_rate(gen: Generator, mu0: Measure, partition: Partition,
     if len(nus) != len(times):
         raise MalformedModel(
             f"need {len(times)} marginals for {len(times) - 1} partition times")
-    value, steps = relative_entropy(nus[0], mu0), []
+    value, steps, Ps = relative_entropy(nus[0], mu0), [], []
     for i in range(len(times) - 1):
         if not math.isfinite(value):
             break
-        steps.append(conditional_rate(gen, nus[i], nus[i + 1],
-                                      times[i + 1] - times[i], opts=opts))
+        Ps.append(_expm_generator(gen.Q, times[i + 1] - times[i]))
+        steps.append(_conditional_rate(gen, nus[i], nus[i + 1], Ps[-1], opts))
         value += steps[-1].value
     iters = sum(step.iterations for step in steps)
     gnorm = max((step.gradient_norm for step in steps), default=math.inf)
@@ -261,8 +273,7 @@ def joint_rate(gen: Generator, mu0: Measure, partition: Partition,
     if not (attained and np.all(mu0.p > 0.0) and np.all(nus[0].p > 0.0)):
         return JointRateResult(value, None, iters, gnorm)
     g = [np.log(nus[0].p / mu0.p)] + [step.maximizer.f for step in steps]
-    f = [gi - _log_matrix_apply(_expm_generator(gen.Q, times[i + 1] - times[i]), g[i + 1])
-         for i, gi in enumerate(g[:-1])] + [g[-1]]
+    f = [gi - _log_matrix_apply(P, gn) for gi, P, gn in zip(g, Ps, g[1:])] + [g[-1]]
     return JointRateResult(value, tuple(Potential(gen.space, fi) for fi in f), iters, gnorm)
 
 

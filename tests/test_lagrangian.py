@@ -284,6 +284,17 @@ class TestTransportVerdicts:
         assert res.value == pytest.approx(exact.value, rel=1e-9)
         assert not res.attained and not exact.attained
 
+    def test_raw_speed_summing_to_rounding_is_recentred(self):
+        # a speed is accepted when its entries sum to at most SPEED_SUM_TOL;
+        # one summing to 5e-12 costs what its recentred version costs
+        gen = validate_generator(["a", "b"], [[0.0, 1.0], [2.0, 0.0]])
+        mu = Measure.uniform(gen.space)
+        exact = lagrangian_value(gen, mu, [0.1, -0.1])
+        res = lagrangian_value(gen, mu, [0.1, -0.1 + 5e-12])
+        assert exact.value == pytest.approx(0.054663, abs=1e-6)
+        assert res.value == pytest.approx(exact.value, abs=1e-10)
+        assert res.attained
+
     @settings(max_examples=60, deadline=3000, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_verdicts_match_set_enumeration(self, seed):

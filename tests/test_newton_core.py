@@ -72,6 +72,8 @@ def _solve(name, opts=None):
             gen, mu, evolve_law(gen, mu, T), T, opts=opts),
         "conditional_interior": lambda: conditional_rate(
             gen, start, Measure(sp, interior), T, opts=opts),
+        "conditional_mixed": lambda: conditional_rate(
+            gen, mu, Measure(sp, interior), T, opts=opts),
         "conditional_restricted": lambda: conditional_rate(
             gen, start, Measure(sp, restricted), T, opts=opts),
         "joint": lambda: joint_rate(gen, start, Partition(TIMES),
@@ -80,15 +82,17 @@ def _solve(name, opts=None):
     return calls[name]()
 
 
-# (value, attained, iterations)
+# (value, attained, iterations); from a Dirac start the rate is a relative
+# entropy in closed form, with no Newton iterations
 PINNED = {
     "lagrangian_interior": (1.3675484523830772, True, 6),
     "lagrangian_stay": (2.8, False, 0),  # a Dirac law's star: closed form
     "lagrangian_warm": (7.549406761150533, True, 1),
     "conditional_evolved": (0.0, True, 1),
-    "conditional_interior": (0.0033470078640377987, True, 4),
-    "conditional_restricted": (0.3799305512122871, False, 4),
-    "joint": (0.07557090019651228, False, 13),  # the sum over 3 steps
+    "conditional_interior": (0.0033470078640377987, True, 0),
+    "conditional_mixed": (0.018717931053050613, True, 4),
+    "conditional_restricted": (0.3799305512122871, False, 0),
+    "joint": (0.07557090019651228, False, 9),  # the sum over 3 steps
 }
 
 
@@ -102,7 +106,7 @@ def test_pinned_solves(name):
 
 
 @pytest.mark.parametrize("name", ["lagrangian_interior",
-                                  "conditional_interior", "joint"])
+                                  "conditional_mixed", "joint"])
 def test_iteration_cap_raises(name):
     # each needs several Newton steps; one iteration ends without a verdict
     with pytest.raises(NumericalFailure, match="within 1 iterations"):
@@ -110,9 +114,7 @@ def test_iteration_cap_raises(name):
 
 
 def test_full_step_must_not_lower_the_value():
-    # from a Dirac start the rate is a relative entropy; the first full step
-    # halves the gradient but lowers the value, and taking it would end the
-    # solve at 0.0, unattained
+    # from a Dirac start the rate is a relative entropy, taken in closed form
     gen = validate_generator(["a", "b"], [[0.0, 0.0114], [0.9196, 0.0]])
     nu = Measure(gen.space, [0.1381, 0.8619])
     t = 0.4077
@@ -122,6 +124,25 @@ def test_full_step_must_not_lower_the_value():
     assert res.value == pytest.approx(4.387023, abs=1e-6)
     assert res.attained
 
+
+def test_full_step_must_not_lower_the_value_near_a_dirac_start():
+    # a full-support start close to delta_a goes through Newton, where a
+    # full step halves the gradient but lowers the value; taking it leaves
+    # the solve at the iteration cap
+    gen = validate_generator(["a", "b"], [[0.0, 0.0068], [0.69, 0.0]])
+    mu = Measure(gen.space, [1.0 - 1e-6, 1e-6])
+    nu = Measure(gen.space, [0.69, 0.31])
+    t = 0.1
+    res = conditional_rate(gen, mu, nu, t)
+    assert res.attained and res.iterations > 0
+    # the maximizer tilts the one-step law onto nu, which certifies the value
+    P = transition_matrix(gen, t).P
+    e = np.exp(res.maximizer.f)
+    np.testing.assert_allclose(mu.p @ (P * e / (P @ e)[:, None]), nu.p,
+                               rtol=0.0, atol=1e-9)
+    dual = float(res.maximizer.f @ nu.p - mu.p @ np.log(P @ e))
+    assert res.value == pytest.approx(dual, rel=1e-12)
+    assert res.value == pytest.approx(1.653044, abs=1e-6)
 
 def _quadratic_or_flat(centre):
     """Cell k maximizes -|x - centre_k|^2 / 2, except that a row of NaN

@@ -32,9 +32,9 @@ from ctmc_ldp import (
     validate_generator,
     zero_cost_path,
 )
-from ctmc_ldp import lagrangian
+from ctmc_ldp import lagrangian, rates
 from ctmc_ldp.lagrangian import DEFAULT_OPTIONS, _lagrangian_cells, _Status
-from ctmc_ldp.markov import _transport
+from ctmc_ldp.markov import _expm_generator, _transport
 from ctmc_ldp.rates import QUADRATURE_NODE
 from conftest import (
     absorbing_chain,
@@ -260,6 +260,50 @@ class TestConditionalRate:
         res = conditional_rate(gen, Measure(gen.space, mu), Measure(gen.space, nu), t)
         assert math.isinf(res.value) == (not hall)
 
+    @settings(max_examples=80, deadline=2000, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_dirac_start_or_target_is_the_product_coupling(self, seed):
+        # From delta_x or to delta_y the only coupling is mu x nu, so the
+        # rate is KL(nu | P_x), or -sum_x mu_x log P_xy, with P from scipy's
+        # Pade expm; a target some started state cannot reach is +infinity.
+        # The two exponentials agree to about 1e-13 in each entry, which
+        # moves a term in log P_xy by 1e-13 / P_xy
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        rates = rng.uniform(0.1, 3.0, (n, n))
+        rates[rng.random((n, n)) < 0.5] = 0.0
+        gen = validate_generator([f"s{i}" for i in range(n)], rates)
+        law = rng.dirichlet(np.ones(n))
+        law[rng.random(n) < 0.3] = 0.0
+        law[int(rng.integers(n))] += 1e-3  # never all zero
+        law /= law.sum()
+        x, t = int(rng.integers(n)), float(rng.uniform(0.2, 1.5))
+        P = linalg.expm(t * np.asarray(gen.Q))
+        reach = np.eye(n, dtype=bool) | (rates > 0.0)
+        for _ in range(n):
+            reach = reach | (reach.astype(float) @ reach > 0.0)
+        sp, on = gen.space, law > 0.0
+
+        res = conditional_rate(gen, Measure.dirac(sp, x), Measure(sp, law), t)
+        if not reach[x, on].all():
+            assert res.value == math.inf and res.iterations == 0
+        else:
+            kl = float(law[on] @ np.log(law[on] / P[x, on]))
+            assert abs(res.value - kl) <= 1e-12 * kl + 1e-13 * (law[on] / P[x, on]).sum()
+            assert res.attained == on.all()
+            if res.attained:
+                e = np.exp(res.maximizer.f)
+                np.testing.assert_allclose(P[x] * e / (P[x] @ e), law,
+                                           rtol=0.0, atol=1e-9)
+
+        res = conditional_rate(gen, Measure(sp, law), Measure.dirac(sp, x), t)
+        if not reach[on, x].all():
+            assert res.value == math.inf and res.iterations == 0
+        else:
+            ref = -float(law[on] @ np.log(P[on, x]))
+            assert abs(res.value - ref) <= 1e-12 * ref + 1e-13 * (law[on] / P[on, x]).sum()
+
 
 class TestJointRate:
     def test_true_marginals_cost_nothing(self, rng):
@@ -344,6 +388,22 @@ class TestJointRate:
                          [Measure(sp, [0.56, 0.106, 0.027, 0.307]),
                           Measure(sp, [0.4947, 0.1772, 0.1286, 0.1995])])
         assert res.value == pytest.approx(4.229120, abs=1e-6)
+
+    def test_potentials_reuse_each_step_exponential(self, monkeypatch):
+        # the closed-form potentials use the step matrices e^{tQ} that the
+        # conditional rates were computed from: one exponential per step
+        calls = []
+        monkeypatch.setattr(rates, "_expm_generator",
+                            lambda *args: calls.append(args) or _expm_generator(*args))
+        gen = validate_generator(["a", "b", "c"], [[0.0, 1.3, 0.4],
+                                                   [0.7, 0.0, 2.1],
+                                                   [0.5, 0.9, 0.0]])
+        sp = gen.space
+        laws = [Measure(sp, p) for p in ([0.2, 0.5, 0.3], [0.4, 0.4, 0.2],
+                                         [0.3, 0.3, 0.4], [0.1, 0.6, 0.3])]
+        res = joint_rate(gen, Measure.uniform(sp), Partition((0.3, 0.8, 1.2)), laws)
+        assert res.attained
+        assert len(calls) == 3
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1))
