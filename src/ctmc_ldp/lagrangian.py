@@ -62,7 +62,8 @@ class Speed:
             raise MalformedModel("speed vector has the wrong length")
         if not np.all(np.isfinite(u)):
             raise MalformedModel("speed vector contains non-finite entries")
-        if abs(u.sum()) > SPEED_SUM_TOL:
+        # relative to the entries summed, which round off at their own scale
+        if abs(u.sum()) > SPEED_SUM_TOL * max(1.0, np.abs(u).sum()):
             raise InfeasibleSpeed(f"speed entries sum to {u.sum()!r}, not 0")
         object.__setattr__(self, "u", _frozen(u))
 
@@ -107,9 +108,7 @@ def speed(gen: Generator, mu: Measure, g: Potential) -> Speed:
     """Forward speed of the g-tilted dynamics, rho(mu, g) = (A^g)' mu."""
     Qt = _tilted_rates(gen.off_diagonal, g.f)
     np.fill_diagonal(Qt, -Qt.sum(axis=1))
-    u = Qt.T @ mu.p
-    u = u - u.sum() / u.size  # exact mass conservation despite FP noise
-    return Speed(gen.space, u)
+    return Speed(gen.space, Qt.T @ mu.p)
 
 
 class _Status:
@@ -348,6 +347,7 @@ def _lagrangian_cells(gen, mus, us, opts, initial=None):
     as ``_newton_ascent`` does (a screened or forest cell has 0 iterations).
     """
     K, n = mus.shape
+    us = us - us.sum(axis=1, keepdims=True) / n  # mass conserved despite rounding
     flux = mus[:, :, None] * gen.off_diagonal
     base = mus @ gen.exit_rates
     live = flux > 0.0
@@ -424,9 +424,9 @@ def lagrangian_value(gen: Generator, mu: Measure, u,
     opts = opts or DEFAULT_OPTIONS
     if not isinstance(u, Speed):
         u = Speed(gen.space, np.asarray(u, dtype=float))
-    p, u = mu.p, u.u - u.u.sum() / u.u.size  # exact mass conservation
+    p = mu.p
     status, f, value, iters, gnorm = (a[0] for a in _lagrangian_cells(
-        gen, p[None], u[None], opts, None if initial is None else [initial]))
+        gen, p[None], u.u[None], opts, None if initial is None else [initial]))
     if status == _Status.INFINITE:
         return LagrangianResult(math.inf, None, 0, math.inf)
     _settled(status, opts)

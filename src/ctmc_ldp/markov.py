@@ -27,7 +27,7 @@ ROW_SUM_TOL = 1e-12          # generator rows sum to zero this tightly, per unit
 MEASURE_SUM_TOL = 1e-10      # probability vectors must sum to one this tightly
 PROBABILITY_SLACK = 1e-12    # rounding tolerated outside [0, 1] before clipping
 RENORM_DRIFT = 1e-8          # beyond this drift evolution is considered broken
-UNIFORMIZATION_TAIL = 1e-13  # neglected Poisson tail mass in the semigroup
+UNIFORMIZATION_TAIL = 1e-13  # Poisson weight, relative to jump n - 1, where e^{tQ} stops
 
 
 def _frozen(a, dtype=float):
@@ -268,39 +268,34 @@ def validate_generator(labels, rates) -> Generator:
 
 
 def _expm_generator(Q: np.ndarray, t: float) -> np.ndarray:
-    """e^{tQ} of one (n, n) generator by uniformization: a Poisson mixture
-    of jump-matrix powers.
+    """e^{tQ} of one (n, n) generator by uniformization, scaled and squared
+    (Moler and Van Loan, SIAM Rev. 45, 2003).
 
-    Nonnegativity and row sums are preserved by construction; the neglected
-    Poisson tail mass is below UNIFORMIZATION_TAIL.
+    With c the largest exit rate, s = ceil(log2 ct) halvings (none when
+    ct <= 1) and m = ct / 2^s <= 1, the series e^{-m} sum_k (mB)^k / k!,
+    B = I + Q/c, gives e^{tQ / 2^s}, which is squared s times. Every term
+    is nonnegative and the series runs through n - 1 jumps, so every
+    reachable transition is positive; the neglected tail is relative to
+    that jump's weight (see UNIFORMIZATION_TAIL). The rows are normalized
+    after the sum and after each square.
     """
     n = Q.shape[0]
     c = float(-Q.diagonal().min())  # any rate at or above it uniformizes
-    m = c * float(t)
-    if m == 0.0:
-        return np.eye(n)
-    # Keep the Poisson parameter moderate so the series stays well within
-    # range, then recombine by integer matrix power.
-    pieces = math.ceil(m / 50.0)
-    m /= pieces
-    # Term k is (m B)^k / k! with B = I + Q/c. From k = 2 on, terms are
-    # kept until the Poisson mass e^{-m} sum_{j<=k} m^j / j! reaches
-    # 1 - UNIFORMIZATION_TAIL, at most to m + 8 sqrt(m) + 16, far past it
-    # for m <= 50; dividing by the row sums (mass times e^m) normalizes.
-    mB = m * (np.eye(n) + Q / c)
-    acc = mB + np.eye(n)
-    term, w, k = mB, math.exp(-m) * m, 2
-    mass = math.exp(-m) + w
-    width = int(m + 8.0 * math.sqrt(m)) + 16
-    while mass < 1.0 - UNIFORMIZATION_TAIL and k <= width:
-        term = term @ mB
-        term /= k
-        acc += term
-        w *= m / k
-        mass += w
+    s = math.ceil(math.log2(c * t)) if c * t > 1.0 else 0
+    m, mB = c * t / 2**s, t / 2**s * (Q + c * np.eye(n))  # mB without dividing by c
+    acc = term = np.eye(n)
+    k, tail = 0, 1.0  # tail: m^k / k! over its value at k = n - 1
+    while k < n - 1 or tail >= UNIFORMIZATION_TAIL:
         k += 1
-    acc /= acc.sum(axis=1, keepdims=True)
-    return acc if pieces == 1 else np.linalg.matrix_power(acc, pieces)
+        term = term @ mB / k
+        acc = acc + term
+        if k >= n:
+            tail *= m / k
+    P = acc / acc.sum(axis=1, keepdims=True)
+    for _ in range(s):
+        P = P @ P
+        P /= P.sum(axis=1, keepdims=True)
+    return P
 
 
 def transition_matrix(gen: Generator, t: float) -> StochasticMatrix:

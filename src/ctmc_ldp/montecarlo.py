@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import InsufficientSampling, InvalidParameter, MalformedModel
 from .lagrangian import SolverOptions
-from .markov import Generator, Measure, evolve_law
-from .rates import PathGrid, conditional_rate
+from .markov import Generator, Measure, _expm_generator
+from .rates import PathGrid, _conditional_rate
 
 # copies simulated at once: bounds the sampler's memory whatever the number
 # of batches (a single batch of more copies is simulated alone)
@@ -212,10 +212,13 @@ def ball_infimum_rate(gen: Generator, mu0: Measure, nu: Measure, t: float,
     """
     if delta <= 0:
         raise InvalidParameter("ball radius must be positive")
-    center = evolve_law(gen, mu0, t).p
+    if t <= 0:
+        raise InvalidParameter(f"time must be positive, got {t}")
+    P = _expm_generator(gen.Q, float(t))
+    center = mu0.p @ P
     dist = float(np.abs(center - nu.p).sum())
     if dist <= delta:
         return 0.0
     lam = delta / dist
     boundary = Measure(gen.space, nu.p + lam * (center - nu.p))
-    return conditional_rate(gen, mu0, boundary, t, opts=opts).value
+    return _conditional_rate(gen, mu0, boundary, P, opts).value

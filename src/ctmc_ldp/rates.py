@@ -304,22 +304,19 @@ QUADRATURE_NODE = 0.45
 
 
 def path_action(gen: Generator, path: PathGrid,
-                opts: SolverOptions | None = None) -> ActionResult:
+                opts: SolverOptions | None = None,
+                initial: np.ndarray | None = None) -> ActionResult:
     """Integral of L(mu(s), mu'(s)) ds over the grid, cell by cell.
 
     Each cell contributes dt * L(measure at the quadrature node,
     finite-difference speed), evaluated as ``lagrangian_value`` does, with
-    its screens and pins, for all cells at once. The first cell in cell
-    order that is infinite ends the sweep and is named in the result; if a
-    cell before it does not settle, NumericalFailure is raised instead.
+    its screens and pins, for all cells at once. Newton starts in each cell
+    at f = 0, or at the (K+1, n) node potentials ``initial`` taken at the
+    quadrature node, as the measures are (a start that does not converge
+    is retried from f = 0). The first cell in cell order that is infinite
+    ends the sweep and is named in the result; if a cell before it does
+    not settle, NumericalFailure is raised instead.
     """
-    return _path_action(gen, path, opts)
-
-
-def _path_action(gen, path, opts=None, h=None):
-    """``path_action`` with Newton started in each cell at the (K+1, n) node
-    potentials h taken at the quadrature node, as the measures are, instead
-    of at f = 0 (a start that does not converge is retried from f = 0)."""
     if path.space != gen.space:
         raise MalformedModel("path and generator use different state spaces")
     opts = opts or DEFAULT_OPTIONS
@@ -327,10 +324,9 @@ def _path_action(gen, path, opts=None, h=None):
     m = path.measures
     w = QUADRATURE_NODE
     mids = (1.0 - w) * m[:-1] + w * m[1:]
-    speeds = (m[1:] - m[:-1]) / dt
-    speeds = speeds - speeds.sum(axis=1, keepdims=True) / gen.size
     status, _, values, _, _ = _lagrangian_cells(
-        gen, mids, speeds, opts, initial=None if h is None else (1.0 - w) * h[:-1] + w * h[1:])
+        gen, mids, (m[1:] - m[:-1]) / dt, opts,
+        None if initial is None else (1.0 - w) * initial[:-1] + w * initial[1:])
     cells = dt * np.maximum(values, 0.0)
     unsettled = (status == _Status.STALLED) | (status == _Status.MAX_ITERS)
     stop = np.flatnonzero(unsettled | ~np.isfinite(cells))

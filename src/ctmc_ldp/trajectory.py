@@ -42,8 +42,8 @@ from .rates import (
     ActionResult,
     DEFAULT_TILT_CAP,
     PathGrid,
-    _path_action,
     conditional_rate,
+    path_action,
 )
 
 HARMONIC_TOL = 1e-9  # last-interval mismatch relative to 1 + max|h_K|
@@ -168,7 +168,7 @@ def doob_forward(gen: Generator, mu0: Measure, flow: DoobFlow,
         raise MalformedModel("flow is not space-time harmonic for this generator")
     path = PathGrid(gen.space, 0.0, flow.horizon,
                     _forward_measures(mu0, flow, Pdt))
-    return path, _path_action(gen, path, opts, flow.h)
+    return path, path_action(gen, path, opts, flow.h)
 
 
 @dataclass(frozen=True)

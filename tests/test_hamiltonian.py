@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctmc_ldp import (
     DegenerateModel,
@@ -21,7 +22,7 @@ from ctmc_ldp import (
     validate_generator,
 )
 from ctmc_ldp.hamiltonian import _log_matrix_apply
-from ctmc_ldp.markov import _expm_generator
+from ctmc_ldp.markov import _expm_generator, _reachable
 from conftest import absorbing_chain, random_model, random_potential, symmetric_chain
 
 
@@ -182,21 +183,33 @@ class TestVApply:
         assert np.all(np.isfinite(out.f))
 
     def test_slow_cycle_keeps_each_row_finite(self):
-        # rates 1e-6 around a -> b -> c -> a: row a weighs only a and b, so a
-        # shift by the global max f = 1500 underflows it; each row's own
-        # maximum gives its log-sum-exp over P from _expm_generator
+        # rates 1e-6 around a -> b -> c -> a: a reaches c through b, so
+        # P(a, c) ~ 5e-17 times e^1500 leads row a; 60-digit mpmath values
         gen = validate_generator(["a", "b", "c"], [[0.0, 1e-6, 0.0],
                                                    [0.0, 0.0, 1e-6],
                                                    [1e-6, 0.0, 0.0]])
+        f = Potential(gen.space, [0.0, 750.0, 1500.0])
+        out = v_apply(gen, f, 0.01).f
+        assert out == pytest.approx(
+            [1462.46549132154, 1481.57931924605, 1499.99999999], rel=1e-12, abs=0.0)
+
+    def test_row_out_of_reach_of_the_max_shifts_by_its_own(self):
+        # a <-> b at 1e-6 and c isolated: rows a and b cannot reach c, so
+        # the shift by the global max f = 1500 underflows them and each is
+        # taken by its own maximum; P(a, b) = (1 - e^{-2e-8}) / 2 exactly
+        gen = validate_generator(["a", "b", "c"], [[0.0, 1e-6, 0.0],
+                                                   [1e-6, 0.0, 0.0],
+                                                   [0.0, 0.0, 0.0]])
         f = np.array([0.0, 750.0, 1500.0])
-        out = v_apply(gen, Potential(gen.space, f), 0.01).f
         P = _expm_generator(gen.Q, 0.01)
-        for x in range(3):
-            terms = [math.log(P[x, y]) + f[y] for y in range(3) if P[x, y] > 0]
-            top = max(terms)
-            ref = top + math.log(sum(math.exp(a - top) for a in terms))
-            assert out[x] == pytest.approx(ref, rel=1e-14)
-        assert out == pytest.approx([731.58, 1481.58, 1500.0], abs=5e-3)
+        with np.errstate(divide="ignore"):
+            shifted = 1500.0 + np.log(P @ np.exp(f - 1500.0))
+        assert np.isneginf(shifted[:2]).all()  # so the per-row repair runs
+        away = -math.expm1(-2e-8) / 2.0
+        out = v_apply(gen, Potential(gen.space, f), 0.01).f
+        assert out == pytest.approx(
+            [750.0 + math.log(away), 750.0 + math.log1p(-away), 1500.0], rel=1e-14)
+        assert out[0] == pytest.approx(731.58, abs=5e-3)
 
     def test_semigroup_law(self, rng):
         for _ in range(10):
@@ -356,8 +369,8 @@ class TestBarrelRadius:
 
 class TestKernels:
     def test_expm_matches_pade(self, rng):
-        # random, stiff (rates near 1e3) and long (c t > 50, so the series
-        # runs in pieces recombined by matrix power) against scipy's Pade
+        # random, stiff (rates near 1e3) and long (c t in the thousands, so
+        # the series is squared a dozen times) against scipy's Pade
         linalg = pytest.importorskip("scipy.linalg")
         for high, t in ((0.5, 0.7), (3.0, 1e-3), (3.0, 2.0), (40.0, 0.9),
                         (1e3, 1e-3), (1e3, 0.2), (2e3, 1.5)):
@@ -377,6 +390,27 @@ class TestKernels:
             assert P.min() >= 0.0
             assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-12
             assert np.abs(P - linalg.expm(t * gen.Q)).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_expm_positive_exactly_where_reachable(self, seed):
+        # on sparse chains at short times, where reachable entries span many
+        # orders of magnitude, each is positive and within 1e-12 relative of
+        # mpmath's 60-digit expm
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        rates = rng.uniform(0.1, 10.0, (n, n))
+        rates[rng.random((n, n)) < 0.6] = 0.0
+        gen = validate_generator([f"s{i}" for i in range(n)], rates)
+        t = float(10.0 ** rng.uniform(-4.0, 0.0))
+        P = _expm_generator(gen.Q, t)
+        reach = _reachable(gen.off_diagonal > 0.0)
+        assert np.array_equal(P > 0.0, reach)
+        with mpmath.workdps(60):
+            ref = np.array(mpmath.expm(mpmath.matrix((t * gen.Q).tolist())).tolist(),
+                           dtype=float)
+        assert (np.abs(P - ref)[reach] <= 1e-12 * ref[reach]).all()
 
     def test_expm_identity_at_zero(self, rng):
         Q = random_model(rng).Q

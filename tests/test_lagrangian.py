@@ -69,6 +69,18 @@ class TestSpeed:
         with pytest.raises(InfeasibleSpeed):
             Speed(gen.space, np.array([0.5, 0.0]))
 
+    def test_fast_speed_summing_to_its_rounding_is_accepted(self):
+        # tilted rates near 1e7 leave speed entries summing to about 5e-10,
+        # rounding at the scale of sum |u|; the speed is the g-tilted one,
+        # so L(mu, rho(mu, g)) is <Lg, mu>
+        gen = validate_generator(["a", "b", "c"], [[0.0, 0.0, 2.0],
+                                                   [500.0, 0.0, 1000.0],
+                                                   [1.0, 2.0, 0.0]])
+        mu = Measure(gen.space, [0.5, 0.3, 0.2])
+        g = Potential(gen.space, [3.0, -3.0, 6.0])
+        res = lagrangian_value(gen, mu, speed(gen, mu, g))
+        assert res.value == pytest.approx(pre_lagrangian(gen, g).f @ mu.p, rel=1e-12)
+
 
 class TestLagrangianValue:
     def test_forward_speed_costs_nothing(self, rng):

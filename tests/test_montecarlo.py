@@ -198,6 +198,22 @@ class TestBallInfimumRate:
             balled = ball_infimum_rate(gen, mu0, nu, t, 0.1)
             assert balled <= full + 1e-9
 
+    def test_one_exponential_per_call(self, rng, monkeypatch):
+        # the evolved law and the rate at the ball boundary share e^{tQ}
+        gen = random_model(rng, n_max=3)
+        mu0 = random_measure(rng, gen)
+        nu = Measure.dirac(gen.space, 0)
+        calls = []
+        expm = montecarlo._expm_generator
+        monkeypatch.setattr(montecarlo, "_expm_generator",
+                            lambda Q, t: calls.append(t) or expm(Q, t))
+        balled = ball_infimum_rate(gen, mu0, nu, 0.5, 0.1)
+        assert calls == [0.5]
+        assert 0.0 < balled <= conditional_rate(gen, mu0, nu, 0.5).value
+        for t in (0.0, -0.5):
+            with pytest.raises(InvalidParameter):
+                ball_infimum_rate(gen, mu0, mu0, t, 0.1)
+
 
 class TestSamplerConsistency:
     def test_trajectory_sampler_matches_evolved_law(self):

@@ -174,3 +174,27 @@ def test_core_settles_each_cell_on_its_own():
     with pytest.raises(NumericalFailure, match="line search stalled"):
         _solve_one(*_quadratic_or_flat(centre[1:]), np.zeros(3),
                    np.array([1, 2]), SolverOptions())
+
+
+def test_singular_hessian_falls_back_to_the_gradient(monkeypatch):
+    # a -> b at 230.804, b absorbing: P(a, a) = e^{-51.24}, so the tilted
+    # row laws are near Dirac and the Hessian is singular in floating point
+    # on many iterations; each cell is then solved alone and, singular
+    # again, steps along the gradient. The live pairs (a, a), (a, b), (b, b)
+    # carry the unique coupling 0.13, 0.18, 0.69, whose entropy is the rate
+    solve, singular = np.linalg.solve, []
+
+    def counted(*args):
+        try:
+            return solve(*args)
+        except np.linalg.LinAlgError:
+            singular.append(args)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    gen = validate_generator(["a", "b"], [[0.0, 230.804], [0.0, 0.0]])
+    res = conditional_rate(gen, Measure(gen.space, [0.31, 0.69]),
+                           Measure(gen.space, [0.13, 0.87]), 0.222)
+    assert res.attained
+    assert res.value == pytest.approx(6.450177739500915, rel=1e-12)
+    assert singular

@@ -235,6 +235,17 @@ class TestConditionalRate:
                                Measure(sp, [0.3616, 0.3145, 0.3239]), 0.2255)
         assert res.value == math.inf and res.iterations == 0
 
+    @pytest.mark.parametrize("t, rate", [(1e-3, 6.806570152896),
+                                         (5e-3, 5.040108417209)])
+    def test_four_jumps_in_a_short_time(self, t, rate):
+        # a -> b -> c -> d -> e at unit rates: from delta_a, nu puts 0.1 on
+        # e, which needs four jumps, P(a, e) ~ t^4 / 24 ~ 4e-14 at t = 1e-3;
+        # 60-digit mpmath values
+        gen = validate_generator(list("abcde"), np.eye(5, k=1))
+        res = conditional_rate(gen, Measure.dirac(gen.space, "a"),
+                               Measure(gen.space, [0.5, 0.2, 0.1, 0.1, 0.1]), t)
+        assert res.value == pytest.approx(rate, rel=1e-12)
+
     @settings(max_examples=80, deadline=2000, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_infinite_exactly_when_halls_condition_fails(self, seed):
