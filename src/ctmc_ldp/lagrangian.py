@@ -11,10 +11,10 @@ Laplacian of the symmetrized tilted flux. Shifting f by a constant on a
 connected component of the live flux channels never changes the objective,
 so it is maximized with the lowest state of each component pinned at 0.
 
-Every concave maximization of the package (this one and the conditional
-rate) runs through one damped Newton core over a leading batch axis,
-``_newton_ascent``; its callers supply the objective, gradient and Hessian,
-and decide beforehand that the supremum is finite and attained. A single
+Every concave maximization of the package maximizes this objective, the
+conditional rate on its coupling graph (see ``rates``), through one damped
+Newton core over a leading batch axis, ``_newton_ascent``; its callers
+decide beforehand that the supremum is finite and attained. A single
 Lagrangian and the cells of a path action share one evaluator,
 ``_lagrangian_cells``, which screens and pins stacks of cells and batches
 those with the same flux channels. Where those channels form a forest
@@ -119,20 +119,20 @@ class _Status:
     CONVERGED, INFINITE, BOUNDARY, STALLED, MAX_ITERS = range(5)
 
 
-def _newton_ascent(objective, hessian, x, free, opts):
+def _newton_ascent(objective, hessian, x, free, opts, tol=None):
     """Damped Newton ascent of a batch of concave maximizations, each finite
     and attained.
 
     ``objective(x, rows)`` gives the values, gradients and a state of batch
     rows ``rows`` (indices, or a slice for all) at iterates x (b, m), and
     ``hessian(state)`` minus the (b, m, m) Hessians. Only the ``free``
-    coordinates move. Per cell: the gradient tolerance; the Newton step (the
-    gradient if it is singular, non-finite or no ascent), scaled to move no
-    coordinate by more than STEP_CAP, taken whole when it halves the
-    gradient sup-norm, which keeps converging below the noise floor of the
-    objective, and does not lower the value by more than rounding, else
-    backtracked by Armijo halvings; one retry along the gradient if that
-    stalls.
+    coordinates move. Per cell: its gradient tolerance ``tol`` (default
+    opts.gradient_tol); the Newton step (the gradient if it is singular,
+    non-finite or no ascent), scaled to move no coordinate by more than
+    STEP_CAP, taken whole when it halves the gradient sup-norm, which keeps
+    converging below the noise floor of the objective, and does not lower
+    the value by more than rounding, else backtracked by Armijo halvings;
+    one retry along the gradient if that stalls.
 
     Returns per-cell arrays: status, x, value, iterations, gradient norm.
     """
@@ -140,6 +140,7 @@ def _newton_ascent(objective, hessian, x, free, opts):
     out_x, out_value, out_norm = x.copy(), np.empty(len(x)), np.empty(len(x))
     iters = np.full(len(x), opts.max_iters)
     cells = np.arange(len(x))
+    tol = np.full(len(x), opts.gradient_tol) if tol is None else tol
     block = (slice(None), free[:, None], free)
 
     def sup_norm(grad):
@@ -182,7 +183,7 @@ def _newton_ascent(objective, hessian, x, free, opts):
     value, grad, state = objective(x, live)
     norm = sup_norm(grad)
     for it in range(1, opts.max_iters + 1):
-        done = norm <= opts.gradient_tol
+        done = norm <= tol[cells]
         n_done = np.count_nonzero(done)
         if n_done:
             settle(done, _Status.CONVERGED, x, value)
@@ -236,14 +237,6 @@ def _settled(status, opts):
             "line search stalled before reaching the gradient tolerance")
     if status == _Status.MAX_ITERS:
         raise NumericalFailure(f"no convergence within {opts.max_iters} iterations")
-
-
-def _solve_one(objective, hessian, x, free, opts):
-    """``_newton_ascent`` on a batch of one; fails unless it converges."""
-    status, x, value, iters, norm = (
-        a[0] for a in _newton_ascent(objective, hessian, x[None], free, opts))
-    _settled(status, opts)
-    return x, float(value), int(iters), float(norm)
 
 
 def _lagrangian_objective(flux, us, base):
@@ -332,22 +325,27 @@ def _lagrangian_cells(gen, mus, us, opts, initial=None):
 
     Mass moves only along channels carrying flux, mu_x r_xy > 0; cells with
     the same live channels are grouped. A connected component of them whose
-    speed entries do not balance is +infinity, and balance is enough where
-    every channel lies on a directed cycle. Otherwise ``_idle_channels``
-    decides whether a current realizes the speed (else +infinity), and a
-    channel no such current uses shuts only as f -> -infinity, costs its
-    flux and is dropped, the cell grouped again under its reduced pattern
-    and reported unattained. Each component's lowest state is pinned (a
-    warm start is shifted so that each pin reads 0). A forest (as many
-    undirected edges as free states) goes to ``_forest_cells``, other
-    groups through one ``_newton_ascent``; a warm start that does not
-    converge is solved again from f = 0.
+    speed entries do not balance, to what ``Speed`` accepts, is +infinity,
+    and balance is enough where every channel lies on a directed cycle.
+    Otherwise ``_idle_channels`` decides whether a current realizes the
+    speed (else +infinity), and a channel no such current uses shuts only as
+    f -> -infinity, costs its flux and is dropped, the cell grouped again
+    under its reduced pattern and reported unattained. Each component's
+    lowest state is pinned (a warm start is shifted so that each pin reads
+    0). A forest (as many undirected edges as free states) goes to
+    ``_forest_cells``, other groups through one ``_newton_ascent``, each
+    cell stopping at opts.gradient_tol or, if larger, at its gradient's
+    rounding floor 8 eps sum|u|; a warm start that does not converge is
+    solved again from f = 0.
 
     Returns per-cell status, maximizer, value, iterations and gradient norm
     as ``_newton_ascent`` does (a screened or forest cell has 0 iterations).
     """
     K, n = mus.shape
     us = us - us.sum(axis=1, keepdims=True) / n  # mass conserved despite rounding
+    scale = np.abs(us).sum(axis=1)
+    balance_tol = SPEED_SUM_TOL * np.maximum(1.0, scale)  # spread over every state
+    gradient_tol = np.maximum(opts.gradient_tol, 8 * np.finfo(float).eps * scale)
     flux = mus[:, :, None] * gen.off_diagonal
     base = mus @ gen.exit_rates
     live = flux > 0.0
@@ -364,9 +362,7 @@ def _lagrangian_cells(gen, mus, us, opts, initial=None):
         reach = _reachable(pattern | pattern.T)
         root = reach.argmax(axis=1)  # the lowest state of each component
         pins = root == np.arange(n)
-        # relative to the entries summed, which round off at their own scale
-        unbalanced = (np.abs(us[group] @ reach)
-                      > STRUCTURAL_TOL * np.maximum(1.0, np.abs(us[group]) @ reach))
+        unbalanced = np.abs(us[group] @ reach) > balance_tol[group, None]
         cells = group[~unbalanced.any(axis=1)]
         # each undirected edge once, oriented along a live channel
         tail, head = np.nonzero(pattern & ~np.tril(pattern.T, -1))
@@ -391,8 +387,8 @@ def _lagrangian_cells(gen, mus, us, opts, initial=None):
         while todo.size:  # a warm start that does not converge starts over at 0
             objective, hessian = _lagrangian_objective(
                 flux[todo], us[todo], base[todo] - shut[todo])
-            status[todo], x[todo], value[todo], iters[todo], norm[todo] = \
-                _newton_ascent(objective, hessian, start, np.flatnonzero(~pins), opts)
+            status[todo], x[todo], value[todo], iters[todo], norm[todo] = _newton_ascent(
+                objective, hessian, start, np.flatnonzero(~pins), opts, gradient_tol[todo])
             todo = todo[(status[todo] != _Status.CONVERGED) & start.any(axis=1)]
             start = np.zeros((todo.size, n))
     status[(shut > 0.0) & (status == _Status.CONVERGED)] = _Status.BOUNDARY

@@ -317,10 +317,11 @@ def _reachable(adjacency: np.ndarray) -> np.ndarray:
 def _transport(supply, demand, allowed, tol):
     """Whether supply (m,) can meet demand (k,) along the allowed (m, k)
     pairs, uncapped, leaving at most the mass tol over and every positive
-    entry with a usable pair; and which pairs some such plan uses. Masses
-    are on the scale of 1. One shortest-path augmenting max-flow: a pair is
-    usable when it carries above tol times its smaller mass, or its target
-    reaches its source in the residual graph."""
+    entry with a usable pair (or, at most tol, an allowed one); and which
+    pairs some such plan uses. Masses are on the scale of 1. One
+    shortest-path augmenting max-flow: a pair is usable when it carries
+    above tol times its smaller mass, or its target reaches its source in
+    the residual graph."""
     m, k = allowed.shape
     flow, left, need = np.zeros((m, k)), supply.astype(float), demand.astype(float)
     while True:
@@ -347,10 +348,11 @@ def _transport(supply, demand, allowed, tol):
         need[c[0]] -= delta
     carried = flow > tol * np.minimum.outer(supply, demand)
     usable = allowed & (carried @ _reachable(carried.T @ allowed).T)
-    feasible = (max(left.sum(), need.sum()) <= tol
-                and usable.any(axis=1)[supply > 0.0].all()
-                and usable.any(axis=0)[demand > 0.0].all())
-    return feasible, usable
+    # an entry of at most tol, which rounding may leave unrouted, needs only
+    # an allowed pair
+    served = [((w <= 0.0) | usable.any(a) | (w <= tol) & allowed.any(a)).all()
+              for w, a in ((supply, 1), (demand, 0))]
+    return max(left.sum(), need.sum()) <= tol and all(served), usable
 
 
 def resolvent_matrix(gen: Generator, lam: float) -> np.ndarray:

@@ -14,13 +14,14 @@ the live (start, target) pairs decides whether any coupling exists
 (else +infinity) and which pairs some coupling uses (the others are
 dropped, and the supremum is attained only in a limit). From a Dirac law,
 or to one, the only coupling is mu x nu, and the rate is Sanov's relative
-entropy in closed form, with no Newton step (0 iterations).
+entropy in closed form, with no Newton step (0 iterations). Otherwise it
+is the Lagrangian of the coupling graph, on which each started state x
+sends mu_x P_xy to the support of nu, solved on the Lagrangian's own
+objective by the Newton core of ``lagrangian``.
 
 The joint rate over several time points is the initial relative entropy
 plus the chain of conditional rates between consecutive marginals; its
-potentials follow from the step maximizers in closed form. The conditional
-rate, like the Lagrangian, is solved by the Newton core of ``lagrangian``,
-which takes each objective with its gradient and Hessian.
+potentials follow from the step maximizers in closed form.
 
 The action of a discretized measure path is the cell-by-cell Lagrangian of
 within-cell measures and finite-difference speeds, all cells evaluated at
@@ -42,8 +43,9 @@ from .lagrangian import (
     DEFAULT_OPTIONS,
     SolverOptions,
     _lagrangian_cells,
+    _lagrangian_objective,
+    _newton_ascent,
     _settled,
-    _solve_one,
     _Status,
 )
 from .markov import (
@@ -176,49 +178,47 @@ def _conditional_rate(gen, mu, nu, P, opts):
     muX = mu.p[rows]
     nuS = nu.p[support]
     # Started mass reaches the support of nu only along live pairs, P_xy > 0.
-    # Unless all are live, a coupling on them may not exist (+infinity), and
-    # a live pair that no coupling uses is dropped: the value does not change
-    # (unattained). Each component of the pairs kept pins its lowest state.
+    # Unless all are live, a coupling on them may not exist (+infinity), and a
+    # live pair no coupling uses is dropped, which leaves the value (unattained).
     live = usable = PS > 0.0
     if not live.all():
         feasible, usable = _transport(muX, nuS, live, 2 * MEASURE_SUM_TOL)
         if not feasible:
             return ConditionalRateResult(math.inf, None, sup, None, None, 0, math.inf)
     PS = np.where(usable, PS, 0.0)
-    roots = _reachable(usable.T @ usable).argmax(axis=1) == np.arange(support.size)
-    free = np.flatnonzero(~roots)
-
-    # log(PS e^f) and the tilted row laws are both taken max-shifted, so even
-    # an overshooting Newton iterate (entries in the thousands) is valued
-    # exactly and cannot pass the line search on an overstated objective;
-    # a row whose weight underflows values the iterate at -infinity
-    def objective(x, rows):
-        f = x[0]
-        c = f.max()
-        e = np.exp(f - c)
-        z = PS @ e
-        if z.min() <= 0.0:
-            return (np.array([-math.inf]), np.full((1, f.size), np.nan),
-                    np.full((1,) + PS.shape, np.nan))
-        W = PS * e / z[:, None]
-        value = float(nuS @ f) - float(muX @ (c + np.log(z)))
-        return np.array([value]), (nuS - muX @ W)[None], W[None]
-
-    def hessian(W):
-        # covariance of the tilted row laws, averaged over mu
-        W = W[0]
-        return (np.diag(muX @ W) - W.T @ (muX[:, None] * W))[None]
-
-    if rows.size == 1 or support.size == 1:
+    s = support.size
+    if rows.size == 1 or s == 1:
         # the only coupling is mu x nu: KL(nu | P_x) from a Dirac start,
         # -sum_x mu_x log P_xy to a Dirac target; one component, pinned at 0
         f = np.log(nuS / PS[0])
         f, value, iters, gnorm = f - f[0], float(muX @ np.log(nuS / PS) @ nuS), 0, 0.0
+        root = np.zeros(s, dtype=int)
     else:
-        f, value, iters, gnorm = _solve_one(
-            objective, hessian, np.zeros(support.size), free, opts)
+        # The coupling graph: the support states, then the started rows, row
+        # x sending the flux a = mu_x P_xy along each kept pair. A coupling is
+        # a current of speed (nu, -mu) on it, costing j log(j / a) - j + a a
+        # pair, so I_t is its Lagrangian plus sum mu - sum a: the Lagrangian's
+        # objective with base sum mu. Components pin their lowest node: a
+        # support state, or a row left unrouted by rounding.
+        m = s + rows.size
+        flux = np.zeros((1, m, m))
+        flux[0, s:, :s] = muX[:, None] * PS
+        root = _reachable(flux[0] + flux[0].T > 0.0).argmax(axis=1)
+        # start at the tilt g whose one-step law is nu, the rows at log(P e^g),
+        # exact from a Dirac law; a node no kept pair reaches starts at 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            g = np.log(nuS / (muX @ PS))
+            g = np.where(np.isfinite(g), g - g[root[:s]], 0.0)
+            x = np.concatenate([g, np.log(PS @ np.exp(g))])
+        x[~np.isfinite(x)] = 0.0
+        objective, hessian = _lagrangian_objective(
+            flux, np.concatenate([nuS, -muX])[None], muX.sum()[None])
+        status, x, value, iters, gnorm = (a[0] for a in _newton_ascent(
+            objective, hessian, x[None], np.flatnonzero(root != np.arange(m)), opts))
+        _settled(status, opts)
+        f, value, iters, gnorm = x[:s], float(value), int(iters), float(gnorm)
     # a dropped pair shuts as its target's component sinks below its row's
-    levels = _reachable(usable.T @ live)[roots].sum(axis=0) - 1
+    levels = _reachable(usable.T @ live)[root[:s] == np.arange(s)].sum(axis=0) - 1
     attained = support.size == gen.size and (usable == live).all()
     maximizer = Potential(gen.space, f) if attained else None
     return ConditionalRateResult(max(value, 0.0), maximizer, sup, f, levels, iters, gnorm)

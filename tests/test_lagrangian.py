@@ -307,6 +307,44 @@ class TestTransportVerdicts:
         assert res.value == pytest.approx(exact.value, abs=1e-10)
         assert res.attained
 
+    def test_rounding_sum_spread_over_an_isolated_state_is_balanced(self):
+        # u sums to 5e-9, within what Speed accepts at sum|u| = 100;
+        # recentring moves a third of it onto the isolated c, so the
+        # component {a, b} sums to 3.3e-9, which is rounding, not +inf
+        gen = validate_generator(["a", "b", "c"], [[0.0, 1.0, 0.0],
+                                                   [2.0, 0.0, 0.0],
+                                                   [0.0, 0.0, 0.0]])
+        mu = Measure(gen.space, [0.5, 0.5, 0.0])
+        exact = lagrangian_value(gen, mu, [50.0, -50.0, 0.0])
+        res = lagrangian_value(gen, mu, [50.0, -50.0 + 5e-9, 0.0])
+        assert exact.value == pytest.approx(147.09115127114075, rel=1e-12)
+        assert res.value == pytest.approx(147.0911512581, rel=1e-12)
+
+    @pytest.mark.parametrize("rates, p, g", [
+        # sum|u| = 1.6e7: b's speed, -9.3e-8, is rounding, so b's channels
+        # shut and b alone must read as balanced; then the gradient stops
+        # at its rounding floor
+        ({(0, 2): 20.29694, (0, 3): 151.5167, (1, 0): 0.111135,
+          (1, 3): 0.014979, (3, 2): 8.843087},
+         [0.650923, 0.003301, 0.141972, 0.203803],
+         [-6.631827, 1.845003, 6.618099, -6.161782]),
+        # sum|u| = 2.9e7: the gradient cannot fall below its rounding floor
+        # of a few 1e-8, far above gradient_tol = 1e-9
+        ({(0, 1): 26.535, (2, 0): 0.794, (2, 1): 0.003},
+         [0.32, 0.47, 0.21], [-1.4, 3.7, -19.2]),
+    ])
+    def test_fast_tilt_settles_at_its_rounding_floor(self, rates, p, g):
+        # L(mu, rho(mu, g)) = <Lg, mu>, however large
+        n = len(p)
+        Q = np.zeros((n, n))
+        for (x, y), r in rates.items():
+            Q[x, y] = r
+        gen = validate_generator([f"s{i}" for i in range(n)], Q)
+        mu = Measure(gen.space, np.array(p) / sum(p))
+        g = Potential(gen.space, g)
+        res = lagrangian_value(gen, mu, speed(gen, mu, g))
+        assert res.value == pytest.approx(pre_lagrangian(gen, g).f @ mu.p, rel=1e-12)
+
     @settings(max_examples=60, deadline=3000, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_verdicts_match_set_enumeration(self, seed):

@@ -22,7 +22,7 @@ from ctmc_ldp import (
     transition_matrix,
     validate_generator,
 )
-from ctmc_ldp.lagrangian import _newton_ascent, _solve_one, _Status
+from ctmc_ldp.lagrangian import _newton_ascent, _settled, _Status
 
 T = 0.7
 TIMES = (0.3, 0.8, 1.2)
@@ -92,7 +92,7 @@ PINNED = {
     "conditional_interior": (0.0033470078640377987, True, 0),
     "conditional_mixed": (0.018717931053050613, True, 4),
     "conditional_restricted": (0.3799305512122871, False, 0),
-    "joint": (0.07557090019651228, False, 9),  # the sum over 3 steps
+    "joint": (0.07557090019651228, False, 8),  # the sum over 3 steps
 }
 
 
@@ -171,30 +171,58 @@ def test_core_settles_each_cell_on_its_own():
     np.testing.assert_array_equal(x, [[0.0, 1.5, -0.5], [0.0, 0.0, 0.0]])
     assert list(iterations) == [2, 1]
     assert list(norm) == [0.0, 1.0]
+    _settled(status[0], SolverOptions())
     with pytest.raises(NumericalFailure, match="line search stalled"):
-        _solve_one(*_quadratic_or_flat(centre[1:]), np.zeros(3),
-                   np.array([1, 2]), SolverOptions())
+        _settled(status[1], SolverOptions())
 
 
 def test_singular_hessian_falls_back_to_the_gradient(monkeypatch):
-    # a -> b at 230.804, b absorbing: P(a, a) = e^{-51.24}, so the tilted
-    # row laws are near Dirac and the Hessian is singular in floating point
-    # on many iterations; each cell is then solved alone and, singular
-    # again, steps along the gradient. The live pairs (a, a), (a, b), (b, b)
-    # carry the unique coupling 0.13, 0.18, 0.69, whose entropy is the rate
-    solve, singular = np.linalg.solve, []
+    # both cells maximize -|x - c_k|^2, but cell 1 reports a zero Hessian:
+    # the batched solve fails, each cell is solved alone, and cell 1, whose
+    # solve fails again, steps along its gradient 2(c - x) to 2c at once,
+    # where the line search halves the step onto c. Cell 0 takes its
+    # Newton step
+    centre = np.array([[0.0, 1.5, -0.5], [0.0, -1.0, 2.0]])
+    trials = []
 
-    def counted(*args):
+    def objective(x, rows):
+        trials.append(x.copy())
+        d = centre[rows] - x
+        return -(d ** 2).sum(axis=1), 2.0 * d, np.arange(2)[rows]
+
+    def hessian(cells):
+        return np.where((cells == 0)[:, None, None], 2.0 * np.eye(3), 0.0)
+
+    solve, solves = np.linalg.solve, []
+
+    def counted(A, b):
         try:
-            return solve(*args)
+            out = solve(A, b)
         except np.linalg.LinAlgError:
-            singular.append(args)
+            solves.append((A.ndim, "singular"))
             raise
+        solves.append((A.ndim, "solved"))
+        return out
 
     monkeypatch.setattr(np.linalg, "solve", counted)
+    status, x, value, iterations, norm = _newton_ascent(
+        objective, hessian, np.zeros((2, 3)), np.array([1, 2]), SolverOptions())
+    assert solves == [(3, "singular"), (2, "solved"), (2, "singular")]
+    assert list(status) == [_Status.CONVERGED] * 2
+    np.testing.assert_array_equal(x, centre)
+    assert list(iterations) == [2, 2]
+    assert any((t == 2.0 * centre[1]).all(axis=1).any() for t in trials)
+    assert all(np.isfinite(t).all() for t in trials)  # never along a NaN step
+
+
+def test_unique_coupling_with_a_near_dirac_row():
+    # a -> b at 230.804, b absorbing: P(a, a) = e^{-51.24}, so the tilted
+    # row laws are near Dirac. The live pairs (a, a), (a, b), (b, b) carry
+    # the unique coupling 0.13, 0.18, 0.69, whose entropy is the rate; the
+    # start at the tilt that matches nu is close to it
     gen = validate_generator(["a", "b"], [[0.0, 230.804], [0.0, 0.0]])
     res = conditional_rate(gen, Measure(gen.space, [0.31, 0.69]),
                            Measure(gen.space, [0.13, 0.87]), 0.222)
     assert res.attained
     assert res.value == pytest.approx(6.450177739500915, rel=1e-12)
-    assert singular
+    assert res.iterations <= 10

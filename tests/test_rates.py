@@ -178,8 +178,8 @@ class TestConditionalRate:
         assert res.value == math.inf and res.iterations == 0
 
     def test_underflowing_row_is_rejected_without_warning(self):
-        # a Newton iterate underflows the weight of row b: it is valued at
-        # -infinity without dividing 0 by 0
+        # b is absorbing, so its row keeps only the pair (b, b); the solve
+        # raises no floating-point warning on the way
         gen = validate_generator(["a", "b"], [[0.0, 0.108], [0.0, 0.0]])
         sp = gen.space
         mu, nu, t = Measure(sp, [0.8855, 0.1145]), Measure(sp, [0.185, 0.815]), 0.5566
@@ -235,6 +235,50 @@ class TestConditionalRate:
                                Measure(sp, [0.3616, 0.3145, 0.3239]), 0.2255)
         assert res.value == math.inf and res.iterations == 0
 
+    def test_fast_exit_to_an_absorbing_state(self):
+        # a -> b at 538.4, b absorbing: nearly all of a's mass must stay,
+        # against P(a, a) = e^{-128.6}; the IPF coupling gives the rate
+        gen = validate_generator(["a", "b"], [[0.0, 538.4455697053337], [0.0, 0.0]])
+        sp = gen.space
+        res = conditional_rate(
+            gen, Measure(sp, [0.9916014730878403, 0.008398526912159714]),
+            Measure(sp, [0.10842354825052461, 0.8915764517494754]),
+            0.23887399726017733)
+        assert res.value == pytest.approx(13.603268293401372, rel=1e-12)
+        assert res.attained
+
+    def test_rounding_size_target_with_a_live_pair_is_finite(self):
+        # nu puts 1.7e-21 on d, which only d itself reaches; the transport
+        # routes d's mass elsewhere first and leaves that entry unrouted.
+        # It is rounding, so the rate is the IPF coupling's, unattained
+        gen = validate_generator(list("abcd"), [
+            [0.0, 0.0, 0.370525930701427, 0.0],
+            [529.3974948888886, 0.0, 24.91909309460445, 0.0],
+            [0.0, 0.010646083850866395, 0.0, 0.0],
+            [0.0, 158.38168947524034, 0.0, 0.0]])
+        sp = gen.space
+        mu = Measure(sp, [0.0446148649263742, 0.01890795972624801,
+                          0.0012912060663679268, 0.9351859692810098])
+        nu = Measure(sp, [0.8988711538396937, 1.934397629159304e-06,
+                          0.10112691176267716, 1.7061243244547196e-21])
+        res = conditional_rate(gen, mu, nu, 0.2993696335791082)
+        assert res.value == pytest.approx(0.0075232171784151652, rel=1e-12)
+        assert not res.attained
+
+    def test_rounding_size_start_left_unrouted_is_finite(self):
+        # mu sums to 1 + 3e-11, within MEASURE_SUM_TOL; a and b meet all of
+        # nu, so c's 3e-11 is left unrouted. c's row keeps no pair and is
+        # pinned on its own; the rate is the one without it, to rounding
+        gen = validate_generator(["a", "b", "c"], [[0.0, 0.0, 0.0],
+                                                   [1.0, 0.0, 0.0],
+                                                   [0.7, 0.4, 0.0]])
+        sp = gen.space
+        nu = Measure(sp, [0.6, 0.4, 0.0])
+        exact = conditional_rate(gen, Measure(sp, [0.5, 0.5, 0.0]), nu, 0.5)
+        res = conditional_rate(gen, Measure(sp, [0.5, 0.5, 3e-11]), nu, 0.5)
+        assert exact.value == pytest.approx(0.0430740011876, rel=1e-12)
+        assert res.value == pytest.approx(exact.value, rel=0.0, abs=1e-10)
+
     @pytest.mark.parametrize("t, rate", [(1e-3, 6.806570152896),
                                          (5e-3, 5.040108417209)])
     def test_four_jumps_in_a_short_time(self, t, rate):
@@ -270,6 +314,46 @@ class TestConditionalRate:
                    for S in itertools.combinations(started, size))
         res = conditional_rate(gen, Measure(gen.space, mu), Measure(gen.space, nu), t)
         assert math.isinf(res.value) == (not hall)
+
+    @settings(max_examples=60, deadline=5000, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_ipf_coupling(self, seed):
+        # Where Hall's condition holds, iterative proportional fitting of
+        # mu x P to the marginals mu and nu converges to the cheapest
+        # coupling (Csiszar's I-projection), whose entropy is the rate;
+        # elsewhere no coupling exists and the rate is +infinity
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5))
+        rates = rng.uniform(0.05, 3.0, (n, n))
+        rates[rng.random((n, n)) < 0.5] = 0.0
+        gen = validate_generator([f"s{i}" for i in range(n)], rates)
+        laws = rng.dirichlet(np.ones(n), 2)
+        laws[rng.random((2, n)) < 0.25] = 0.0
+        laws[laws.sum(axis=1) == 0.0, 0] = 1.0
+        mu, nu = laws / laws.sum(axis=1, keepdims=True)
+        t = float(rng.uniform(0.1, 1.0))
+        P = transition_matrix(gen, t).P
+        res = conditional_rate(gen, Measure(gen.space, mu), Measure(gen.space, nu), t)
+        started = np.flatnonzero(mu > 0.0)
+        if not all(mu[list(S)].sum() <= nu[(P[list(S)] > 0.0).any(axis=0)].sum() + 1e-12
+                   for size in range(1, started.size + 1)
+                   for S in itertools.combinations(started, size)):
+            assert res.value == math.inf
+            return
+        X, Y = mu > 0.0, nu > 0.0
+        K = mu[X, None] * P[np.ix_(X, Y)]
+        a = np.ones(K.shape[0])
+        for _ in range(20000):
+            b = nu[Y] / (K.T @ a)
+            a = mu[X] / (K @ b)
+            if np.abs(b * (K.T @ a) - nu[Y]).max() <= 1e-13:
+                break
+        else:
+            pytest.fail("the IPF reference did not converge")
+        coupling = a[:, None] * K * b
+        on = coupling > 0.0
+        ipf = float((coupling[on] * np.log((a[:, None] * b)[on])).sum())
+        assert res.value == pytest.approx(ipf, rel=1e-8)
 
     @settings(max_examples=80, deadline=2000, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -595,9 +679,9 @@ class TestBatchedPathAction:
         ascents = []
         ascent = lagrangian._newton_ascent
 
-        def counted(objective, hessian, x, free, opts):
+        def counted(objective, hessian, x, free, opts, tol):
             ascents.append(len(x))
-            return ascent(objective, hessian, x, free, opts)
+            return ascent(objective, hessian, x, free, opts, tol)
 
         monkeypatch.setattr(lagrangian, "_newton_ascent", counted)
         k = 4
