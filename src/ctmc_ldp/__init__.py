@@ -24,7 +24,6 @@ from .errors import (
 )
 from .markov import (
     Generator,
-    JumpPath,
     Measure,
     Potential,
     StateSpace,
@@ -32,7 +31,6 @@ from .markov import (
     evolve_law,
     relative_entropy,
     resolvent_matrix,
-    sample_jump_path,
     transition_matrix,
     validate_generator,
 )

@@ -4,35 +4,24 @@ The cost of moving a law mu with instantaneous speed u is
 
     L(mu, u) = sup_f { <f, u> - <Hf, mu> },
 
-a Legendre transform over potentials. The objective is concave with an
-explicit gradient u - rho(mu, f), where rho(mu, f) is the forward speed of
-the f-tilted dynamics, and an explicit Hessian given by the weighted graph
-Laplacian of the symmetrized tilted flux. Shifting f by a constant on a
-connected component of the live flux channels never changes the objective,
-so it is maximized with the lowest state of each component pinned at 0.
+concave in f with gradient u - rho(mu, f) (rho the speed of the f-tilted
+dynamics) and minus Hessian the graph Laplacian of the symmetrized tilted
+flux; shifting f by a constant on a component of the live flux channels
+changes nothing, so each component's lowest state is pinned at 0.
 
-Every concave maximization of the package maximizes this objective, the
-conditional rate on its coupling graph (see ``rates``), through one damped
-Newton core over a leading batch axis, ``_newton_ascent``; its callers
-decide beforehand that the supremum is finite and attained. A single
-Lagrangian and the cells of a path action share one evaluator,
-``_lagrangian_cells``, which screens and pins stacks of cells and batches
-those with the same flux channels. Where those channels form a forest
-(Dirac laws, 2-state and birth-death chains), the speed fixes the net
-current on every edge and the transform splits into one-edge problems,
-solved in closed form without Newton.
-
-Whether L is finite, and whether its supremum is attained, are flow
-questions with exact answers, settled before Newton: L is the cheapest
-current that realizes u along the live channels, finite exactly when some
-current does, and attained exactly when some current uses every one-way
-channel. A channel no current can use shuts only as f -> -infinity; it
-costs its flux, and the result carries a finite value and no maximizer.
+Every supremum of the package, conditional rates on their coupling graphs
+included (see ``rates``), is a cell of one evaluator, ``_lagrangian_cells``.
+It decides whether each is finite and attained, flow questions with exact
+answers (L is the cheapest current realizing u along the live channels,
+attained when some current uses every one-way channel; one no current can
+use shuts only as f -> -infinity and costs its flux), settles forests in
+closed form, and batches the rest through one damped Newton core.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
@@ -262,151 +251,178 @@ def _lagrangian_objective(flux, us, base):
     return objective, hessian
 
 
-def _forest_cells(flux, us, tail, head, free):
-    """L in closed form on cells whose live channels form a forest, each
-    edge oriented along a live channel: a = mu_x r_xy > 0, b = mu_y r_yx.
+class _Pattern:
+    """What depends on the live channels alone (n x n, as bytes), built
+    once per pattern by ``_pattern``: component sums (``reach``), pins
+    (``root``, ``free``) and undirected edges; a forest's edge currents
+    per free speed entry (``currents``); or the channels off every cycle
+    (``between``) and the components and signs ``_idle_channels`` uses."""
 
-    Balance on the free rows fixes each edge's net current j, and the
-    transform splits into one-edge costs sup_d { j d - a(e^d - 1) -
-    b(e^-d - 1) } (Bertini, Faggionato and Gabrielli's current costs):
-    e^d is the positive root of a z^2 - j z - b, where a z + b/z =
-    sqrt(j^2 + 4ab). A one-way edge without current costs a, reached only
-    as d -> -infinity; against its channel it costs +infinity. Returns
-    per-cell status, maximizer (zero unless attained) and value.
+    def __init__(self, n, key):
+        live = np.frombuffer(key, dtype=bool).reshape(n, n)
+        reach = _reachable(live | live.T)
+        self.reach, self.root = reach.astype(float), reach.argmax(axis=1)
+        self.free = np.flatnonzero(self.root != np.arange(n))
+        self.tail, self.head = np.nonzero(live & ~np.tril(live.T, -1))
+        self.currents = self.between = self.signs = None
+        ahead = _reachable(live)
+        between = live & ~ahead.T
+        if self.tail.size == self.free.size:  # a forest: one edge per free state
+            states = np.arange(n)[:, None]
+            incidence = (states == self.head) - (states == self.tail).astype(float)
+            self.currents = np.linalg.inv(incidence[self.free]).T
+        elif between.any():
+            self.between, (heads, self.comp) = between, np.unique(
+                (ahead & ahead.T).argmax(axis=1), return_inverse=True)
+            self.members = (self.comp[:, None] == np.arange(heads.size)).astype(float)
+            self.ahead = ahead[np.ix_(heads, heads)]
+            # each channel from a source to a sink, every source reaching
+            # every sink: the signs of the component sums decide
+            crossing = self.members.T @ between @ self.members > 0.0
+            sends, gets = crossing.any(axis=1), crossing.any(axis=0)
+            if not (sends & gets).any() and self.ahead[np.ix_(sends, gets)].all():
+                self.signs = gets - sends.astype(float)
+        for array in filter(lambda a: isinstance(a, np.ndarray), vars(self).values()):
+            array.setflags(write=False)  # shared by every cell of the pattern
+
+
+_pattern = functools.lru_cache(maxsize=1024)(_Pattern)
+
+
+def _forest_cells(flux, us, base, shape, zero, slack):
+    """L plus offset in closed form on cells whose live channels form a
+    forest, with ``base`` the flux plus offset; each edge runs along a live
+    channel, a = mu_x r_xy > 0, b = mu_y r_yx. Balance on the free rows
+    fixes each edge's current j, and L splits into one-edge costs
+    sup_d { j d - a(e^d - 1) - b(e^-d - 1) } (Bertini, Faggionato and
+    Gabrielli): e^d solves a z^2 - j z - b = 0, and a z + b/z =
+    sqrt(j^2 + 4ab). A one-way edge without current (within ``zero``)
+    shuts, costing a only as d -> -infinity; the maximizer is then the
+    other edges' (d = 0 on it). Against its channel a current costs
+    +infinity, or within ``slack`` makes the edge unusable. Returns
+    per-cell status, maximizer, value, and the shut and unusable edges.
     """
-    edges = np.arange(tail.size)
-    B = np.zeros((flux.shape[1], tail.size))
-    B[head, edges], B[tail, edges] = 1.0, -1.0
-    B = B[free]  # square: one row per edge
-    j = np.linalg.solve(B, us[:, free].T).T
-    a, b = flux[:, tail, head], flux[:, head, tail]
+    j = us[:, shape.free] @ shape.currents
+    a, b = flux[:, shape.tail, shape.head], flux[:, shape.head, shape.tail]
     root = np.sqrt(j * j + 4.0 * a * b)
     w = np.abs(j) + root  # cancellation-free for either sign of j
-    scale = STRUCTURAL_TOL * np.maximum(1.0, np.abs(us).sum(axis=1))
-    shut = (b == 0.0) & (np.abs(j) <= scale[:, None])
+    size = np.maximum(1.0, np.abs(us).sum(axis=1))[:, None]
+    shut = (b == 0.0) & (np.abs(j) <= zero * size)
+    back = (b == 0.0) & (j < -zero * size) & (j >= -(slack or 0.0) * size)
     with np.errstate(divide="ignore", invalid="ignore"):
         d = np.where(j >= 0.0, np.log(w / (2.0 * a)), np.log(2.0 * b / w))
-        value = np.where(shut, a, j * d + a + b - root).sum(axis=1)
-    attained = np.isfinite(value) & ~shut.any(axis=1)
-    status = np.where(attained, _Status.CONVERGED, np.where(
-        np.isfinite(value), _Status.BOUNDARY, _Status.INFINITE))
+        value = np.where(shut, 0.0, j * d - root).sum(axis=1) + base
+    finite = np.isfinite(value)
+    status = np.where(finite, np.where(shut.any(axis=1), _Status.BOUNDARY,
+                                       _Status.CONVERGED), _Status.INFINITE)
     f = np.zeros(us.shape)
-    f[np.ix_(attained, free)] = np.linalg.solve(B.T, d[attained].T).T
-    return status, f, value
+    f[np.ix_(finite, shape.free)] = np.where(shut, 0.0, d)[finite] @ shape.currents.T
+    return status, f, value, shut, back
 
 
-def _idle_channels(us, ahead, between):
-    """Whether a current realizes each cell's speed u along directed paths
-    of the live channels (reachability ``ahead``), and which ``between``
-    channels no such current uses. Mass circulates freely inside a strongly
-    connected component, so this is a transport between components of the
-    sums of u over each, relative to max(1, sum |u|) and zero within
-    STRUCTURAL_TOL. Where every sender reaches every receiver it is feasible
-    with every pair usable; else ``_transport`` decides, leaving unrouted
-    one STRUCTURAL_TOL per zeroed sum and per undirected component."""
-    heads, comp = np.unique((ahead & ahead.T).argmax(axis=1), return_inverse=True)
-    reach = ahead[np.ix_(heads, heads)]
-    net = us @ (comp[:, None] == np.arange(heads.size))
+def _idle_channels(us, shape, zero, slack):
+    """Whether a current realizes each cell's speed u along the live
+    channels, and which ``between`` channels none uses: a transport between
+    strongly connected components of u's sums over each (relative to
+    max(1, sum |u|), 0 within ``zero``), which ``_transport`` decides
+    unless every sender reaches every receiver, leaving unrouted ``slack``
+    or one ``zero`` per zeroed sum and per undirected component."""
+    net = us @ shape.members
     net /= np.maximum(1.0, np.abs(us).sum(axis=1))[:, None]
-    net[np.abs(net) <= STRUCTURAL_TOL] = 0.0
+    net[np.abs(net) <= zero] = 0.0
+    if shape.signs is not None and (np.sign(net) == shape.signs).all():
+        return np.ones(len(us), dtype=bool), np.zeros(us.shape + us.shape[1:], dtype=bool)
+    reach = shape.ahead
     usable = (net < 0.0)[:, :, None] & (net > 0.0)[:, None, :]
     feasible = np.ones(len(us), dtype=bool)
     for c in np.flatnonzero((usable & ~reach).any(axis=(1, 2))):
         feasible[c], usable[c] = _transport(np.maximum(-net[c], 0.0), np.maximum(
-            net[c], 0.0), reach, 2 * heads.size * STRUCTURAL_TOL)
+            net[c], 0.0), reach, slack or 2 * len(reach) * zero)
     # a channel is used when a sender reaches it and it reaches a receiver
     # that sender can use
-    return feasible, between & ~(reach.T @ usable @ reach.T)[:, comp][:, :, comp]
+    comp = shape.comp
+    return feasible, shape.between & ~(reach.T @ usable @ reach.T)[:, comp][:, :, comp]
 
 
-def _lagrangian_cells(gen, mus, us, opts, initial=None):
-    """L(mu_k, u_k) on a stack of cells, from f = 0 or the warm starts
-    ``initial`` (one row per cell).
+def _lagrangian_cells(flux, us, offset, opts, initial=None, zero=STRUCTURAL_TOL,
+                      slack=None):
+    """sup_f { <f, u_k> - sum_xy a_xy (e^{f_y - f_x} - 1) } + offset_k on a
+    stack of flux graphs a_k (K, n, n; dropped channels are zeroed in it),
+    speeds and offsets, from f = 0 or the warm starts ``initial``: L(mu, u)
+    for the flux mu_x r_xy and offset 0.
 
-    Mass moves only along channels carrying flux, mu_x r_xy > 0; cells with
-    the same live channels are grouped. A connected component of them whose
-    speed entries do not balance, to what ``Speed`` accepts, is +infinity,
-    and balance is enough where every channel lies on a directed cycle.
-    Otherwise ``_idle_channels`` decides whether a current realizes the
-    speed (else +infinity), and a channel no such current uses shuts only as
-    f -> -infinity, costs its flux and is dropped, the cell grouped again
-    under its reduced pattern and reported unattained. Each component's
-    lowest state is pinned (a warm start is shifted so that each pin reads
-    0). A forest (as many undirected edges as free states) goes to
-    ``_forest_cells``, other groups through one ``_newton_ascent``, each
-    cell stopping at opts.gradient_tol or, if larger, at its gradient's
-    rounding floor 8 eps sum|u|; a warm start that does not converge is
-    solved again from f = 0.
-
-    Returns per-cell status, maximizer, value, iterations and gradient norm
-    as ``_newton_ascent`` does (a screened or forest cell has 0 iterations).
+    Cells with the same live channels (a_xy > 0) are grouped. A component
+    whose speed entries do not balance, to what ``Speed`` accepts, is
+    +infinity; where a channel lies on no directed cycle ``_idle_channels``
+    decides, and a channel no current uses is dropped, the cell grouped
+    again and reported unattained. Warm starts are shifted so that each
+    component's pin reads 0. Forests go to ``_forest_cells``, other groups
+    through one ``_newton_ascent``, each cell stopping at opts.gradient_tol
+    or its gradient's rounding floor 8 eps sum|u|; a warm start that does
+    not converge is solved again from 0. Relative to max(1, sum|u|), sums
+    and currents within ``zero``, and mass left unrouted within ``slack``,
+    if given, are rounding. Returns per-cell status, maximizer, value,
+    iterations and gradient norm as ``_newton_ascent`` does (0 iterations
+    for a screened or forest cell), and the live channels less those shut.
     """
-    K, n = mus.shape
+    K, n = us.shape
     us = us - us.sum(axis=1, keepdims=True) / n  # mass conserved despite rounding
     scale = np.abs(us).sum(axis=1)
     balance_tol = SPEED_SUM_TOL * np.maximum(1.0, scale)  # spread over every state
     gradient_tol = np.maximum(opts.gradient_tol, 8 * np.finfo(float).eps * scale)
-    flux = mus[:, :, None] * gen.off_diagonal
-    base = mus @ gen.exit_rates
+    base = flux.sum(axis=(1, 2)) + offset
     live = flux > 0.0
     keys = live.reshape(K, n * n).view(f"V{n * n}")[:, 0].copy()  # the rows as bytes
     x = np.zeros((K, n)) if initial is None else np.array(initial, dtype=float)
     status, iters = np.full(K, _Status.INFINITE), np.zeros(K, dtype=int)
-    value, norm = np.full(K, math.inf), np.full(K, math.inf)
-    shut = np.zeros(K)  # flux of the idle channels taken out of each cell
-    rest = np.arange(K)
+    value, norm = np.full((2, K), math.inf)
+    shut, rest = np.zeros(K), np.arange(K)  # shut: flux of the dropped channels
+
+    def drop(out):  # cells ``out`` lost live channels: shut them, group again
+        nonlocal rest
+        shut[out] += (flux[out] * ~live[out]).sum(axis=(1, 2))
+        flux[out] *= live[out]
+        keys[out] = live[out].reshape(out.size, n * n).view(keys.dtype)[:, 0]
+        rest = np.append(rest, out)
+
     while rest.size:
         same = keys[rest] == keys[rest[0]]
         group, rest = rest[same], rest[~same]
-        pattern = live[group[0]]
-        reach = _reachable(pattern | pattern.T)
-        root = reach.argmax(axis=1)  # the lowest state of each component
-        pins = root == np.arange(n)
-        unbalanced = np.abs(us[group] @ reach) > balance_tol[group, None]
-        cells = group[~unbalanced.any(axis=1)]
-        # each undirected edge once, oriented along a live channel
-        tail, head = np.nonzero(pattern & ~np.tril(pattern.T, -1))
-        if tail.size == n - np.count_nonzero(pins):  # a forest: no ascent
-            status[cells], x[cells], value[cells] = _forest_cells(
-                flux[cells], us[cells], tail, head, np.flatnonzero(~pins))
+        shape = _pattern(n, keys[group[0]].tobytes())
+        balanced = np.abs(us[group] @ shape.reach) <= balance_tol[group, None]
+        cells = group[balanced.all(axis=1)]
+        if shape.currents is not None:  # a forest: no ascent
+            status[cells], x[cells], value[cells], edges, back = _forest_cells(
+                flux[cells], us[cells], base[cells] - shut[cells], shape, zero, slack)
             norm[cells[np.isfinite(value[cells])]] = 0.0
+            live[cells[:, None], shape.tail, shape.head] &= ~(edges | back)
+            if back.any():  # solved again without the unusable edges
+                drop(cells[back.any(axis=1)])
             continue
-        ahead = _reachable(pattern)
-        between = pattern & ~ahead.T  # channels off every directed cycle
-        if between.any() and cells.size:
-            feasible, idle = _idle_channels(us[cells], ahead, between)
+        if shape.between is not None and cells.size:
+            feasible, idle = _idle_channels(us[cells], shape, zero, slack)
             reduced = feasible & idle.any(axis=(1, 2))
-            out, idle = cells[reduced], idle[reduced]
-            live[out] &= ~idle
-            shut[out] += (flux[out] * idle).sum(axis=(1, 2))
-            flux[out] *= ~idle
-            keys[out] = live[out].reshape(out.size, n * n).view(keys.dtype)[:, 0]
-            rest = np.append(rest, out)  # grouped again by the reduced pattern
+            live[cells] &= ~idle
+            if reduced.any():
+                drop(cells[reduced])
             cells = cells[feasible & ~reduced]
-        todo, start = cells, x[cells] - x[cells][:, root]
+        todo, start = cells, x[cells] - x[cells][:, shape.root]
         while todo.size:  # a warm start that does not converge starts over at 0
             objective, hessian = _lagrangian_objective(
                 flux[todo], us[todo], base[todo] - shut[todo])
             status[todo], x[todo], value[todo], iters[todo], norm[todo] = _newton_ascent(
-                objective, hessian, start, np.flatnonzero(~pins), opts, gradient_tol[todo])
+                objective, hessian, start, shape.free, opts, gradient_tol[todo])
             todo = todo[(status[todo] != _Status.CONVERGED) & start.any(axis=1)]
             start = np.zeros((todo.size, n))
     status[(shut > 0.0) & (status == _Status.CONVERGED)] = _Status.BOUNDARY
-    return status, x, value + shut, iters, norm
+    return status, x, value + shut, iters, norm, live
 
 
 def lagrangian_value(gen: Generator, mu: Measure, u,
                      opts: SolverOptions | None = None,
                      initial: np.ndarray | None = None) -> LagrangianResult:
-    """Evaluate L(mu, u) = sup_f { <f, u> - <Hf, mu> }.
-
-    Parameters
-    ----------
-    u : Speed or array_like
-        Target speed; raw arrays are validated (must sum to zero).
-    opts : SolverOptions, optional
-    initial : ndarray, optional
-        Warm start for the maximizer.
+    """Evaluate L(mu, u) = sup_f { <f, u> - <Hf, mu> } for a Speed or a raw
+    array u (validated), from the warm start ``initial`` if given.
 
     Raises
     ------
@@ -420,13 +436,13 @@ def lagrangian_value(gen: Generator, mu: Measure, u,
     opts = opts or DEFAULT_OPTIONS
     if not isinstance(u, Speed):
         u = Speed(gen.space, np.asarray(u, dtype=float))
-    p = mu.p
-    status, f, value, iters, gnorm = (a[0] for a in _lagrangian_cells(
-        gen, p[None], u.u[None], opts, None if initial is None else [initial]))
+    flux = mu.p[None, :, None] * gen.off_diagonal
+    unfed = (mu.p == 0.0) & (flux[0].sum(axis=0) <= 0.0)
+    status, f, value, iters, gnorm, _ = (a[0] for a in _lagrangian_cells(
+        flux, u.u[None], 0.0, opts, None if initial is None else [initial]))
     if status == _Status.INFINITE:
         return LagrangianResult(math.inf, None, 0, math.inf)
     _settled(status, opts)
-    unfed = (p == 0.0) & ((p[:, None] * gen.off_diagonal).sum(axis=0) <= 0.0)
     maximizer = Potential(gen.space, f) if status == _Status.CONVERGED else None
     return LagrangianResult(max(float(value), 0.0), maximizer, int(iters), float(gnorm),
                             tuple(np.flatnonzero(unfed).tolist()))

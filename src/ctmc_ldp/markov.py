@@ -2,9 +2,9 @@
 
 Everything here is exact linear machinery on a finite state space: rate
 matrices, the transition semigroup computed by uniformization, resolvents,
-evolution of probability laws, relative entropy, and jump-path sampling.
-All values are immutable after construction and safe to share across
-threads; sampling is pure given its seed.
+evolution of probability laws, relative entropy, and the reachability and
+transport kernels behind the exact verdicts. All values are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -190,46 +190,6 @@ class StochasticMatrix:
         object.__setattr__(self, "P", _frozen(np.clip(P, 0.0, 1.0)))
 
 
-@dataclass(frozen=True)
-class JumpPath:
-    """One realization of a jump process up to a finite horizon."""
-
-    space: StateSpace
-    jump_times: np.ndarray
-    states: np.ndarray
-    horizon: float
-
-    def __post_init__(self):
-        times = np.asarray(self.jump_times, dtype=float)
-        states = np.asarray(self.states, dtype=int)
-        if self.horizon <= 0:
-            raise MalformedModel("horizon must be positive")
-        if times.ndim != 1 or states.ndim != 1:
-            raise MalformedModel("jump times and states must be 1-d")
-        if states.size != times.size + 1:
-            raise MalformedModel("need exactly one more state than jump")
-        if times.size and (np.any(np.diff(times) <= 0) or times[0] <= 0):
-            raise MalformedModel("jump times must be strictly increasing and positive")
-        if times.size and times[-1] > self.horizon:
-            raise MalformedModel("jump times must not exceed the horizon")
-        if np.any(states < 0) or np.any(states >= self.space.size):
-            raise MalformedModel("state index out of range")
-        if np.any(states[1:] == states[:-1]):
-            raise MalformedModel("consecutive states must differ")
-        object.__setattr__(self, "jump_times", _frozen(times))
-        object.__setattr__(self, "states", _frozen(states, dtype=int))
-
-    @property
-    def n_jumps(self) -> int:
-        return int(self.jump_times.size)
-
-    def states_at(self, times) -> np.ndarray:
-        """State indices occupied at each of the query times."""
-        t = np.asarray(times, dtype=float)
-        idx = np.searchsorted(self.jump_times, t, side="right")
-        return self.states[idx]
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
@@ -403,34 +363,3 @@ def relative_entropy(mu: Measure, nu: Measure) -> float:
         return math.inf
     m = mu.p[sup]
     return float(np.sum(m * np.log(m / nu.p[sup])))
-
-
-def sample_jump_path(gen: Generator, x0, horizon: float, seed) -> JumpPath:
-    """Simulate one trajectory by exponential clocks (Gillespie).
-
-    Holding times in state x are Exp(exit_rate(x)); the jump target is drawn
-    from the embedded chain. ``seed`` may be an int or a numpy Generator;
-    results are deterministic given the seed. Absorbing states simply stop
-    jumping.
-    """
-    if horizon <= 0:
-        raise InvalidParameter(f"horizon must be positive, got {horizon}")
-    rng = np.random.default_rng(seed)    # a Generator is returned as is
-    x = gen.space.index(x0)
-    exit_rates = gen.exit_rates
-    cum = np.cumsum(gen.jump_probabilities(), axis=1)
-    times = []
-    states = [x]
-    t = 0.0
-    while True:
-        rate = exit_rates[x]
-        if rate <= 0.0:
-            break
-        t += rng.exponential(1.0 / rate)
-        if t > horizon:
-            break
-        x = min(int(np.searchsorted(cum[x], rng.random(), side="right")),
-                gen.size - 1)
-        times.append(t)
-        states.append(x)
-    return JumpPath(gen.space, np.array(times), np.array(states, dtype=int), horizon)

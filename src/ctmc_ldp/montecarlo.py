@@ -23,7 +23,7 @@ import numpy as np
 from .errors import InsufficientSampling, InvalidParameter, MalformedModel
 from .lagrangian import SolverOptions
 from .markov import Generator, Measure, _expm_generator
-from .rates import PathGrid, _conditional_rate
+from .rates import PathGrid, _conditional_rates
 
 # copies simulated at once: bounds the sampler's memory whatever the number
 # of batches (a single batch of more copies is simulated alone)
@@ -221,4 +221,4 @@ def ball_infimum_rate(gen: Generator, mu0: Measure, nu: Measure, t: float,
         return 0.0
     lam = delta / dist
     boundary = Measure(gen.space, nu.p + lam * (center - nu.p))
-    return _conditional_rate(gen, mu0, boundary, P, opts).value
+    return _conditional_rates(gen, mu0.p[None], boundary.p[None], P[None], opts)[0].value

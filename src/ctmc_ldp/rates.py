@@ -1,33 +1,23 @@
 """Conditional and joint rate functions, path action, and partition rates.
 
-The conditional rate
+The conditional rate I_t(nu | mu) = sup_f { <f, nu> - <V(t)f, mu> } is the
+relative entropy of the cheapest coupling of mu and nu under mu_x P_xy,
+P = e^{tQ} (Csiszar's I-projection). On the coupling graph whose nodes are
+the support states of nu, then the started states, each started x sending
+the flux mu_x P_xy along its live pairs (P_xy > 0), a coupling is a current
+of speed (nu, -mu), and I_t is that graph's Lagrangian plus sum mu - sum
+flux: a cell of ``lagrangian._lagrangian_cells``, which decides +infinity
+and the pairs no coupling uses (dropped; the rate is then attained only in
+a limit). Mass on a state with no live pair is +infinity however small;
+from a Dirac law, or to one, the only coupling is mu x nu, in closed form.
 
-    I_t(nu | mu) = sup_f { <f, nu> - <V(t)f, mu> }
-
-is a concave maximization over gauge-fixed potentials; its gradient is
-nu minus the tilted one-step prediction, so stationarity matches moments.
-States where nu vanishes push their potential components to -infinity; the
-limit is taken exactly by restricting the transition matrix to the support
-of nu before optimizing. The rate is the relative entropy of the cheapest
-coupling of mu and nu (Csiszar's I-projection); one transport test over
-the live (start, target) pairs decides whether any coupling exists
-(else +infinity) and which pairs some coupling uses (the others are
-dropped, and the supremum is attained only in a limit). From a Dirac law,
-or to one, the only coupling is mu x nu, and the rate is Sanov's relative
-entropy in closed form, with no Newton step (0 iterations). Otherwise it
-is the Lagrangian of the coupling graph, on which each started state x
-sends mu_x P_xy to the support of nu, solved on the Lagrangian's own
-objective by the Newton core of ``lagrangian``.
-
-The joint rate over several time points is the initial relative entropy
-plus the chain of conditional rates between consecutive marginals; its
-potentials follow from the step maximizers in closed form.
-
+The joint rate at several times is the initial relative entropy plus the
+chain of conditional rates between consecutive marginals, all in one
+evaluator call, with potentials in closed form from the step maximizers.
 The action of a discretized measure path is the cell-by-cell Lagrangian of
-within-cell measures and finite-difference speeds, all cells evaluated at
-once by the evaluator behind ``lagrangian_value``; the partition rate is
-the joint rate of the grid nodes at a coarse time partition and
-underestimates the action supremum.
+within-cell measures and finite-difference speeds, all cells in one
+evaluator call; the partition rate is the joint rate of the grid nodes at
+a coarse time partition and underestimates the action supremum.
 """
 
 from __future__ import annotations
@@ -43,8 +33,6 @@ from .lagrangian import (
     DEFAULT_OPTIONS,
     SolverOptions,
     _lagrangian_cells,
-    _lagrangian_objective,
-    _newton_ascent,
     _settled,
     _Status,
 )
@@ -58,12 +46,12 @@ from .markov import (
     _expm_generator,
     _frozen,
     _reachable,
-    _transport,
     relative_entropy,
 )
 
 DEFAULT_TILT_CAP = 30.0
 GRID_NODE_TOL = 1e-9  # relative distance at which a partition time is a grid node
+MEASURE_ZERO = 1e-15  # a coupling speed holds law entries: rounding only below this
 
 
 @dataclass(frozen=True)
@@ -163,65 +151,71 @@ def conditional_rate(gen: Generator, mu: Measure, nu: Measure, t: float,
     """
     if t <= 0:
         raise InvalidParameter(f"time must be positive, got {t}")
-    return _conditional_rate(gen, mu, nu, _expm_generator(gen.Q, float(t)), opts)
-
-
-def _conditional_rate(gen, mu, nu, P, opts):
-    """``conditional_rate`` from the transition matrix P = e^{tQ}."""
     if mu.space != nu.space or mu.space != gen.space:
         raise MalformedModel("inputs live on different state spaces")
+    P = _expm_generator(gen.Q, float(t))
+    return _conditional_rates(gen, mu.p[None], nu.p[None], P[None], opts)[0]
+
+
+def _conditional_rates(gen, mus, nus, Ps, opts):
+    """I(nu_k | mu_k) under the transition matrices P_k for a stack of
+    steps, the laws rescaled to sum to one, up to and including the first
+    +infinite step; NumericalFailure if one before it does not settle.
+    Stranded mass and product couplings are settled here, the other steps
+    by the evaluator, padded with isolated nodes to one size."""
     opts = opts or DEFAULT_OPTIONS
-    support = np.flatnonzero(nu.p > 0.0)
-    sup = tuple(int(i) for i in support)
-    rows = np.flatnonzero(mu.p > 0.0)
-    PS = P[np.ix_(rows, support)]
-    muX = mu.p[rows]
-    nuS = nu.p[support]
-    # Started mass reaches the support of nu only along live pairs, P_xy > 0.
-    # Unless all are live, a coupling on them may not exist (+infinity), and a
-    # live pair no coupling uses is dropped, which leaves the value (unattained).
-    live = usable = PS > 0.0
-    if not live.all():
-        feasible, usable = _transport(muX, nuS, live, 2 * MEASURE_SUM_TOL)
-        if not feasible:
-            return ConditionalRateResult(math.inf, None, sup, None, None, 0, math.inf)
-    PS = np.where(usable, PS, 0.0)
-    s = support.size
-    if rows.size == 1 or s == 1:
-        # the only coupling is mu x nu: KL(nu | P_x) from a Dirac start,
-        # -sum_x mu_x log P_xy to a Dirac target; one component, pinned at 0
-        f = np.log(nuS / PS[0])
-        f, value, iters, gnorm = f - f[0], float(muX @ np.log(nuS / PS) @ nuS), 0, 0.0
-        root = np.zeros(s, dtype=int)
-    else:
-        # The coupling graph: the support states, then the started rows, row
-        # x sending the flux a = mu_x P_xy along each kept pair. A coupling is
-        # a current of speed (nu, -mu) on it, costing j log(j / a) - j + a a
-        # pair, so I_t is its Lagrangian plus sum mu - sum a: the Lagrangian's
-        # objective with base sum mu. Components pin their lowest node: a
-        # support state, or a row left unrouted by rounding.
-        m = s + rows.size
-        flux = np.zeros((1, m, m))
-        flux[0, s:, :s] = muX[:, None] * PS
-        root = _reachable(flux[0] + flux[0].T > 0.0).argmax(axis=1)
-        # start at the tilt g whose one-step law is nu, the rows at log(P e^g),
-        # exact from a Dirac law; a node no kept pair reaches starts at 0
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            g = np.log(nuS / (muX @ PS))
-            g = np.where(np.isfinite(g), g - g[root[:s]], 0.0)
-            x = np.concatenate([g, np.log(PS @ np.exp(g))])
-        x[~np.isfinite(x)] = 0.0
-        objective, hessian = _lagrangian_objective(
-            flux, np.concatenate([nuS, -muX])[None], muX.sum()[None])
-        status, x, value, iters, gnorm = (a[0] for a in _newton_ascent(
-            objective, hessian, x[None], np.flatnonzero(root != np.arange(m)), opts))
-        _settled(status, opts)
-        f, value, iters, gnorm = x[:s], float(value), int(iters), float(gnorm)
-    # a dropped pair shuts as its target's component sinks below its row's
-    levels = _reachable(usable.T @ live)[root[:s] == np.arange(s)].sum(axis=0) - 1
-    attained = support.size == gen.size and (usable == live).all()
-    maximizer = Potential(gen.space, f) if attained else None
-    return ConditionalRateResult(max(value, 0.0), maximizer, sup, f, levels, iters, gnorm)
+    k, n = mus.shape
+    mus, nus = (a / a.sum(axis=1, keepdims=True) for a in (mus, nus))
+    started, support = mus > 0.0, nus > 0.0
+    flux = mus[:, :, None] * Ps * support[:, None, :]
+    live = flux > 0.0
+    finite = ~(started & ~live.any(axis=2) | support & ~live.any(axis=1)).any(axis=1)
+    rows, sups = started.sum(axis=1), support.sum(axis=1)
+    general = np.flatnonzero(finite & (rows > 1) & (sups > 1))
+    status = np.where(finite, _Status.CONVERGED, _Status.INFINITE)
+    iters, gnorm, levels = np.zeros(k, int), np.zeros(k), np.zeros((k, n), int)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g = np.log(nus / (mus[:, None, :] @ Ps)[:, 0])
+        value = (mus[:, :, None] * nus[:, None, :] * np.log(
+            np.where(live, nus[:, None, :] / Ps, 1.0))).sum(axis=(1, 2))
+        f = g - g[np.arange(k), support.argmax(axis=1)][:, None]
+        # coupling graphs: support states, then started rows, started at g
+        m, c = (rows + sups)[general].max(initial=0), general.size
+        cells, (us, start) = np.zeros((c, m, m)), np.zeros((2, c, m))
+        for j, i in enumerate(general):
+            s, r = sups[i], rows[i]
+            cells[j, s:s + r, :s] = flux[i][started[i]][:, support[i]]
+            us[j, :s], us[j, s:s + r] = nus[i, support[i]], -mus[i, started[i]]
+            start[j, :s] = f[i, support[i]]
+            start[j, s:s + r] = np.log(cells[j, s:s + r, :s] @ np.exp(start[j, :s])
+                                       / mus[i, started[i]])
+        start[~np.isfinite(start)] = 0.0
+    if general.size:
+        status[general], x, value[general], iters[general], gnorm[general], kept = (
+            _lagrangian_cells(cells, us, 1.0 - cells.sum(axis=(1, 2)), opts, start,
+                              MEASURE_ZERO, MEASURE_SUM_TOL))
+        for j, (i, s) in enumerate(zip(general, sups[general])):
+            f[i, support[i]] = x[j, :s]
+            if status[i] == _Status.BOUNDARY:
+                # a dropped pair shuts as its target's component sinks below its
+                # row's: pin each kept component, count the components upstream
+                root = _reachable(kept[j] | kept[j].T).argmax(axis=1)[:s]
+                f[i, support[i]] -= x[j, root]
+                pairs = kept[j, s:s + rows[i], :s].T @ live[i][started[i]][:, support[i]]
+                ahead = _reachable(pairs)
+                levels[i, support[i]] = ahead[root == np.arange(s)].sum(axis=0) - 1
+    out = []
+    for i in range(k):
+        sup = tuple(np.flatnonzero(support[i]).tolist())
+        if status[i] == _Status.INFINITE:
+            return out + [ConditionalRateResult(math.inf, None, sup, None, None, 0,
+                                                math.inf)]
+        _settled(status[i], opts)
+        attained = len(sup) == n and status[i] == _Status.CONVERGED
+        out.append(ConditionalRateResult(
+            max(float(value[i]), 0.0), Potential(gen.space, f[i]) if attained else None,
+            sup, f[i, support[i]], levels[i, support[i]], int(iters[i]), float(gnorm[i])))
+    return out
 
 
 @dataclass(frozen=True)
@@ -248,7 +242,8 @@ def joint_rate(gen: Generator, mu0: Measure, partition: Partition,
 
         H(nu_0 | mu0) + sum_i I_{t_{i+1} - t_i}(nu_{i+1} | nu_i),
 
-    summed up to its first infinite term. When mu0 and nu_0 have full
+    summed up to its first infinite term, every step evaluated in one
+    batch (see ``_conditional_rates``). When mu0 and nu_0 have full
     support and every step is attained at g_{i+1}, the joint maximizer is
     f_k = g_k, f_i = g_i - log(P_i e^{g_{i+1}}) for 0 < i < k, and
     f_0 = log(nu_0 / mu0) - log(P_0 e^{g_1}).
@@ -257,16 +252,15 @@ def joint_rate(gen: Generator, mu0: Measure, partition: Partition,
     if times[1] <= 0.0:
         raise InvalidParameter(f"partition times must be positive, got {times[1]}")
     nus = [m if isinstance(m, Measure) else Measure(gen.space, m) for m in marginals]
-    if len(nus) != len(times):
-        raise MalformedModel(
-            f"need {len(times)} marginals for {len(times) - 1} partition times")
-    value, steps, Ps = relative_entropy(nus[0], mu0), [], []
-    for i in range(len(times) - 1):
-        if not math.isfinite(value):
-            break
-        Ps.append(_expm_generator(gen.Q, times[i + 1] - times[i]))
-        steps.append(_conditional_rate(gen, nus[i], nus[i + 1], Ps[-1], opts))
-        value += steps[-1].value
+    if len(nus) != len(times) or any(nu.space != gen.space for nu in nus):
+        raise MalformedModel(f"need {len(times)} marginals on the generator's "
+                             f"states for {len(times) - 1} partition times")
+    value, steps = relative_entropy(nus[0], mu0), []
+    if math.isfinite(value):
+        Ps = [_expm_generator(gen.Q, b - a) for a, b in zip(times, times[1:])]
+        laws = np.array([nu.p for nu in nus])
+        steps = _conditional_rates(gen, laws[:-1], laws[1:], np.array(Ps), opts)
+        value += sum(step.value for step in steps)
     iters = sum(step.iterations for step in steps)
     gnorm = max((step.gradient_norm for step in steps), default=math.inf)
     attained = math.isfinite(value) and all(step.attained for step in steps)
@@ -324,8 +318,8 @@ def path_action(gen: Generator, path: PathGrid,
     m = path.measures
     w = QUADRATURE_NODE
     mids = (1.0 - w) * m[:-1] + w * m[1:]
-    status, _, values, _, _ = _lagrangian_cells(
-        gen, mids, (m[1:] - m[:-1]) / dt, opts,
+    status, _, values, _, _, _ = _lagrangian_cells(
+        mids[:, :, None] * gen.off_diagonal, (m[1:] - m[:-1]) / dt, 0.0, opts,
         None if initial is None else (1.0 - w) * initial[:-1] + w * initial[1:])
     cells = dt * np.maximum(values, 0.0)
     unsettled = (status == _Status.STALLED) | (status == _Status.MAX_ITERS)

@@ -493,8 +493,8 @@ class TestForestClosedForm:
             u = np.zeros(n)
             np.add.at(u, head, j)
             np.add.at(u, tail, -j)
-        status, x, value, iters, _ = (a[0] for a in _lagrangian_cells(
-            gen, p[None], u[None], DEFAULT_OPTIONS))
+        status, x, value, iters, _, _ = (a[0] for a in _lagrangian_cells(
+            flux[None], u[None], 0.0, DEFAULT_OPTIONS))
         assert iters == 0
         ref_status, ref_x, ref_value = _newton_reference(gen, p, u)
         assert status == ref_status
@@ -539,8 +539,8 @@ class TestBatchedCells:
                        for j in at])
         us[::2] += rng.normal(0.0, 0.1, us[::2].shape)
         us -= us.mean(axis=1, keepdims=True)
-        status, _, values, iterations, _ = _lagrangian_cells(
-            gen, mus, us, DEFAULT_OPTIONS)
+        status, _, values, iterations, _, _ = _lagrangian_cells(
+            mus[:, :, None] * gen.off_diagonal, us, 0.0, DEFAULT_OPTIONS)
         for k in range(len(mus)):
             try:
                 cold = lagrangian_value(gen, Measure(gen.space, mus[k]), us[k])
@@ -560,8 +560,9 @@ class TestBatchedCells:
         mu = Measure(gen.space, [0.2, 0.3, 0.5])
         f = np.array([60.0, 0.0, 1.0])
         u = speed(gen, mu, Potential(gen.space, f)).u
-        status, x, values, iterations, _ = _lagrangian_cells(
-            gen, mu.p[None], u[None], DEFAULT_OPTIONS, initial=f[None])
+        status, x, values, iterations, _, _ = _lagrangian_cells(
+            mu.p[None, :, None] * gen.off_diagonal, u[None], 0.0, DEFAULT_OPTIONS,
+            initial=f[None])
         assert status[0] == _Status.CONVERGED and iterations[0] <= 1
         np.testing.assert_allclose(x[0], [0.0, 0.0, 1.0], atol=1e-9)
         assert values[0] == pytest.approx(lagrangian_value(gen, mu, u).value, abs=1e-12)
@@ -600,7 +601,7 @@ class TestBatchedCells:
             g = random_potential(rng, gen)
             u = speed(gen, Measure(gen.space, p), g).u
             status, x = (a[0] for a in _lagrangian_cells(
-                gen, p[None], u[None], DEFAULT_OPTIONS)[:2])
+                p[None, :, None] * gen.off_diagonal, u[None], 0.0, DEFAULT_OPTIONS)[:2])
             assert status == _Status.CONVERGED
             np.testing.assert_allclose(x, g.f - g.f[pin], rtol=0.0, atol=1e-6)
 

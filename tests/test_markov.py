@@ -1,4 +1,4 @@
-"""Linear Markov machinery: generators, semigroup, resolvent, entropy, sampling."""
+"""Linear Markov machinery: generators, semigroup, resolvent, entropy."""
 
 import math
 
@@ -16,7 +16,6 @@ from ctmc_ldp import (
     evolve_law,
     relative_entropy,
     resolvent_matrix,
-    sample_jump_path,
     transition_matrix,
     validate_generator,
 )
@@ -199,54 +198,6 @@ class TestRelativeEntropy:
             assert h >= 0.5 * np.abs(mu.p - nu.p).sum() ** 2 - 1e-12
 
 
-class TestSampleJumpPath:
-    def test_absorbing_state_stops(self):
-        path = sample_jump_path(absorbing_chain(), "b", 5.0, seed=1)
-        assert path.n_jumps == 0
-        assert path.states.tolist() == [1]
-
-    def test_deterministic_given_seed(self):
-        gen = symmetric_chain()
-        p1 = sample_jump_path(gen, "a", 10.0, seed=42)
-        p2 = sample_jump_path(gen, "a", 10.0, seed=42)
-        assert np.array_equal(p1.jump_times, p2.jump_times)
-        assert np.array_equal(p1.states, p2.states)
-
-    def test_survival_probability_matches_exponential(self):
-        # empirical no-jump frequency vs e^{-t}, binomial 3-sigma band
-        gen = absorbing_chain()
-        t = 0.5
-        n = 100_000
-        rng = np.random.default_rng(7)
-        survived = sum(
-            sample_jump_path(gen, 0, t, rng).n_jumps == 0 for _ in range(n))
-        p = math.exp(-t)
-        sigma = math.sqrt(p * (1 - p) / n)
-        assert abs(survived / n - p) <= 3 * sigma
-
-    def test_path_invariants(self, rng):
-        for _ in range(20):
-            gen = random_model(rng)
-            path = sample_jump_path(gen, 0, 2.0, rng)
-            if path.n_jumps:
-                assert np.all(np.diff(path.jump_times) > 0)
-                assert path.jump_times[-1] <= path.horizon
-                assert np.all(path.states[1:] != path.states[:-1])
-
-    def test_states_at_queries(self):
-        gen = absorbing_chain()
-        rng = np.random.default_rng(3)
-        path = sample_jump_path(gen, "a", 4.0, rng)
-        if path.n_jumps:
-            tj = path.jump_times[0]
-            assert path.states_at([tj / 2])[0] == 0
-            assert path.states_at([tj + 1e-9])[0] == 1
-
-    def test_nonpositive_horizon_rejected(self):
-        with pytest.raises(InvalidParameter):
-            sample_jump_path(absorbing_chain(), "a", 0.0, seed=0)
-
-
 class TestTypeInvariants:
     def test_measure_rejects_bad_vectors(self):
         space = symmetric_chain().space
@@ -256,17 +207,6 @@ class TestTypeInvariants:
             Measure(space, [-0.1, 1.1])
         with pytest.raises(MalformedModel):
             Measure(space, [np.nan, 1.0])
-
-    def test_jump_path_rejects_inconsistencies(self):
-        from ctmc_ldp import JumpPath
-
-        space = symmetric_chain().space
-        with pytest.raises(MalformedModel):  # unsorted times
-            JumpPath(space, [0.5, 0.2], [0, 1, 0], 1.0)
-        with pytest.raises(MalformedModel):  # repeated state
-            JumpPath(space, [0.5], [0, 0], 1.0)
-        with pytest.raises(MalformedModel):  # time beyond horizon
-            JumpPath(space, [1.5], [0, 1], 1.0)
 
     def test_values_frozen_after_construction(self, rng):
         gen = random_model(rng)

@@ -172,10 +172,43 @@ class TestConditionalRate:
         assert res.attained
 
     def test_state_without_live_pair_is_infinite_however_small(self):
-        gen = absorbing_chain()
-        res = conditional_rate(gen, Measure(gen.space, [1.0 - 1e-11, 1e-11]),
-                               Measure.dirac(gen.space, "a"), 0.5)
-        assert res.value == math.inf and res.iterations == 0
+        # a started state with no live pair into the support of nu, or a
+        # support state no started state reaches: b's row below reaches only
+        # b, which nu leaves empty, and nothing enters a in the last chain
+        chains = [
+            ["ab", [[0.0, 1.0], [0.0, 0.0]], [1.0 - 1e-11, 1e-11], [1.0, 0.0]],
+            ["abc", [[0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+             [0.5, 1e-11, 0.5 - 1e-11], [0.6, 0.0, 0.4]],
+            ["abc", [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]],
+             [0.0, 0.5, 0.5], [1e-12, 0.5, 0.5 - 1e-12]],
+        ]
+        for labels, rates_, mu, nu in chains:
+            gen = validate_generator(list(labels), rates_)
+            res = conditional_rate(gen, Measure(gen.space, mu),
+                                   Measure(gen.space, nu), 0.5)
+            assert res.value == math.inf and res.iterations == 0
+
+    def test_laws_summing_to_one_within_rounding_settle(self):
+        # mu sums to 1 - 3.95e-11 and nu holds a 4.4e-13 entry; with the
+        # laws rescaled to sum to one Newton settles in a few iterations,
+        # where it ran to the iteration cap on the laws as given. The rate
+        # without the tiny entry is 2.0508669929958523
+        rates_ = np.zeros((5, 5))
+        rates_[0, 2] = 0.6261336505734167
+        rates_[1, [0, 2, 3, 4]] = [1.1917793177554976, 0.8859257318321767,
+                                   2.4215405853748075, 0.29475519272354667]
+        rates_[2, [0, 1, 3, 4]] = [0.5939227793985393, 2.1026146400214842,
+                                   2.812629247907524, 1.022437778233507]
+        rates_[3, [0, 1]] = [2.635090929854053, 1.8642530208856865]
+        rates_[4, [0, 1]] = [1.5082632886169698, 0.05013526380397937]
+        gen = validate_generator(list("abcde"), rates_)
+        mu = Measure(gen.space, [0.016607440879208003, 0.22281393870745808,
+                                 0.41193422621128967, 0.3087235168485131,
+                                 0.039920877314028776])
+        nu = Measure(gen.space, [4.3922493525588444e-13, 0.0, 0.8555494484328482,
+                                 0.0, 0.14445055156661477])
+        res = conditional_rate(gen, mu, nu, 0.15896200364427154)
+        assert res.value == pytest.approx(2.0508669929958523, rel=1e-10)
 
     def test_underflowing_row_is_rejected_without_warning(self):
         # b is absorbing, so its row keeps only the pair (b, b); the solve
@@ -530,6 +563,52 @@ class TestJointRate:
             tilted = np.bincount(paths[:, i], weight, minlength=n) / weight.sum()
             np.testing.assert_allclose(tilted, nu[i], rtol=0.0, atol=1e-8)
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_batch_matches_the_chain_of_single_rates(self, seed):
+        # one batch of every step equals the relative entropy plus the single
+        # conditional rates, summed up to the first infinite term, with the
+        # same attained flag and iterations; marginals with zeros and Dirac
+        # laws, on sparse chains with absorbing states, give infinite steps
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        rates_ = rng.uniform(0.05, 2.0, (n, n))
+        rates_[rng.random((n, n)) < 0.25] = 0.0
+        rates_[rng.random(n) < 0.1] = 0.0
+        gen = validate_generator([f"s{i}" for i in range(n)], rates_)
+        laws = rng.dirichlet(np.ones(n), k + 2)
+        laws[rng.random((k + 2, n)) < 0.15] = 0.0
+        laws[rng.random(k + 2) < 0.1] = np.eye(n)[rng.integers(n)]
+        laws[laws.sum(axis=1) == 0.0, 0] = 1.0
+        mu0, *nus = (Measure(gen.space, p / p.sum()) for p in laws)
+        times = np.cumsum(rng.uniform(0.1, 1.0, k))
+        res = joint_rate(gen, mu0, Partition(tuple(times)), nus)
+        value, iterations, attained = relative_entropy(nus[0], mu0), 0, True
+        for nu, mu, t in zip(nus[1:], nus, np.diff(times, prepend=0.0)):
+            if math.isinf(value):
+                break
+            step = conditional_rate(gen, mu, nu, t)
+            value, iterations = value + step.value, iterations + step.iterations
+            attained = attained and step.attained
+        assert res.value == pytest.approx(value, rel=1e-12, abs=1e-15)
+        assert res.iterations == iterations
+        full = np.all(mu0.p > 0.0) and np.all(nus[0].p > 0.0)
+        assert res.attained == (attained and math.isfinite(value) and full)
+
+    def test_steps_after_an_infinite_one_neither_count_nor_raise(self):
+        # nothing reaches c, so the first step is +infinity; the second needs
+        # several Newton iterations and alone fails to settle in one
+        gen = validate_generator(["a", "b", "c"], [[0.0, 1.0, 0.0],
+                                                   [0.7, 0.0, 0.0],
+                                                   [0.6, 0.4, 0.0]])
+        sp, one = gen.space, SolverOptions(max_iters=1)
+        laws = [Measure(sp, p) for p in ([0.5, 0.5, 0.0], [0.4, 0.4, 0.2],
+                                         [0.5, 0.45, 0.05])]
+        with pytest.raises(NumericalFailure):
+            conditional_rate(gen, laws[1], laws[2], 0.4, one)
+        res = joint_rate(gen, Measure.uniform(sp), Partition((0.5, 0.9)), laws, one)
+        assert res.value == math.inf and res.iterations == 0
+
 
 class TestPathAction:
     def test_zero_cost_path_is_cheap(self, rng):
@@ -609,7 +688,8 @@ def _cell_status(gen, grid):
     mids = (1 - w) * m[:-1] + w * m[1:]
     speeds = (m[1:] - m[:-1]) / dt
     speeds = speeds - speeds.sum(axis=1, keepdims=True) / gen.size
-    return _lagrangian_cells(gen, mids, speeds, DEFAULT_OPTIONS)[0]
+    return _lagrangian_cells(mids[:, :, None] * gen.off_diagonal, speeds, 0.0,
+                             DEFAULT_OPTIONS)[0]
 
 
 def _settled(status):
