@@ -271,8 +271,8 @@ def _invariant_checks(gen: Generator):
 
     try:
         radius = barrel_radius(gen)
-        G = rng.uniform(-radius, radius, size=(2000, n))
-        hvals = _hamiltonian_raw(gen.off_diagonal, gen.exit_rates, G)
+        G = rng.uniform(-radius, radius, size=(2000, n)).T  # a potential per column
+        hvals = _hamiltonian_raw(gen.off_diagonal[..., None], gen.exit_rates[:, None], G)
         yield "Hamiltonian bounded on the barrel", \
             float(np.abs(hvals).max()) - 1.0, 1e-12
     except ToolkitError:

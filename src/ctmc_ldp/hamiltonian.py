@@ -47,13 +47,14 @@ def _log_matrix_apply(P: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def _tilted_rates(rates: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """rates[..., x, y] * e^{g[..., y] - g[..., x]}, broadcast over the
-    leading axes of g (``rates`` is one matrix or one per potential).
+    """rates[x, y, ...] * e^{g[y, ...] - g[x, ...]} for one potential g (n,)
+    or a stack (n, b), cells last so that NumPy's inner loops run over them.
 
     The exponent is clipped at +-EXPONENT_CLIP so every tilted rate stays finite.
     """
-    d = g[..., None, :] - g[..., :, None]
-    np.clip(d, -EXPONENT_CLIP, EXPONENT_CLIP, out=d)
+    d = g[None] - g[:, None]
+    np.minimum(d, EXPONENT_CLIP, out=d)  # two ufuncs cost less than np.clip's wrappers
+    np.maximum(d, -EXPONENT_CLIP, out=d)
     np.exp(d, out=d)
     d *= rates
     return d
@@ -61,7 +62,7 @@ def _tilted_rates(rates: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _hamiltonian_raw(Qoff: np.ndarray, exit_rates: np.ndarray,
                      f: np.ndarray) -> np.ndarray:
-    return _tilted_rates(Qoff, f).sum(axis=-1) - exit_rates
+    return _tilted_rates(Qoff, f).sum(axis=1) - exit_rates
 
 
 def apply_hamiltonian(gen: Generator, f: Potential) -> Potential:

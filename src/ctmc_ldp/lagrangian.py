@@ -110,44 +110,46 @@ class _Status:
 
 def _newton_ascent(objective, hessian, x, free, opts, tol=None):
     """Damped Newton ascent of a batch of concave maximizations, each finite
-    and attained.
+    and attained, the cells on the last axis of every array (C-contiguous,
+    so NumPy loops over cells, not states; ``take`` and ``compress`` keep it).
 
     ``objective(x, rows)`` gives the values, gradients and a state of batch
-    rows ``rows`` (indices, or a slice for all) at iterates x (b, m), and
-    ``hessian(state)`` minus the (b, m, m) Hessians. Only the ``free``
-    coordinates move. Per cell: its gradient tolerance ``tol`` (default
-    opts.gradient_tol); the Newton step (the gradient if it is singular,
-    non-finite or no ascent), scaled to move no coordinate by more than
-    STEP_CAP, taken whole when it halves the gradient sup-norm, which keeps
-    converging below the noise floor of the objective, and does not lower
-    the value by more than rounding, else backtracked by Armijo halvings;
-    one retry along the gradient if that stalls.
+    cells ``rows`` (indices, or None for all) at iterates x (m, b), and
+    ``hessian(state)`` minus the (m, m, b) Hessians, solved as one LAPACK
+    stack on a (b, m, m) view. Only the ``free`` coordinates move. Per cell:
+    its gradient tolerance ``tol`` (default opts.gradient_tol); the Newton
+    step (the gradient if it is singular, non-finite or no ascent), scaled
+    to move no coordinate by more than STEP_CAP, taken whole when it halves
+    the gradient sup-norm, which keeps converging below the noise floor of
+    the objective, and does not lower the value by more than rounding, else
+    backtracked by Armijo halvings; one retry along the gradient on a stall.
 
     Returns per-cell arrays: status, x, value, iterations, gradient norm.
     """
-    status = np.full(len(x), _Status.MAX_ITERS)
-    out_x, out_value, out_norm = x.copy(), np.empty(len(x)), np.empty(len(x))
-    iters = np.full(len(x), opts.max_iters)
-    cells = np.arange(len(x))
-    tol = np.full(len(x), opts.gradient_tol) if tol is None else tol
-    block = (slice(None), free[:, None], free)
+    cells = np.arange(x.shape[1])
+    status = np.full(cells.size, _Status.MAX_ITERS)
+    out_x, out_value, out_norm = x.copy(), np.empty(cells.size), np.empty(cells.size)
+    iters = np.full(cells.size, opts.max_iters)
+    tol = np.full(cells.size, opts.gradient_tol) if tol is None else tol
+    block = (free[:, None], free)
 
     def sup_norm(grad):
-        return np.abs(grad[:, free]).max(axis=1, initial=0.0)
+        return np.abs(grad[free]).max(axis=0, initial=0.0)
 
     def settle(done, verdict, xs, values):
         rows = cells[done]
-        status[rows], out_x[rows], out_value[rows] = verdict, xs[done], values[done]
-        out_norm[rows], iters[rows] = norm[done], it
+        status[rows], out_value[rows], out_norm[rows] = verdict, values[done], norm[done]
+        out_x[:, rows], iters[rows] = xs.compress(done, axis=1), it
 
     def capped(step, slope):  # scaled to move no coordinate past STEP_CAP
-        scale = STEP_CAP / np.abs(step).max(axis=1, initial=STEP_CAP)
-        return step * scale[:, None], slope * scale
+        scale = STEP_CAP / np.abs(step).max(axis=0, initial=STEP_CAP)
+        return step * scale, slope * scale
 
     def step_to(rows, alpha, direction):
-        xt[rows] = x[rows] + alpha * direction[rows]
-        vt[rows], gt[rows], st[rows] = objective(xt[rows], cells[rows])
-        nt[rows] = sup_norm(gt[rows])
+        trial = x.take(rows, axis=1) + alpha * direction.take(rows, axis=1)
+        xt[:, rows] = trial
+        vt[rows], gt[:, rows], st[..., rows] = objective(trial, cells[rows])
+        nt[rows] = sup_norm(gt.take(rows, axis=1))
 
     def to_backtrack():
         """Cells whose full step is backtracked: it does not halve the
@@ -168,7 +170,7 @@ def _newton_ascent(objective, hessian, x, free, opts, tol=None):
             alpha *= 0.5
         return back
 
-    live = slice(None)  # every cell, until one settles
+    live = None  # every cell, until one settles
     value, grad, state = objective(x, live)
     norm = sup_norm(grad)
     for it in range(1, opts.max_iters + 1):
@@ -180,42 +182,44 @@ def _newton_ascent(objective, hessian, x, free, opts, tol=None):
             break
         if n_done:
             cells, x, value, grad, state, norm = (
-                a[~done] for a in (cells, x, value, grad, state, norm))
+                a.compress(~done, axis=-1) for a in (cells, x, value, grad, state, norm))
             live = cells
-        g = grad[:, free]
+        g = grad[free]
         A = hessian(state)[block]
         try:
-            step = np.linalg.solve(A, g[..., None])[..., 0]
+            step = np.linalg.solve(A.transpose(2, 0, 1), g.T[..., None])[..., 0].T.copy()
         except np.linalg.LinAlgError:  # some cell is singular: NaN there
             step = np.full(g.shape, np.nan)
-            for k in range(len(g)):
+            for k in range(g.shape[1]):
                 with contextlib.suppress(np.linalg.LinAlgError):
-                    step[k] = np.linalg.solve(A[k], g[k])
+                    step[:, k] = np.linalg.solve(A[..., k], g[:, k])
         # a singular or non-finite step has a non-finite slope
-        slope = (g * step).sum(axis=1)
+        slope = (g * step).sum(axis=0)
         fallback = ~((slope > 0.0) & (slope < math.inf))
         if np.count_nonzero(fallback):
-            step[fallback], slope[fallback] = g[fallback], (g[fallback] ** 2).sum(axis=1)
+            step, slope = np.where(fallback, g, step), np.where(
+                fallback, (g ** 2).sum(axis=0), slope)
         direction = np.zeros(x.shape)
-        direction[:, free], slope = capped(step, slope)
+        direction[free], slope = capped(step, slope)
         xt = x + direction
         vt, gt, st = objective(xt, live)
         nt = sup_norm(gt)
         stalled = search(to_backtrack().nonzero()[0], direction, slope)
         if stalled.size:  # one retry along the gradient
-            direction[np.ix_(stalled, free)], slope[stalled] = capped(
-                g[stalled], (g[stalled] ** 2).sum(axis=1))
+            direction[np.ix_(free, stalled)], slope[stalled] = capped(
+                g.take(stalled, axis=1), (g.take(stalled, axis=1) ** 2).sum(axis=0))
             step_to(stalled, 1.0, direction)
             stalled = search(stalled[to_backtrack()[stalled]], direction, slope)
         if stalled.size:
             moved = np.ones(len(cells), dtype=bool)
             moved[stalled] = False
             settle(~moved, _Status.STALLED, x, value)
-            cells, xt, vt, gt, st, nt = (a[moved] for a in (cells, xt, vt, gt, st, nt))
+            cells, xt, vt, gt, st, nt = (
+                a.compress(moved, axis=-1) for a in (cells, xt, vt, gt, st, nt))
             live = cells
         x, value, grad, state, norm = xt, vt, gt, st, nt
     else:
-        out_x[cells], out_value[cells], out_norm[cells] = x, value, norm
+        out_x[:, cells], out_value[cells], out_norm[cells] = x, value, norm
     return status, out_x, out_value, iters, out_norm
 
 
@@ -230,22 +234,23 @@ def _settled(status, opts):
 
 def _lagrangian_objective(flux, us, base):
     """<f,u> - <Hf,mu> over cells (mu_k, u_k) for ``_newton_ascent``, from
-    the untilted fluxes mu_x r_xy and their totals: the gradient is
-    u - rho(mu, f), minus the Hessian the graph Laplacian of the symmetrized
-    tilted flux."""
-    diag = np.arange(flux.shape[1])
+    the untilted fluxes mu_x r_xy (n, n, b), speeds (n, b) and totals (b,),
+    the cells on the last axis: the gradient is u - rho(mu, f), minus the
+    Hessian the graph Laplacian of the symmetrized tilted flux."""
+    diag = np.arange(flux.shape[0])
 
     def objective(f, rows):
-        M = _tilted_rates(flux[rows], f)
-        u = us[rows]
-        grad = u - (M.sum(axis=1) - M.sum(axis=2))
-        value = (f * u).sum(axis=1) - (M.sum(axis=(1, 2)) - base[rows])
+        a, u, b = (v if rows is None else v.take(rows, axis=-1) for v in (flux, us, base))
+        M = _tilted_rates(a, f)
+        inflow = M.sum(axis=0)
+        grad = u - (inflow - M.sum(axis=1))
+        value = (f * u).sum(axis=0) - (inflow.sum(axis=0) - b)
         return value, grad, M
 
     def hessian(M):
-        S = M + M.transpose(0, 2, 1)
+        S = M + M.transpose(1, 0, 2)
         lap = -S
-        lap[:, diag, diag] += S.sum(axis=2)
+        lap[diag, diag] += S.sum(axis=1)
         return lap
 
     return objective, hessian
@@ -302,21 +307,22 @@ def _forest_cells(flux, us, base, shape, zero, slack):
     +infinity, or within ``slack`` makes the edge unusable. Returns
     per-cell status, maximizer, value, and the shut and unusable edges.
     """
-    j = us[:, shape.free] @ shape.currents
-    a, b = flux[:, shape.tail, shape.head], flux[:, shape.head, shape.tail]
+    j = shape.currents.T @ us[shape.free]
+    a, b = flux[shape.tail, shape.head], flux[shape.head, shape.tail]
     root = np.sqrt(j * j + 4.0 * a * b)
     w = np.abs(j) + root  # cancellation-free for either sign of j
-    size = np.maximum(1.0, np.abs(us).sum(axis=1))[:, None]
+    size = np.maximum(1.0, np.abs(us).sum(axis=0))
     shut = (b == 0.0) & (np.abs(j) <= zero * size)
     back = (b == 0.0) & (j < -zero * size) & (j >= -(slack or 0.0) * size)
     with np.errstate(divide="ignore", invalid="ignore"):
         d = np.where(j >= 0.0, np.log(w / (2.0 * a)), np.log(2.0 * b / w))
-        value = np.where(shut, 0.0, j * d - root).sum(axis=1) + base
+        value = np.where(shut, 0.0, j * d - root).sum(axis=0) + base
     finite = np.isfinite(value)
-    status = np.where(finite, np.where(shut.any(axis=1), _Status.BOUNDARY,
+    status = np.where(finite, np.where(shut.any(axis=0), _Status.BOUNDARY,
                                        _Status.CONVERGED), _Status.INFINITE)
     f = np.zeros(us.shape)
-    f[np.ix_(finite, shape.free)] = np.where(shut, 0.0, d)[finite] @ shape.currents.T
+    f[np.ix_(shape.free, finite)] = shape.currents @ np.where(shut, 0.0, d).compress(
+        finite, axis=1)
     return status, f, value, shut, back
 
 
@@ -327,29 +333,28 @@ def _idle_channels(us, shape, zero, slack):
     max(1, sum |u|), 0 within ``zero``), which ``_transport`` decides
     unless every sender reaches every receiver, leaving unrouted ``slack``
     or one ``zero`` per zeroed sum and per undirected component."""
-    net = us @ shape.members
-    net /= np.maximum(1.0, np.abs(us).sum(axis=1))[:, None]
+    net = shape.members.T @ us
+    net /= np.maximum(1.0, np.abs(us).sum(axis=0))
     net[np.abs(net) <= zero] = 0.0
-    if shape.signs is not None and (np.sign(net) == shape.signs).all():
-        return np.ones(len(us), dtype=bool), np.zeros(us.shape + us.shape[1:], dtype=bool)
+    if shape.signs is not None and (np.sign(net) == shape.signs[:, None]).all():
+        return np.ones(us.shape[1], bool), np.zeros(us.shape[:1] + us.shape, bool)
     reach = shape.ahead
-    usable = (net < 0.0)[:, :, None] & (net > 0.0)[:, None, :]
-    feasible = np.ones(len(us), dtype=bool)
-    for c in np.flatnonzero((usable & ~reach).any(axis=(1, 2))):
-        feasible[c], usable[c] = _transport(np.maximum(-net[c], 0.0), np.maximum(
-            net[c], 0.0), reach, slack or 2 * len(reach) * zero)
+    usable = (net < 0.0)[:, None] & (net > 0.0)[None]
+    feasible = np.ones(us.shape[1], dtype=bool)
+    for c in np.flatnonzero((usable & ~reach[..., None]).any(axis=(0, 1))):
+        feasible[c], usable[..., c] = _transport(np.maximum(-net[:, c], 0.0), np.maximum(
+            net[:, c], 0.0), reach, slack or 2 * len(reach) * zero)
     # a channel is used when a sender reaches it and it reaches a receiver
     # that sender can use
-    comp = shape.comp
-    return feasible, shape.between & ~(reach.T @ usable @ reach.T)[:, comp][:, :, comp]
+    used = np.einsum("ba,bcz,dc->adz", reach, usable, reach)
+    return feasible, shape.between[..., None] & ~used[shape.comp[:, None], shape.comp]
 
 
 def _lagrangian_cells(flux, us, offset, opts, initial=None, zero=STRUCTURAL_TOL,
                       slack=None):
     """sup_f { <f, u_k> - sum_xy a_xy (e^{f_y - f_x} - 1) } + offset_k on a
-    stack of flux graphs a_k (K, n, n; dropped channels are zeroed in it),
-    speeds and offsets, from f = 0 or the warm starts ``initial``: L(mu, u)
-    for the flux mu_x r_xy and offset 0.
+    stack of flux graphs a_k (K, n, n), speeds and offsets, from f = 0 or
+    the warm starts ``initial``: L(mu, u) for the flux mu_x r_xy and offset 0.
 
     Cells with the same live channels (a_xy > 0) are grouped. A component
     whose speed entries do not balance, to what ``Speed`` accepts, is
@@ -361,61 +366,65 @@ def _lagrangian_cells(flux, us, offset, opts, initial=None, zero=STRUCTURAL_TOL,
     or its gradient's rounding floor 8 eps sum|u|; a warm start that does
     not converge is solved again from 0. Relative to max(1, sum|u|), sums
     and currents within ``zero``, and mass left unrouted within ``slack``,
-    if given, are rounding. Returns per-cell status, maximizer, value,
-    iterations and gradient norm as ``_newton_ascent`` does (0 iterations
-    for a screened or forest cell), and the live channels less those shut.
+    if given, are rounding. Inside, copies keep the cells on their last
+    axis, as in ``_newton_ascent``. Returns per-cell status, maximizer,
+    value, iterations and gradient norm as ``_newton_ascent`` does (0
+    iterations for a screened or forest cell), and the live channels less
+    those shut.
     """
     K, n = us.shape
     us = us - us.sum(axis=1, keepdims=True) / n  # mass conserved despite rounding
-    scale = np.abs(us).sum(axis=1)
+    flux, us = flux.transpose(1, 2, 0).copy(), us.T.copy()
+    scale = np.abs(us).sum(axis=0)
     balance_tol = SPEED_SUM_TOL * np.maximum(1.0, scale)  # spread over every state
     gradient_tol = np.maximum(opts.gradient_tol, 8 * np.finfo(float).eps * scale)
-    base = flux.sum(axis=(1, 2)) + offset
+    base = flux.sum(axis=(0, 1)) + offset
     live = flux > 0.0
-    keys = live.reshape(K, n * n).view(f"V{n * n}")[:, 0].copy()  # the rows as bytes
-    x = np.zeros((K, n)) if initial is None else np.array(initial, dtype=float)
+    keys = live.reshape(n * n, K).T.copy().view(f"V{n * n}")[:, 0]  # the patterns as bytes
+    x = np.zeros((n, K)) if initial is None else np.asarray(initial, float).T.copy()
     status, iters = np.full(K, _Status.INFINITE), np.zeros(K, dtype=int)
     value, norm = np.full((2, K), math.inf)
     shut, rest = np.zeros(K), np.arange(K)  # shut: flux of the dropped channels
 
     def drop(out):  # cells ``out`` lost live channels: shut them, group again
         nonlocal rest
-        shut[out] += (flux[out] * ~live[out]).sum(axis=(1, 2))
-        flux[out] *= live[out]
-        keys[out] = live[out].reshape(out.size, n * n).view(keys.dtype)[:, 0]
+        shut[out] += (flux.take(out, axis=-1) * ~live.take(out, axis=-1)).sum(axis=(0, 1))
+        flux[..., out] *= live.take(out, axis=-1)
+        keys[out] = live[..., out].reshape(n * n, -1).T.copy().view(keys.dtype)[:, 0]
         rest = np.append(rest, out)
 
     while rest.size:
         same = keys[rest] == keys[rest[0]]
         group, rest = rest[same], rest[~same]
         shape = _pattern(n, keys[group[0]].tobytes())
-        balanced = np.abs(us[group] @ shape.reach) <= balance_tol[group, None]
-        cells = group[balanced.all(axis=1)]
+        balanced = np.abs(shape.reach @ us.take(group, axis=1)) <= balance_tol[group]
+        cells = group[balanced.all(axis=0)]
         if shape.currents is not None:  # a forest: no ascent
-            status[cells], x[cells], value[cells], edges, back = _forest_cells(
-                flux[cells], us[cells], base[cells] - shut[cells], shape, zero, slack)
+            status[cells], x[:, cells], value[cells], edges, back = _forest_cells(
+                flux.take(cells, axis=-1), us.take(cells, axis=1),
+                base[cells] - shut[cells], shape, zero, slack)
             norm[cells[np.isfinite(value[cells])]] = 0.0
-            live[cells[:, None], shape.tail, shape.head] &= ~(edges | back)
+            live[shape.tail[:, None], shape.head[:, None], cells] &= ~(edges | back)
             if back.any():  # solved again without the unusable edges
-                drop(cells[back.any(axis=1)])
+                drop(cells[back.any(axis=0)])
             continue
         if shape.between is not None and cells.size:
-            feasible, idle = _idle_channels(us[cells], shape, zero, slack)
-            reduced = feasible & idle.any(axis=(1, 2))
-            live[cells] &= ~idle
+            feasible, idle = _idle_channels(us.take(cells, axis=1), shape, zero, slack)
+            reduced = feasible & idle.any(axis=(0, 1))
+            live[..., cells] &= ~idle
             if reduced.any():
                 drop(cells[reduced])
             cells = cells[feasible & ~reduced]
-        todo, start = cells, x[cells] - x[cells][:, shape.root]
+        todo, start = cells, x.take(cells, axis=1) - x[shape.root[:, None], cells]
         while todo.size:  # a warm start that does not converge starts over at 0
             objective, hessian = _lagrangian_objective(
-                flux[todo], us[todo], base[todo] - shut[todo])
-            status[todo], x[todo], value[todo], iters[todo], norm[todo] = _newton_ascent(
+                flux.take(todo, axis=-1), us.take(todo, axis=1), base[todo] - shut[todo])
+            status[todo], x[:, todo], value[todo], iters[todo], norm[todo] = _newton_ascent(
                 objective, hessian, start, shape.free, opts, gradient_tol[todo])
-            todo = todo[(status[todo] != _Status.CONVERGED) & start.any(axis=1)]
-            start = np.zeros((todo.size, n))
+            todo = todo[(status[todo] != _Status.CONVERGED) & start.any(axis=0)]
+            start = np.zeros((n, todo.size))
     status[(shut > 0.0) & (status == _Status.CONVERGED)] = _Status.BOUNDARY
-    return status, x, value + shut, iters, norm, live
+    return status, x.T, value + shut, iters, norm, live.transpose(2, 0, 1)
 
 
 def lagrangian_value(gen: Generator, mu: Measure, u,

@@ -15,13 +15,17 @@ from ctmc_ldp import (
     Potential,
     SolverOptions,
     conditional_rate,
+    doob_flow,
+    doob_forward,
     evolve_law,
     joint_rate,
     lagrangian_value,
+    path_action,
     speed,
     transition_matrix,
     validate_generator,
 )
+from ctmc_ldp import lagrangian
 from ctmc_ldp.lagrangian import _newton_ascent, _settled, _Status
 
 T = 0.7
@@ -145,17 +149,18 @@ def test_full_step_must_not_lower_the_value_near_a_dirac_start():
     assert res.value == pytest.approx(1.653044, abs=1e-6)
 
 def _quadratic_or_flat(centre):
-    """Cell k maximizes -|x - centre_k|^2 / 2, except that a row of NaN
-    gives a flat objective whose gradient no step can reduce."""
+    """Cell k maximizes -|x - centre_k|^2 / 2, except that a column of NaN
+    gives a flat objective whose gradient no step can reduce; cells on the
+    last axis."""
     def objective(x, rows):
-        c = centre[rows]
-        flat = np.isnan(c[:, 0])
-        value = np.where(flat, 0.0, -0.5 * ((x - c) ** 2).sum(axis=1))
-        grad = np.where(flat[:, None], 1.0, c - x)
-        return value, grad, np.zeros(len(x))
+        c = centre if rows is None else centre[:, rows]
+        flat = np.isnan(c[0])
+        value = np.where(flat, 0.0, -0.5 * ((x - c) ** 2).sum(axis=0))
+        grad = np.where(flat, 1.0, c - x)
+        return value, grad, np.zeros(x.shape[1])
 
     def hessian(state):
-        return np.broadcast_to(np.eye(3), (len(state), 3, 3)).copy()
+        return np.broadcast_to(np.eye(3)[..., None], (3, 3, len(state))).copy()
 
     return objective, hessian
 
@@ -165,10 +170,10 @@ def test_core_settles_each_cell_on_its_own():
     # search of the other stalls along the Newton step and the gradient
     centre = np.array([[0.0, 1.5, -0.5], [np.nan] * 3])
     status, x, value, iterations, norm = _newton_ascent(
-        *_quadratic_or_flat(centre), np.zeros((2, 3)), np.array([1, 2]),
+        *_quadratic_or_flat(centre.T), np.zeros((3, 2)), np.array([1, 2]),
         SolverOptions())
     assert list(status) == [_Status.CONVERGED, _Status.STALLED]
-    np.testing.assert_array_equal(x, [[0.0, 1.5, -0.5], [0.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(x.T, [[0.0, 1.5, -0.5], [0.0, 0.0, 0.0]])
     assert list(iterations) == [2, 1]
     assert list(norm) == [0.0, 1.0]
     _settled(status[0], SolverOptions())
@@ -185,13 +190,14 @@ def test_singular_hessian_falls_back_to_the_gradient(monkeypatch):
     centre = np.array([[0.0, 1.5, -0.5], [0.0, -1.0, 2.0]])
     trials = []
 
-    def objective(x, rows):
-        trials.append(x.copy())
-        d = centre[rows] - x
-        return -(d ** 2).sum(axis=1), 2.0 * d, np.arange(2)[rows]
+    def objective(x, rows):  # cells on the last axis
+        trials.append(x.T.copy())
+        rows = slice(None) if rows is None else rows
+        d = centre.T[:, rows] - x
+        return -(d ** 2).sum(axis=0), 2.0 * d, np.arange(2)[rows]
 
     def hessian(cells):
-        return np.where((cells == 0)[:, None, None], 2.0 * np.eye(3), 0.0)
+        return np.where(cells == 0, 2.0 * np.eye(3)[..., None], 0.0)
 
     solve, solves = np.linalg.solve, []
 
@@ -206,10 +212,10 @@ def test_singular_hessian_falls_back_to_the_gradient(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", counted)
     status, x, value, iterations, norm = _newton_ascent(
-        objective, hessian, np.zeros((2, 3)), np.array([1, 2]), SolverOptions())
+        objective, hessian, np.zeros((3, 2)), np.array([1, 2]), SolverOptions())
     assert solves == [(3, "singular"), (2, "solved"), (2, "singular")]
     assert list(status) == [_Status.CONVERGED] * 2
-    np.testing.assert_array_equal(x, centre)
+    np.testing.assert_array_equal(x.T, centre)
     assert list(iterations) == [2, 2]
     assert any((t == 2.0 * centre[1]).all(axis=1).any() for t in trials)
     assert all(np.isfinite(t).all() for t in trials)  # never along a NaN step
@@ -226,3 +232,37 @@ def test_unique_coupling_with_a_near_dirac_row():
     assert res.attained
     assert res.value == pytest.approx(6.450177739500915, rel=1e-12)
     assert res.iterations <= 10
+
+
+def test_iterates_keep_the_cells_on_their_last_axis(monkeypatch):
+    # every iterate the objective sees during a cold K = 1000 path action,
+    # whose cells settle at different iterations, is C-contiguous with one
+    # column per cell it values, and so is every tilted flux the Hessian
+    # sees, so that NumPy's inner loops run over the cells; the first
+    # evaluation values all 1,000
+    gen = _model()
+    flow = doob_flow(gen, Potential(gen.space, [0.6, -0.4, 0.2]), 0.9, 1000)
+    path, _ = doob_forward(gen, Measure(gen.space, [0.5, 0.3, 0.2]), flow)
+    seen, fluxes = [], []
+    make = lagrangian._lagrangian_objective
+
+    def watched(flux, us, base):
+        objective, hessian = make(flux, us, base)
+
+        def checked(x, rows):
+            cells = base.size if rows is None else np.size(rows)
+            seen.append((x.shape, cells, x.flags.c_contiguous))
+            return objective(x, rows)
+
+        def checked_hessian(M):
+            fluxes.append((M.shape[:2], M.flags.c_contiguous))
+            return hessian(M)
+
+        return checked, checked_hessian
+
+    monkeypatch.setattr(lagrangian, "_lagrangian_objective", watched)
+    path_action(gen, path)
+    assert seen[0][:2] == ((3, 1000), 1000)
+    assert min(cells for _, cells, _ in seen) < 1000  # compacted
+    assert all(shape == (3, cells) and contiguous for shape, cells, contiguous in seen)
+    assert fluxes and all(f == ((3, 3), True) for f in fluxes)
