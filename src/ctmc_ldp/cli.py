@@ -149,9 +149,9 @@ def _strict(obj):
 
 
 def _write_json(path, doc) -> None:
+    text = json.dumps(_strict(doc), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_strict(doc), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_report(path) -> dict:

@@ -9,7 +9,8 @@ estimates the decay of rare-event probabilities for events of the form
 Seeding contract: a call with copy count n simulates all its copies, in a
 fixed order, from the one stream ``SeedSequence(seed, spawn_key=(n,))``, so
 results are bitwise reproducible from the seed and the estimate at one copy
-count does not depend on the other counts requested.
+count does not depend on the other counts requested. The copies of a batch
+are exchangeable, so its start counts are one multinomial draw from mu0.
 """
 
 from __future__ import annotations
@@ -44,28 +45,37 @@ def _stream(seed: int, n: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(n,)))
 
 
-def _copies_at(gen: Generator, mu0: Measure, m: int, horizons, rng):
-    """States of m copies started from mu0 at time 0, at each horizon in turn.
+def _run_copies(gen: Generator, mu0: Measure, n: int, batches: int, nodes,
+                rng, tally=None) -> np.ndarray:
+    """States at time nodes[-1] of ``batches`` batches of n copies from mu0.
 
-    Each copy keeps its state and its next jump time, +inf on absorbing
-    states. At each horizon, the copies due before it jump by the embedded
-    chain and draw new exponential holding times until none is due; the
-    one states array is advanced in place and yielded once per horizon.
+    Each round jumps every copy due before then by the embedded chain. The
+    start counts go to row 0 of ``tally``, a flat ``(len(nodes), size)``
+    table, if one is given, and each jump adds +1 at its new state and -1
+    at its old one to the row of the first node after it.
     """
-    live = gen.exit_rates > 0.0
-    hold = np.full(gen.size, np.inf)            # mean holding times
-    hold[live] = 1.0 / gen.exit_rates[live]
-    cum_jump = np.cumsum(gen.jump_probabilities(), axis=1)[:, :-1]
-    states = rng.choice(gen.size, size=m, p=mu0.p)
-    clocks = rng.standard_exponential(m) * hold[states]
-    for horizon in horizons:
-        due = np.flatnonzero(clocks < horizon)
-        while due.size:
-            u = rng.random(due.size)
-            states[due] = nxt = (u[:, None] >= cum_jump[states[due]]).sum(axis=1)
-            clocks[due] += rng.standard_exponential(due.size) * hold[nxt]
-            due = due[clocks[due] < horizon]
-        yield states
+    counts = rng.multinomial(n, mu0.p / mu0.p.sum(), size=batches)
+    states = np.repeat(np.tile(np.arange(gen.size), batches), counts.ravel())
+    if tally is not None:
+        tally[:gen.size] += counts.sum(axis=0)
+    rates = gen.exit_rates
+    hold = np.divide(1.0, rates, out=np.full(gen.size, np.inf), where=rates > 0)
+    cum_jump = np.cumsum(gen.jump_probabilities(), axis=1)[:, :-1].T.copy()
+    clocks = rng.standard_exponential(states.size) * hold[states]
+    due = np.flatnonzero(clocks < nodes[-1])
+    at = clocks[due]                            # next jump times of the due
+    while due.size:
+        old = states[due]
+        u = rng.random(due.size)
+        states[due] = new = (u >= cum_jump.take(old, axis=1)).sum(axis=0)
+        if tally is not None:
+            row = nodes.searchsorted(at, side="right") * gen.size
+            tally += np.bincount(row + new, minlength=tally.size)
+            tally -= np.bincount(row + old, minlength=tally.size)
+        at += rng.standard_exponential(due.size) * hold[new]
+        keep = at < nodes[-1]
+        due, at = due[keep], at[keep]
+    return states
 
 
 def empirical_trajectory(gen: Generator, mu0: Measure, n: int,
@@ -85,11 +95,11 @@ def empirical_trajectory(gen: Generator, mu0: Measure, n: int,
         raise InvalidParameter("need t0 < t1")
     nodes = t0 + (t1 - t0) / K * np.arange(K + 1)
     rng = _stream(seed, n)
-    counts = np.zeros((K + 1, gen.size))
+    tally = np.zeros((K + 1) * gen.size, dtype=np.int64)
     for first in range(0, n, _BLOCK_COPIES):
         m = min(_BLOCK_COPIES, n - first)
-        for k, states in enumerate(_copies_at(gen, mu0, m, nodes, rng)):
-            counts[k] += np.bincount(states, minlength=gen.size)
+        _run_copies(gen, mu0, m, 1, nodes, rng, tally)
+    counts = tally.reshape(K + 1, gen.size).cumsum(axis=0)
     return PathGrid(gen.space, t0, t1, counts / n)
 
 
@@ -168,9 +178,9 @@ def estimate_event_decay(gen: Generator, mu0: Measure, event: BallEvent,
         count = 0
         for first in range(0, reps, per_block):
             batches = min(per_block, reps - first)
-            states = next(_copies_at(gen, mu0, batches * n, (horizon,), rng))
-            counts = np.bincount(np.arange(batches * n) // n * gen.size + states,
-                                 minlength=batches * gen.size)
+            states = _run_copies(gen, mu0, n, batches, (horizon,), rng)
+            counts = np.bincount(np.repeat(np.arange(batches) * gen.size, n)
+                                 + states, minlength=batches * gen.size)
             emp = counts.reshape(batches, gen.size) / n
             count += int((np.abs(emp - target).sum(axis=1) < event.radius).sum())
         hits.append(count)

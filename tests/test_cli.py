@@ -347,6 +347,20 @@ class TestReports:
             (tmp_path / "rate_report.json").read_text())["outputs"]
         assert outputs["value"] == outputs["gradient_norm"] == "inf"
 
+    def test_report_bytes_are_golden(self, tmp_path):
+        # non-finite floats as strings, NumPy scalars and arrays as plain
+        # values, keys sorted, two-space indent, ASCII escapes, one newline
+        cli._write_json(tmp_path / "r.json", {
+            "b": np.float64(0.25), "a": [np.inf, -np.inf, np.nan],
+            "c": {"n": np.int64(3), "ok": np.bool_(True),
+                  "v": np.array([1.5, 2.0]), "e": []},
+            "s": "xé", "t": (np.float32(0.5), None)})
+        assert (tmp_path / "r.json").read_bytes() == (
+            b'{\n  "a": [\n    "inf",\n    "-inf",\n    "nan"\n  ],\n'
+            b'  "b": 0.25,\n  "c": {\n    "e": [],\n    "n": 3,\n'
+            b'    "ok": true,\n    "v": [\n      1.5,\n      2.0\n    ]\n'
+            b'  },\n  "s": "x\\u00e9",\n  "t": [\n    0.5,\n    null\n  ]\n}\n')
+
     def test_digest_covers_path_file(self, tmp_path):
         path = tmp_path / "path.csv"
 

@@ -1,9 +1,12 @@
 """Monte Carlo harness: empirical trajectories and decay-rate estimation."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctmc_ldp import (
     BallEvent,
@@ -18,7 +21,8 @@ from ctmc_ldp import (
     validate_generator,
 )
 from ctmc_ldp import montecarlo
-from conftest import absorbing_chain, random_measure, random_model
+from conftest import (absorbing_chain, random_chain, random_law,
+                      random_measure, random_model)
 
 
 class TestEmpiricalTrajectory:
@@ -64,7 +68,7 @@ class TestEmpiricalTrajectory:
         def simulate(*args):
             raise AssertionError("copies simulated")
 
-        monkeypatch.setattr(montecarlo, "_copies_at", simulate)
+        monkeypatch.setattr(montecarlo, "_run_copies", simulate)
         with pytest.raises(InvalidParameter):
             empirical_trajectory(gen, random_measure(rng, gen), 10, 1.0, K,
                                  seed=1)
@@ -252,3 +256,60 @@ class TestSamplerConsistency:
         p_surv = math.exp(-0.5)
         sigma = math.sqrt(p_surv * (1 - p_surv) / reps)
         assert abs(est.hits[0] / reps - p_surv) <= 3 * sigma
+
+    def test_start_law_is_exact_where_nothing_jumps(self):
+        # on the zero generator every copy keeps its start state: the hit
+        # count at n is binomial in the exact Multinomial(n, mu0) ball
+        # probability, and the empirical path never moves
+        gen = validate_generator(["x", "y", "z"], np.zeros((3, 3)))
+        mu0 = Measure(gen.space, [0.5, 0.3, 0.2])
+        target = Measure(gen.space, [0.5, 0.5, 0.0])
+        reps = 4_000
+        est = estimate_event_decay(gen, mu0, BallEvent(target, 0.7, 0.6),
+                                   [2, 4], reps, seed=31)
+        for n, hits in zip(est.n_values, est.hits):
+            p = sum(math.factorial(n) / math.prod(map(math.factorial, k))
+                    * math.prod(mu0.p ** np.array(k))
+                    for k in itertools.product(range(n + 1), repeat=3)
+                    if sum(k) == n
+                    and np.abs(np.array(k) / n - target.p).sum() < 0.6)
+            assert abs(hits - reps * p) <= 4 * math.sqrt(reps * p * (1 - p))
+        grid = empirical_trajectory(gen, mu0, 500, 1.0, 8, seed=32)
+        assert np.all(grid.measures == grid.measures[0])
+
+    def test_law_summing_to_one_within_tolerance(self):
+        # a law the validator accepts but whose mass exceeds one by a
+        # rounding error is drawn from, not refused
+        gen = absorbing_chain()
+        mu0 = Measure(gen.space, [1.0 + 5e-11, 0.0])
+        grid = empirical_trajectory(gen, mu0, 50, 0.5, 4, seed=33)
+        assert np.array_equal(grid.measures[0], [1.0, 0.0])
+        da = Measure.dirac(gen.space, "a")
+        est = estimate_event_decay(gen, mu0, BallEvent(da, 0.5, 1.5),
+                                   [5, 10], 100, seed=34)
+        assert all(h > 0 for h in est.hits)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(("random", "stiff", "sparse")),
+           late=st.booleans())
+    def test_every_node_counts_every_copy(self, seed, kind, late):
+        # n times each node's measure is a tally of the n copies; from
+        # t0 = 0 the first node is the start tally, so no jump is binned
+        # a node early
+        rng = np.random.default_rng(seed)
+        gen = random_chain(rng, kind)
+        mu0 = random_law(rng, gen)
+        n = int(rng.integers(1, 60))
+        t1 = float(rng.uniform(0.05, 0.5))
+        t0 = float(rng.uniform(0.0, 0.9 * t1)) if late else 0.0
+        grid = empirical_trajectory(gen, mu0, n, t1, int(rng.integers(1, 12)),
+                                    seed=seed, t0=t0)
+        counts = np.rint(grid.measures * n)
+        assert np.allclose(grid.measures * n, counts, rtol=0.0, atol=1e-9)
+        assert np.all(counts >= 0) and np.all(counts.sum(axis=1) == n)
+        if not late:
+            # the stream's first draw is the start counts
+            rng = montecarlo._stream(seed, n)
+            starts = rng.multinomial(n, mu0.p / mu0.p.sum())
+            assert np.array_equal(counts[0], starts)
