@@ -45,22 +45,30 @@ def _stream(seed: int, n: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(n,)))
 
 
-def _run_copies(gen: Generator, mu0: Measure, n: int, batches: int, nodes,
-                rng, tally=None) -> np.ndarray:
-    """States at time nodes[-1] of ``batches`` batches of n copies from mu0.
+def _jump_law(gen: Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Mean holding times, and each state's cumulative jump law less its
+    last entry as one column, that ``_run_copies`` draws from."""
+    rates = gen.exit_rates
+    hold = np.divide(1.0, rates, out=np.full(gen.size, np.inf), where=rates > 0)
+    return hold, np.cumsum(gen.jump_probabilities(), axis=1)[:, :-1].T.copy()
+
+
+def _run_copies(law, mu0: Measure, n: int, batches: int, nodes, rng,
+                tally=None) -> np.ndarray:
+    """States at time nodes[-1] of ``batches`` batches of n copies from mu0,
+    for the ``_jump_law`` ``law`` of a generator.
 
     Each round jumps every copy due before then by the embedded chain. The
     start counts go to row 0 of ``tally``, a flat ``(len(nodes), size)``
     table, if one is given, and each jump adds +1 at its new state and -1
     at its old one to the row of the first node after it.
     """
+    hold, cum_jump = law
+    size = hold.size
     counts = rng.multinomial(n, mu0.p / mu0.p.sum(), size=batches)
-    states = np.repeat(np.tile(np.arange(gen.size), batches), counts.ravel())
+    states = np.repeat(np.tile(np.arange(size), batches), counts.ravel())
     if tally is not None:
-        tally[:gen.size] += counts.sum(axis=0)
-    rates = gen.exit_rates
-    hold = np.divide(1.0, rates, out=np.full(gen.size, np.inf), where=rates > 0)
-    cum_jump = np.cumsum(gen.jump_probabilities(), axis=1)[:, :-1].T.copy()
+        tally[:size] += counts.sum(axis=0)
     clocks = rng.standard_exponential(states.size) * hold[states]
     due = np.flatnonzero(clocks < nodes[-1])
     at = clocks[due]                            # next jump times of the due
@@ -69,7 +77,7 @@ def _run_copies(gen: Generator, mu0: Measure, n: int, batches: int, nodes,
         u = rng.random(due.size)
         states[due] = new = (u >= cum_jump.take(old, axis=1)).sum(axis=0)
         if tally is not None:
-            row = nodes.searchsorted(at, side="right") * gen.size
+            row = nodes.searchsorted(at, side="right") * size
             tally += np.bincount(row + new, minlength=tally.size)
             tally -= np.bincount(row + old, minlength=tally.size)
         at += rng.standard_exponential(due.size) * hold[new]
@@ -96,9 +104,10 @@ def empirical_trajectory(gen: Generator, mu0: Measure, n: int,
     nodes = t0 + (t1 - t0) / K * np.arange(K + 1)
     rng = _stream(seed, n)
     tally = np.zeros((K + 1) * gen.size, dtype=np.int64)
+    law = _jump_law(gen)
     for first in range(0, n, _BLOCK_COPIES):
         m = min(_BLOCK_COPIES, n - first)
-        _run_copies(gen, mu0, m, 1, nodes, rng, tally)
+        _run_copies(law, mu0, m, 1, nodes, rng, tally)
     counts = tally.reshape(K + 1, gen.size).cumsum(axis=0)
     return PathGrid(gen.space, t0, t1, counts / n)
 
@@ -171,14 +180,14 @@ def estimate_event_decay(gen: Generator, mu0: Measure, event: BallEvent,
     if horizon <= 0:
         raise InvalidParameter("event time must be positive")
 
-    hits = []
+    hits, law = [], _jump_law(gen)
     for i_n, n in enumerate(n_values):
         rng = _stream(seed, n)
         per_block = max(1, _BLOCK_COPIES // n)
         count = 0
         for first in range(0, reps, per_block):
             batches = min(per_block, reps - first)
-            states = _run_copies(gen, mu0, n, batches, (horizon,), rng)
+            states = _run_copies(law, mu0, n, batches, (horizon,), rng)
             counts = np.bincount(np.repeat(np.arange(batches) * gen.size, n)
                                  + states, minlength=batches * gen.size)
             emp = counts.reshape(batches, gen.size) / n

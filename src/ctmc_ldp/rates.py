@@ -306,10 +306,10 @@ def path_action(gen: Generator, path: PathGrid,
     finite-difference speed), evaluated as ``lagrangian_value`` does, with
     its screens and pins, for all cells at once. Newton starts in each cell
     at f = 0, or at the (K+1, n) node potentials ``initial`` taken at the
-    quadrature node, as the measures are (a start that does not converge
-    is retried from f = 0). The first cell in cell order that is infinite
-    ends the sweep and is named in the result; if a cell before it does
-    not settle, NumericalFailure is raised instead.
+    quadrature node in e^f, where a Doob flow is linear (a start that does
+    not converge is retried from f = 0). The first cell in cell order that
+    is infinite ends the sweep and is named in the result; if a cell before
+    it does not settle, NumericalFailure is raised instead.
     """
     if path.space != gen.space:
         raise MalformedModel("path and generator use different state spaces")
@@ -320,7 +320,8 @@ def path_action(gen: Generator, path: PathGrid,
     mids = (1.0 - w) * m[:-1] + w * m[1:]
     status, _, values, _, _, _ = _lagrangian_cells(
         mids[:, :, None] * gen.off_diagonal, (m[1:] - m[:-1]) / dt, 0.0, opts,
-        None if initial is None else (1.0 - w) * initial[:-1] + w * initial[1:])
+        None if initial is None else np.logaddexp(
+            initial[:-1] + math.log(1.0 - w), initial[1:] + math.log(w)))
     cells = dt * np.maximum(values, 0.0)
     unsettled = (status == _Status.STALLED) | (status == _Status.MAX_ITERS)
     stop = np.flatnonzero(unsettled | ~np.isfinite(cells))

@@ -158,7 +158,10 @@ def doob_forward(gen: Generator, mu0: Measure, flow: DoobFlow,
     must be space-time harmonic for the generator, as ``doob_flow`` builds
     it: MalformedModel is raised when its last interval is not one step
     h_{K-1} = log(P_dt e^{h_K}). The action is ``path_action``'s, with
-    Newton started in each cell at the flow at the quadrature node.
+    Newton started in each cell at the flow at the quadrature node, taken
+    there in e^h, where the flow is linear: on a capped boundary tilt e^h
+    falls by orders of magnitude over the last cell, and a start between
+    the h themselves lies far from that cell's maximizer.
     """
     if flow.space != gen.space or mu0.space != gen.space:
         raise MalformedModel("flow, law, and generator use different state spaces")

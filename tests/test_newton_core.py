@@ -5,6 +5,8 @@ that the core replaced; the ``rate`` report prints iteration counts, so
 they are part of the observable behaviour.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,8 @@ from ctmc_ldp import (
     validate_generator,
 )
 from ctmc_ldp import lagrangian
-from ctmc_ldp.lagrangian import _newton_ascent, _settled, _Status
+from ctmc_ldp.lagrangian import (
+    ELIMINATION_CELLS, _eliminate, _newton_ascent, _settled, _Status)
 
 T = 0.7
 TIMES = (0.3, 0.8, 1.2)
@@ -219,6 +222,76 @@ def test_singular_hessian_falls_back_to_the_gradient(monkeypatch):
     assert list(iterations) == [2, 2]
     assert any((t == 2.0 * centre[1]).all(axis=1).any() for t in trials)
     assert all(np.isfinite(t).all() for t in trials)  # never along a NaN step
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_elimination_matches_lapack_on_pinned_laplacians(rng, m):
+    # minus the Hessian on the free coordinates is a graph Laplacian less
+    # its pin's row and column. With symmetric rates log-uniform over
+    # 1e-6..1e3, each cell of a stack above the crossover agrees with
+    # np.linalg.solve to 1e-10 relative, or to eps cond where the cell is
+    # conditioned past that (the two solvers then differ by up to eps
+    # cond, each as far from a long-double solve), and solves its own
+    # system to rounding
+    cells, n = 4 * ELIMINATION_CELLS, m + 1
+    S = 10.0 ** rng.uniform(-6.0, 3.0, (n, n, cells))
+    S = S + S.transpose(1, 0, 2)
+    S[np.arange(n), np.arange(n)] = 0.0
+    lap = -S
+    lap[np.arange(n), np.arange(n)] += S.sum(axis=1)
+    A, g = lap[1:, 1:].copy(), rng.standard_normal((m, cells))
+    x = _eliminate(A.copy(), g)
+    ref = np.linalg.solve(A.transpose(2, 0, 1), g.T[..., None])[..., 0].T
+    eps = np.finfo(float).eps
+    cond = np.linalg.cond(A.transpose(2, 0, 1))
+    rel = np.abs(x - ref).max(axis=0) / np.abs(ref).max(axis=0)
+    assert (rel <= np.maximum(1e-10, 4 * eps * cond)).all()
+    residual = np.abs(np.einsum("ijb,jb->ib", A, x) - g).max(axis=0)
+    scale = np.abs(A).sum(axis=1).max(axis=0) * np.abs(x).max(axis=0)
+    assert (residual <= 4 * m * eps * scale).all()
+
+
+def test_singular_cell_of_a_tall_stack_steps_along_its_gradient(monkeypatch):
+    # as in the two-cell case above, but the stack is tall enough for
+    # elimination, and the singular cell's Hessian is all ones: its second
+    # pivot is zero, which would make its step +-inf and its slope
+    # inf - inf; the step is NaN instead, with no RuntimeWarning, and the
+    # cell steps along its gradient to 2c, halved onto c. Every other cell
+    # takes its Newton step onto its centre at once. No cell goes through
+    # LAPACK
+    cells, singular = 2 * ELIMINATION_CELLS, 5
+    centre = np.random.default_rng(7).uniform(-2.0, 2.0, (3, cells))
+    centre[:, singular] = [0.0, 1.0, 1.5]
+    trials = []
+
+    def objective(x, rows):  # cells on the last axis
+        trials.append((rows, x.copy()))
+        rows = np.arange(cells) if rows is None else rows
+        d = centre[:, rows] - x
+        return -(d ** 2).sum(axis=0), 2.0 * d, rows
+
+    def hessian(rows):
+        return np.where(rows == singular, 1.0, 2.0 * np.eye(3)[..., None])
+
+    def refused(*args):
+        raise AssertionError("a tall stack went through LAPACK")
+
+    monkeypatch.setattr(np.linalg, "solve", refused)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status, x, value, iterations, norm = _newton_ascent(
+            objective, hessian, np.zeros((3, cells)), np.array([1, 2]), SolverOptions())
+    assert (status == _Status.CONVERGED).all()
+    free = centre.copy()
+    free[0] = 0.0
+    np.testing.assert_array_equal(x, free)
+    assert (iterations == 2).all()
+    rows, first = trials[1]  # the first trial step, every cell at once
+    assert rows is None
+    np.testing.assert_array_equal(np.delete(first, singular, axis=1),
+                                  np.delete(free, singular, axis=1))
+    np.testing.assert_array_equal(first[:, singular], 2.0 * free[:, singular])
+    assert all(np.isfinite(x).all() for _, x in trials)
 
 
 def test_unique_coupling_with_a_near_dirac_row():

@@ -34,9 +34,23 @@ from conftest import (
     random_potential,
     symmetric_chain,
 )
-from ctmc_ldp import trajectory
+from ctmc_ldp import lagrangian, trajectory
 from ctmc_ldp.hamiltonian import _log_matrix_apply
 from ctmc_ldp.markov import _expm_generator
+
+
+def _boundary_bridge_inputs():
+    """A boundary bridge over t = 1 as the ``doob`` workload of ``perfbench``
+    builds one: the target blends the evolved law with the uniform one and
+    has state c emptied, so the rate is attained only in a limit and the
+    capped tilt sets h_K(c) = -30."""
+    gen = validate_generator(["a", "b", "c"], [[0.0, 1.3, 0.4],
+                                               [0.7, 0.0, 2.1],
+                                               [0.5, 0.9, 0.0]])
+    mu0 = Measure(gen.space, [0.5, 0.3, 0.2])
+    target = 0.5 * (mu0.p @ transition_matrix(gen, 1.0).P) + 0.5 / 3
+    target[2] = 0.0
+    return gen, mu0, Measure(gen.space, target / target.sum()), 1.0
 
 
 def _nested_flow(gen, f, t, K):
@@ -168,28 +182,57 @@ class TestDoobForward:
         # cell values path_action finds from f = 0: on steep flows (in the
         # last cell of the spread-300 one the flow at the quadrature node lies
         # far from the maximizer), on a capped boundary tilt spreading 51
-        # from state a, with a pinned and isolated from the flux, and on
-        # random flows
+        # from state a, with a pinned and isolated from the flux, on a
+        # boundary bridge's K = 1000 flow, and on random flows
         steep = validate_generator(["a", "b", "c"],
                                    [[0.0, 1.0, 2.0], [0.5, 0.0, 1.0], [2.0, 1.0, 0.0]])
         even = validate_generator(["a", "b", "c"],
                                   [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
         isolated = validate_generator(["a", "b", "c"],
                                       [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 2.0, 0.0]])
-        cases = [(gen, Measure(gen.space, p), Potential(gen.space, f)) for gen, p, f in (
-            (steep, [0.2, 0.3, 0.5], [0.0, 50.0, 100.0]),
-            (steep, [0.2, 0.3, 0.5], [0.0, 150.0, 300.0]),
-            (even, [1 / 3, 1 / 3, 1 / 3], [-30.0, 0.0, 21.2]),
-            (isolated, [0.2, 0.3, 0.5], [60.0, 0.0, 1.0]))]
+        cases = [(gen, Measure(gen.space, p), Potential(gen.space, f), 200)
+                 for gen, p, f in (
+                     (steep, [0.2, 0.3, 0.5], [0.0, 50.0, 100.0]),
+                     (steep, [0.2, 0.3, 0.5], [0.0, 150.0, 300.0]),
+                     (even, [1 / 3, 1 / 3, 1 / 3], [-30.0, 0.0, 21.2]),
+                     (isolated, [0.2, 0.3, 0.5], [60.0, 0.0, 1.0]))]
+        gen, mu0, target, t = _boundary_bridge_inputs()
+        with pytest.warns(BoundaryBridgeWarning):
+            cases.append((gen, mu0, optimal_bridge(gen, mu0, target, t, 10).tilt, 1000))
         for _ in range(3):
             gen = random_model(rng)
             cases.append((gen, random_measure(rng, gen),
-                          random_potential(rng, gen, bound=2.0)))
-        for gen, mu0, f in cases:
-            path, action = doob_forward(gen, mu0, doob_flow(gen, f, 1.0, 200))
+                          random_potential(rng, gen, bound=2.0), 200))
+        for gen, mu0, f, K in cases:
+            path, action = doob_forward(gen, mu0, doob_flow(gen, f, 1.0, K))
             cold = path_action(gen, path)
             assert action.infeasible_cell is None and cold.infeasible_cell is None
             assert np.abs(action.cell_values - cold.cell_values).max() <= 1e-13
+
+    def test_warm_start_settles_every_cell_of_a_boundary_bridge(self, monkeypatch):
+        # over the last cell e^h(c) falls from e^-6.6 to e^-30. The flow is
+        # linear in e^h, so the warm start at the quadrature node, taken
+        # there, lies within 2e-4 of the maximizer (-7.1776 against -7.1778,
+        # pinned at a); the same weights on h itself gave -17.1, and that one
+        # cell took 15 Newton iterations, each a pass over every unsettled
+        # cell, while the others settled within 4
+        gen, mu0, target, t = _boundary_bridge_inputs()
+        ascent, calls = lagrangian._newton_ascent, []
+
+        def recorded(objective, hessian, x, free, opts, tol=None):
+            out = ascent(objective, hessian, x, free, opts, tol)
+            calls.append((x.shape[1], x.any(), out[3]))
+            return out
+
+        monkeypatch.setattr(lagrangian, "_newton_ascent", recorded)
+        with pytest.warns(BoundaryBridgeWarning):
+            bridge = optimal_bridge(gen, mu0, target, t, 1000)
+        assert bridge.boundary and bridge.action.infeasible_cell is None
+        cells = [call for call in calls if call[0] > 1]  # the rate's own solve is one cell
+        assert len(cells) == 1  # no cell was solved again from 0
+        size, warm, iterations = cells[0]
+        assert size == 1000 and warm
+        assert iterations.max() <= 4
 
     def test_non_harmonic_flow_rejected(self, rng):
         gen = random_model(rng, n_min=3, n_max=3)
