@@ -26,6 +26,7 @@ import argparse
 import csv
 import functools
 import hashlib
+import io
 import json
 import math
 import sys
@@ -70,14 +71,14 @@ class _Unparseable(Exception):
 # Model and path files
 # ---------------------------------------------------------------------------
 
-def load_model(path) -> tuple[Generator, Measure, dict]:
-    """Parse and validate a model file.
+def load_model(path, data=None) -> tuple[Generator, Measure, dict]:
+    """Parse and validate a model file: ``data``, its bytes, if given.
 
     Returns the generator, the initial law (uniform if absent, with a
     warning on stderr), and the raw document.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    doc = json.loads(text)
+    data = Path(path).read_bytes() if data is None else data
+    doc = json.loads(data.decode("utf-8"))
     if not isinstance(doc, dict) or "states" not in doc or "rates" not in doc:
         raise ToolkitError("model file needs 'states' and 'rates' keys")
     gen = validate_generator(doc["states"], doc["rates"])
@@ -98,27 +99,27 @@ def write_path_csv(path, grid: PathGrid) -> None:
             writer.writerow([f"{t:.12g}", *[f"{v:.17g}" for v in row]])
 
 
-def read_path_csv(path, space=None) -> PathGrid:
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if len(header) < 3 or header[0] != "t":
-            raise ToolkitError("path CSV must have header 't,<label>...'")
-        labels = tuple(header[1:])
-        if space is None:
-            space = StateSpace(labels)
-        elif tuple(space.labels) != labels:
-            raise ToolkitError("path CSV labels do not match the model")
-        rows = []
-        for row in filter(None, reader):
-            where = f"{path}, line {reader.line_num}"
-            if len(row) != len(header):
-                raise _Unparseable(f"{where}: {len(row)} fields, header has "
-                                   f"{len(header)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise _Unparseable(f"{where}: {exc}") from None
+def read_path_csv(path, space=None, data=None) -> PathGrid:
+    data = Path(path).read_bytes() if data is None else data
+    reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=None))
+    header = next(reader, [])
+    if len(header) < 3 or header[0] != "t":
+        raise ToolkitError("path CSV must have header 't,<label>...'")
+    labels = tuple(header[1:])
+    if space is None:
+        space = StateSpace(labels)
+    elif tuple(space.labels) != labels:
+        raise ToolkitError("path CSV labels do not match the model")
+    rows = []
+    for row in filter(None, reader):
+        where = f"{path}, line {reader.line_num}"
+        if len(row) != len(header):
+            raise _Unparseable(f"{where}: {len(row)} fields, header has "
+                               f"{len(header)}")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise _Unparseable(f"{where}: {exc}") from None
     if len(rows) < 2:
         raise ToolkitError("path CSV needs at least two rows")
     table = np.array(rows)
@@ -164,16 +165,17 @@ def _report_path(args) -> Path:
 
 
 def _run(args) -> int:
-    """Run one subcommand and write its report."""
-    gen, mu0, _ = load_model(args.model)
-    t0 = time.monotonic()
+    """Run one subcommand and write its report, reading each input once."""
     inputs = [str(getattr(args, key)) for key in ("model", "path")
               if getattr(args, key, None) is not None]
-    h = hashlib.sha256()
-    for name in inputs:
-        h.update(Path(name).read_bytes())
+    data = [Path(inputs[0]).read_bytes()]
+    gen, mu0, _ = load_model(args.model, data[0])
+    t0 = time.monotonic()
+    data += [Path(name).read_bytes() for name in inputs[1:]]
+    h = hashlib.sha256(b"".join(data))
     blob = {k: v for k, v in sorted(vars(args).items()) if k != "out"}
     h.update(json.dumps(blob, sort_keys=True, default=str).encode())
+    args.path_data = data[1] if len(data) > 1 else None  # for cmd_action
     code, outputs = globals()["cmd_" + args.subcommand.replace("-", "_")](
         args, gen, mu0)
     _write_json(_report_path(args), {
@@ -339,7 +341,7 @@ def cmd_bridge(args, gen, mu0):
 
 
 def cmd_action(args, gen, mu0):
-    grid = read_path_csv(args.path, gen.space)
+    grid = read_path_csv(args.path, gen.space, args.path_data)
     result = path_action(gen, grid, opts=_solver_options(args))
     print(f"action over [{grid.t0}, {grid.t1}] with K={grid.K}: "
           f"{result.value:.10g}")

@@ -98,7 +98,7 @@ def v_apply(gen: Generator, f: Potential, t: float) -> Potential:
     """The nonlinear semigroup V(t)f = log E[e^{f(X(t))} | X(0) = x]."""
     if t < 0:
         raise InvalidTime(f"time must be nonnegative, got {t}")
-    P = _expm_generator(gen.Q, float(t))
+    P = _expm_generator(gen, float(t))
     return Potential(gen.space, _log_matrix_apply(P, f.f))
 
 

@@ -4,13 +4,15 @@ Everything here is exact linear machinery on a finite state space: rate
 matrices, the transition semigroup computed by uniformization, resolvents,
 evolution of probability laws, relative entropy, and the reachability and
 transport kernels behind the exact verdicts. All values are immutable after
-construction and safe to share across threads.
+construction and safe to share across threads; a generator's cached
+uniformization table is read-only, and a race at worst computes it twice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,7 +71,8 @@ class StateSpace:
 
 @dataclass(frozen=True)
 class Generator:
-    """Rate matrix of a CTMC: nonnegative off-diagonal, zero row sums."""
+    """Rate matrix of a CTMC: nonnegative off-diagonal, zero row sums. Its
+    uniformization table for e^{tQ} is computed on first use and kept."""
 
     space: StateSpace
     Q: np.ndarray
@@ -109,6 +112,25 @@ class Generator:
     @property
     def max_exit_rate(self) -> float:
         return float(np.max(self.exit_rates))
+
+    @cached_property
+    def _uniformized(self) -> tuple[float, np.ndarray]:
+        """(c, read-only (K + 1, n^2) rows B^k / k!), B = I + Q/c, c the largest
+        exit rate (1 if none) and K the degree of ``_expm_generator`` at m = 1."""
+        n, c = self.size, self.max_exit_rate or 1.0
+        k, tail = n - 1, 1.0  # tail: 1 / k! over its value at k = n - 1
+        while tail >= UNIFORMIZATION_TAIL:
+            k, tail = k + 1, tail / (k + 1)
+        terms = np.empty((k + 1, n * n))
+        rows, B, j = terms.reshape(-1, n), np.eye(n) + self.Q / c, n
+        rows[:n] = np.eye(n)  # rows: B^0..B^K stacked, then scaled by 1/k!
+        while j < len(rows):  # B^j.. as B^0.. times B^j, j doubling
+            top = rows[j:2 * j]
+            np.dot(rows[:len(top)], B, out=top)
+            B, j = B.dot(B), 2 * j
+        terms[1:] *= np.cumprod(1.0 / np.arange(1, k + 1))[:, None]
+        terms.setflags(write=False)
+        return c, terms
 
     def jump_probabilities(self) -> np.ndarray:
         """Embedded-chain transition matrix; rows of absorbing states are zero."""
@@ -227,31 +249,22 @@ def validate_generator(labels, rates) -> Generator:
     return Generator(space, Q)
 
 
-def _expm_generator(Q: np.ndarray, t: float) -> np.ndarray:
-    """e^{tQ} of one (n, n) generator by uniformization, scaled and squared
-    (Moler and Van Loan, SIAM Rev. 45, 2003).
-
-    With c the largest exit rate, s = ceil(log2 ct) halvings (none when
-    ct <= 1) and m = ct / 2^s <= 1, the series e^{-m} sum_k (mB)^k / k!,
-    B = I + Q/c, gives e^{tQ / 2^s}, which is squared s times. Every term
-    is nonnegative and the series runs through n - 1 jumps, so every
-    reachable transition is positive; the neglected tail is relative to
-    that jump's weight (see UNIFORMIZATION_TAIL). The rows are normalized
-    after the sum and after each square.
+def _expm_generator(gen: Generator, t: float) -> np.ndarray:
+    """e^{tQ} by uniformization, scaled and squared (Moler and Van Loan,
+    SIAM Rev. 45, 2003). With c the largest exit rate, s = ceil(log2 ct)
+    halvings (none when ct <= 1) and m = ct / 2^s <= 1, the series
+    e^{-m} sum_k m^k B^k / k!, B = I + Q/c, gives e^{tQ / 2^s}, squared s
+    times. Its terms B^k / k! through the degree K at which it stops at
+    m = 1 are the generator's cached ``_uniformized``; each call sums all
+    K + 1. Every term is nonnegative and the series runs through n - 1
+    jumps, so every reachable transition is positive; the neglected tail
+    is relative to that jump's weight (see UNIFORMIZATION_TAIL). The rows
+    are normalized after the sum and after each square.
     """
-    n = Q.shape[0]
-    c = float(-Q.diagonal().min())  # any rate at or above it uniformizes
+    c, terms = gen._uniformized
     s = math.ceil(math.log2(c * t)) if c * t > 1.0 else 0
-    m, mB = c * t / 2**s, t / 2**s * (Q + c * np.eye(n))  # mB without dividing by c
-    acc = term = np.eye(n)
-    k, tail = 0, 1.0  # tail: m^k / k! over its value at k = n - 1
-    while k < n - 1 or tail >= UNIFORMIZATION_TAIL:
-        k += 1
-        term = term @ mB / k
-        acc = acc + term
-        if k >= n:
-            tail *= m / k
-    P = acc / acc.sum(axis=1, keepdims=True)
+    P = ((c * t / 2**s) ** np.arange(len(terms)) @ terms).reshape(gen.Q.shape)
+    P /= P.sum(axis=1, keepdims=True)
     for _ in range(s):
         P = P @ P
         P /= P.sum(axis=1, keepdims=True)
@@ -262,7 +275,7 @@ def transition_matrix(gen: Generator, t: float) -> StochasticMatrix:
     """Transition probabilities e^{tQ} after time t >= 0."""
     if t < 0:
         raise InvalidTime(f"time must be nonnegative, got {t}")
-    return StochasticMatrix(gen.space, _expm_generator(gen.Q, float(t)))
+    return StochasticMatrix(gen.space, _expm_generator(gen, float(t)))
 
 
 def _reachable(adjacency: np.ndarray) -> np.ndarray:
@@ -347,7 +360,7 @@ def evolve_law(gen: Generator, mu: Measure, t: float) -> Measure:
     """Push a law forward: the distribution of X(t) when X(0) ~ mu."""
     if t < 0:
         raise InvalidTime(f"time must be nonnegative, got {t}")
-    p = mu.p @ _expm_generator(gen.Q, float(t))
+    p = mu.p @ _expm_generator(gen, float(t))
     return Measure(gen.space, _fix_probability_vector(p))
 
 

@@ -233,7 +233,7 @@ def ball_infimum_rate(gen: Generator, mu0: Measure, nu: Measure, t: float,
         raise InvalidParameter("ball radius must be positive")
     if t <= 0:
         raise InvalidParameter(f"time must be positive, got {t}")
-    P = _expm_generator(gen.Q, float(t))
+    P = _expm_generator(gen, float(t))
     center = mu0.p @ P
     dist = float(np.abs(center - nu.p).sum())
     if dist <= delta:

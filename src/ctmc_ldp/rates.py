@@ -153,7 +153,7 @@ def conditional_rate(gen: Generator, mu: Measure, nu: Measure, t: float,
         raise InvalidParameter(f"time must be positive, got {t}")
     if mu.space != nu.space or mu.space != gen.space:
         raise MalformedModel("inputs live on different state spaces")
-    P = _expm_generator(gen.Q, float(t))
+    P = _expm_generator(gen, float(t))
     return _conditional_rates(gen, mu.p[None], nu.p[None], P[None], opts)[0]
 
 
@@ -257,7 +257,7 @@ def joint_rate(gen: Generator, mu0: Measure, partition: Partition,
                              f"states for {len(times) - 1} partition times")
     value, steps = relative_entropy(nus[0], mu0), []
     if math.isfinite(value):
-        Ps = [_expm_generator(gen.Q, b - a) for a, b in zip(times, times[1:])]
+        Ps = [_expm_generator(gen, b - a) for a, b in zip(times, times[1:])]
         laws = np.array([nu.p for nu in nus])
         steps = _conditional_rates(gen, laws[:-1], laws[1:], np.array(Ps), opts)
         value += sum(step.value for step in steps)

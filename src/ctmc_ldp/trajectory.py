@@ -111,7 +111,7 @@ def doob_flow(gen: Generator, f: Potential, t: float, K: int) -> DoobFlow:
         raise InvalidParameter(f"horizon must be positive, got {t}")
     if K < 1:
         raise InvalidParameter(f"need at least one interval, got K={K}")
-    Pdt = _expm_generator(gen.Q, t / K)
+    Pdt = _expm_generator(gen, t / K)
     h = np.empty((K + 1, gen.size))
     h[K] = f.f
     c = f.f.max()
@@ -165,7 +165,7 @@ def doob_forward(gen: Generator, mu0: Measure, flow: DoobFlow,
     """
     if flow.space != gen.space or mu0.space != gen.space:
         raise MalformedModel("flow, law, and generator use different state spaces")
-    Pdt = _expm_generator(gen.Q, flow.dt)
+    Pdt = _expm_generator(gen, flow.dt)
     step = _log_matrix_apply(Pdt, flow.h[-1]) - flow.h[-2]
     if np.abs(step).max() > HARMONIC_TOL * (1.0 + np.abs(flow.h[-1]).max()):
         raise MalformedModel("flow is not space-time harmonic for this generator")
@@ -223,7 +223,7 @@ def zero_cost_path(gen: Generator, mu0: Measure, t: float, K: int) -> PathGrid:
         raise InvalidParameter(f"horizon must be positive, got {t}")
     if K < 1:
         raise InvalidParameter(f"need at least one interval, got K={K}")
-    out = _power_rows(mu0.p, _expm_generator(gen.Q, t / K), K)
+    out = _power_rows(mu0.p, _expm_generator(gen, t / K), K)
     out[1:] /= out[1:].sum(axis=1, keepdims=True)
     return PathGrid(gen.space, 0.0, float(t), out)
 

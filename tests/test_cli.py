@@ -1,5 +1,8 @@
 """Command-line interface: parsing, subcommands, reports, round trips."""
 
+import builtins
+import collections
+import io
 import json
 import re
 from pathlib import Path
@@ -373,3 +376,24 @@ class TestReports:
         first = digest(STATIONARY_PATH)
         assert digest(STATIONARY_PATH) == first
         assert digest(DRIFTING_PATH) != first
+
+    def test_each_input_file_read_once(self, tmp_path, monkeypatch):
+        # the digest covers the bytes that were parsed: a second read could
+        # see a file rewritten in between
+        model, path = tmp_path / "model.json", tmp_path / "path.csv"
+        model.write_bytes(Path(SYMMETRIC).read_bytes())
+        path.write_text(DRIFTING_PATH)
+        reads, real = collections.Counter(), io.open
+
+        def counting(file, *args, **kwargs):
+            reads[str(file)] += 1
+            return real(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting)
+        monkeypatch.setattr(builtins, "open", counting)
+        for argv in (["check"], ["action", "--path", str(path)]):
+            reads.clear()
+            assert main([*argv, "--model", str(model),
+                         "--out", str(tmp_path / "out")]) == 0
+            assert reads[str(model)] == 1
+            assert reads[str(path)] == (argv[0] == "action")

@@ -202,7 +202,7 @@ class TestVApply:
                                                    [1e-6, 0.0, 0.0],
                                                    [0.0, 0.0, 0.0]])
         f = np.array([0.0, 750.0, 1500.0])
-        P = _expm_generator(gen.Q, 0.01)
+        P = _expm_generator(gen, 0.01)
         with np.errstate(divide="ignore"):
             shifted = 1500.0 + np.log(P @ np.exp(f - 1500.0))
         assert np.isneginf(shifted[:2]).all()  # so the per-row repair runs
@@ -389,9 +389,9 @@ class TestKernels:
         for high, t in ((0.5, 0.7), (3.0, 1e-3), (3.0, 2.0), (40.0, 0.9),
                         (1e3, 1e-3), (1e3, 0.2), (2e3, 1.5)):
             for _ in range(3):
-                Q = random_model(rng, n_min=2, n_max=5, rate_high=high).Q
-                ref = linalg.expm(t * Q)
-                assert np.abs(_expm_generator(Q, t) - ref).max() <= 1e-12
+                gen = random_model(rng, n_min=2, n_max=5, rate_high=high)
+                ref = linalg.expm(t * gen.Q)
+                assert np.abs(_expm_generator(gen, t) - ref).max() <= 1e-12
 
     def test_expm_stiff_rows_stay_stochastic(self, rng):
         # rates 1e3 out of the outer states and 1e-3 out of the middle one
@@ -400,7 +400,7 @@ class TestKernels:
                                                    [1e-3, 0.0, 1e-3],
                                                    [0.0, 1e3, 0.0]])
         for t in (1e-4, 1.0, 30.0):
-            P = _expm_generator(gen.Q, t)
+            P = _expm_generator(gen, t)
             assert P.min() >= 0.0
             assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-12
             assert np.abs(P - linalg.expm(t * gen.Q)).max() <= 1e-12
@@ -418,7 +418,7 @@ class TestKernels:
         rates[rng.random((n, n)) < 0.6] = 0.0
         gen = validate_generator([f"s{i}" for i in range(n)], rates)
         t = float(10.0 ** rng.uniform(-4.0, 0.0))
-        P = _expm_generator(gen.Q, t)
+        P = _expm_generator(gen, t)
         reach = _reachable(gen.off_diagonal > 0.0)
         assert np.array_equal(P > 0.0, reach)
         with mpmath.workdps(60):
@@ -427,9 +427,10 @@ class TestKernels:
         assert (np.abs(P - ref)[reach] <= 1e-12 * ref[reach]).all()
 
     def test_expm_identity_at_zero(self, rng):
-        Q = random_model(rng).Q
-        assert np.array_equal(_expm_generator(Q, 0.0), np.eye(len(Q)))
-        assert np.array_equal(_expm_generator(np.zeros((3, 3)), 5.0), np.eye(3))
+        gen = random_model(rng)
+        assert np.array_equal(_expm_generator(gen, 0.0), np.eye(gen.size))
+        zero = validate_generator(["a", "b", "c"], np.zeros((3, 3)))
+        assert np.array_equal(_expm_generator(zero, 5.0), np.eye(3))
 
     def test_log_matrix_apply_matches_log_sum_exp(self, rng):
         # any spread stays in range at any offset, where e^f alone would

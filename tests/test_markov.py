@@ -20,6 +20,7 @@ from ctmc_ldp import (
     transition_matrix,
     validate_generator,
 )
+from ctmc_ldp.markov import UNIFORMIZATION_TAIL, _expm_generator
 from conftest import (
     absorbing_chain, random_chain, random_measure, random_model, symmetric_chain)
 
@@ -116,6 +117,62 @@ class TestTransitionMatrix:
         P = transition_matrix(gen, 50.0).P
         assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-10
         assert P.min() >= 0.0
+
+
+def _series_expm(Q, t):
+    """e^{tQ} term by term: the uniformization series at m = ct / 2^s <= 1,
+    stopped by the tail rule at m, then squared s times."""
+    n = Q.shape[0]
+    c = float(-Q.diagonal().min())
+    s = math.ceil(math.log2(c * t)) if c * t > 1.0 else 0
+    m, mB = c * t / 2**s, t / 2**s * (Q + c * np.eye(n))
+    acc = term = np.eye(n)
+    k, tail = 0, 1.0
+    while k < n - 1 or tail >= UNIFORMIZATION_TAIL:
+        k += 1
+        term = term @ mB / k
+        acc = acc + term
+        if k >= n:
+            tail *= m / k
+    P = acc / acc.sum(axis=1, keepdims=True)
+    for _ in range(s):
+        P = P @ P
+        P /= P.sum(axis=1, keepdims=True)
+    return P
+
+
+class TestUniformizedTable:
+    def test_table_is_not_shared_mutable_state(self, rng):
+        gen = random_chain(rng, "stiff", n_min=3)
+        times = (0.0, 1e-4, 0.5, 3.0, 50.0)
+        first = []
+        for t in times:
+            P = _expm_generator(gen, t)
+            fresh = _expm_generator(Generator(gen.space, gen.Q), t)
+            assert P.tobytes() == fresh.tobytes()
+            first.append(fresh)
+            P[...] = 7.0
+        for t, P in zip(times, first):
+            assert _expm_generator(gen, t).tobytes() == P.tobytes()
+        c, terms = gen._uniformized
+        assert not terms.flags.writeable
+        assert terms.base is None or not terms.base.flags.writeable
+        with pytest.raises(ValueError):
+            terms[0, 0] = 2.0
+
+    @settings(max_examples=60, deadline=2000)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(("random", "stiff", "sparse")))
+    def test_matches_the_series_term_by_term(self, seed, kind):
+        # t log-uniform in [1e-4, 10], so from no halving to about 15: the
+        # same transitions are positive, each within 1e-13 relative of the
+        # series summed term by term at its own m
+        rng = np.random.default_rng(seed)
+        gen = random_chain(rng, kind)
+        t = float(10.0 ** rng.uniform(-4.0, 1.0))
+        P, ref = _expm_generator(gen, t), _series_expm(np.asarray(gen.Q), t)
+        assert np.array_equal(P > 0.0, ref > 0.0)
+        assert (np.abs(P - ref) <= 1e-13 * ref).all()
 
 
 class TestResolvent:

@@ -210,7 +210,7 @@ class TestBallInfimumRate:
         calls = []
         expm = montecarlo._expm_generator
         monkeypatch.setattr(montecarlo, "_expm_generator",
-                            lambda Q, t: calls.append(t) or expm(Q, t))
+                            lambda gen, t: calls.append(t) or expm(gen, t))
         balled = ball_infimum_rate(gen, mu0, nu, 0.5, 0.1)
         assert calls == [0.5]
         assert 0.0 < balled <= conditional_rate(gen, mu0, nu, 0.5).value

@@ -55,7 +55,7 @@ def _boundary_bridge_inputs():
 
 def _nested_flow(gen, f, t, K):
     """h(s_k) by K nested max-shifted log-space steps from h(t) = f."""
-    P = _expm_generator(gen.Q, t / K)
+    P = _expm_generator(gen, t / K)
     h = [f]
     for _ in range(K):
         h.append(_log_matrix_apply(P, h[-1]))
@@ -131,7 +131,7 @@ class TestDoobForward:
             gen = random_model(rng)
             mu0 = random_measure(rng, gen)
             flow = doob_flow(gen, random_potential(rng, gen, bound=2.0), 1.1, K)
-            Pdt = _expm_generator(gen.Q, flow.dt)
+            Pdt = _expm_generator(gen, flow.dt)
             p, ref = mu0.p, [mu0.p]
             for k in range(K):
                 p = p @ (Pdt * np.exp(flow.h[k + 1] - flow.h[k][:, None]))
@@ -445,7 +445,7 @@ class TestZeroCostPath:
     def test_matches_repeated_steps(self, rng):
         gen = random_model(rng)
         mu0 = random_measure(rng, gen)
-        P = _expm_generator(gen.Q, 1.3 / 1000)
+        P = _expm_generator(gen, 1.3 / 1000)
         p, ref = mu0.p, [mu0.p]
         for _ in range(1000):
             p = p @ P
