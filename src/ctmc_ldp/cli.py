@@ -374,9 +374,10 @@ def cmd_verify_ldp(args, gen, mu0):
                    "reference_rate": reference}
     est_path = Path(args.out) / "decay_estimate.json"
     _write_json(est_path, est.to_dict())
-    rel = abs(est.slope - reference) / reference if reference > 0 else 0.0
+    rel = abs(est.slope - reference) / reference if reference > 0 else math.nan
+    gap = f"rel. gap = {rel:.1%}" if reference > 0 else f"abs. gap = {abs(est.slope):.3g}"
     print(f"fitted slope = {est.slope:.6g} +- {est.stderr:.2g}  "
-          f"ball-corrected rate = {reference:.6g}  rel. gap = {rel:.1%}")
+          f"ball-corrected rate = {reference:.6g}  {gap}")
     return 0, {"slope": est.slope, "stderr": est.stderr,
                "reference_rate": reference, "relative_gap": rel,
                "estimate_json": est_path.name}

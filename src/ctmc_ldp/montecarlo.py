@@ -238,6 +238,5 @@ def ball_infimum_rate(gen: Generator, mu0: Measure, nu: Measure, t: float,
     dist = float(np.abs(center - nu.p).sum())
     if dist <= delta:
         return 0.0
-    lam = delta / dist
-    boundary = Measure(gen.space, nu.p + lam * (center - nu.p))
-    return _conditional_rates(gen, mu0.p[None], boundary.p[None], P[None], opts)[0].value
+    boundary = nu.p + delta / dist * (center - nu.p)
+    return float(_conditional_rates(mu0.p[None], boundary[None], P[None], opts)[0][0])

@@ -2,18 +2,19 @@
 
 The conditional rate I_t(nu | mu) = sup_f { <f, nu> - <V(t)f, mu> } is the
 relative entropy of the cheapest coupling of mu and nu under mu_x P_xy,
-P = e^{tQ} (Csiszar's I-projection). On the coupling graph whose nodes are
-the support states of nu, then the started states, each started x sending
-the flux mu_x P_xy along its live pairs (P_xy > 0), a coupling is a current
+P = e^{tQ} (Csiszar's I-projection). On a coupling graph of 2n nodes, the
+n targets and then the n rows, each started x sends the flux mu_x P_xy to
+the support of nu along its live pairs (P_xy > 0); a coupling is a current
 of speed (nu, -mu), and I_t is that graph's Lagrangian plus sum mu - sum
-flux: a cell of ``lagrangian._lagrangian_cells``, which decides +infinity
-and the pairs no coupling uses (dropped; the rate is then attained only in
-a limit). Mass on a state with no live pair is +infinity however small;
-from a Dirac law, or to one, the only coupling is mu x nu, in closed form.
+flux: a cell of ``lagrangian._lagrangian_cells``, which pins the isolated
+nodes, decides +infinity and the pairs no coupling uses (dropped; the rate
+is then attained only in a limit). Mass on a state with no live pair is
++infinity however small; from a Dirac law, or to one, the only coupling is
+mu x nu, in closed form.
 
 The joint rate at several times is the initial relative entropy plus the
-chain of conditional rates between consecutive marginals, all in one
-evaluator call, with potentials in closed form from the step maximizers.
+chain of conditional rates between consecutive marginals, as arrays from
+one evaluator call, with potentials in closed form from the step maximizers.
 The action of a discretized measure path is the cell-by-cell Lagrangian of
 within-cell measures and finite-difference speeds, all cells in one
 evaluator call; the partition rate is the joint rate of the grid nodes at
@@ -154,15 +155,24 @@ def conditional_rate(gen: Generator, mu: Measure, nu: Measure, t: float,
     if mu.space != nu.space or mu.space != gen.space:
         raise MalformedModel("inputs live on different state spaces")
     P = _expm_generator(gen, float(t))
-    return _conditional_rates(gen, mu.p[None], nu.p[None], P[None], opts)[0]
+    value, status, f, levels, iters, gnorm = (
+        a[0] for a in _conditional_rates(mu.p[None], nu.p[None], P[None], opts))
+    on = nu.p > 0.0
+    support = tuple(on.nonzero()[0].tolist())
+    pins = (None, None) if status == _Status.INFINITE else (f[on], levels[on])
+    attained = len(support) == gen.size and status == _Status.CONVERGED
+    return ConditionalRateResult(float(value), Potential(gen.space, f) if attained else None,
+                                 support, *pins, int(iters), float(gnorm))
 
 
-def _conditional_rates(gen, mus, nus, Ps, opts):
+def _conditional_rates(mus, nus, Ps, opts):
     """I(nu_k | mu_k) under the transition matrices P_k for a stack of
-    steps, the laws rescaled to sum to one, up to and including the first
-    +infinite step; NumericalFailure if one before it does not settle.
-    Stranded mass and product couplings are settled here, the other steps
-    by the evaluator, padded with isolated nodes to one size."""
+    steps, the laws rescaled to sum to one. Stranded mass and product
+    couplings are settled here, the other steps by the evaluator, every
+    coupling graph on the same 2n nodes. Returns per-step value, status,
+    maximizer rows (pinned on the support), support levels, iterations
+    and gradient norm, up to and including the first +infinite step;
+    NumericalFailure if one before it does not settle."""
     opts = opts or DEFAULT_OPTIONS
     k, n = mus.shape
     mus, nus = (a / a.sum(axis=1, keepdims=True) for a in (mus, nus))
@@ -170,52 +180,43 @@ def _conditional_rates(gen, mus, nus, Ps, opts):
     flux = mus[:, :, None] * Ps * support[:, None, :]
     live = flux > 0.0
     finite = ~(started & ~live.any(axis=2) | support & ~live.any(axis=1)).any(axis=1)
-    rows, sups = started.sum(axis=1), support.sum(axis=1)
-    general = np.flatnonzero(finite & (rows > 1) & (sups > 1))
+    general = (finite & (started.sum(axis=1) > 1) & (support.sum(axis=1) > 1)).nonzero()[0]
     status = np.where(finite, _Status.CONVERGED, _Status.INFINITE)
-    iters, gnorm, levels = np.zeros(k, int), np.zeros(k), np.zeros((k, n), int)
+    iters, levels = np.zeros(k, int), np.zeros((k, n), int)
+    gnorm = np.where(finite, 0.0, math.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g = np.log(nus / (mus[:, None, :] @ Ps)[:, 0])
-        value = (mus[:, :, None] * nus[:, None, :] * np.log(
-            np.where(live, nus[:, None, :] / Ps, 1.0))).sum(axis=(1, 2))
+        value = np.where(finite, (mus[:, :, None] * nus[:, None, :] * np.log(
+            np.where(live, nus[:, None, :] / Ps, 1.0))).sum(axis=(1, 2)), math.inf)
         f = g - g[np.arange(k), support.argmax(axis=1)][:, None]
-        # coupling graphs: support states, then started rows, started at g
-        m, c = (rows + sups)[general].max(initial=0), general.size
-        cells, (us, start) = np.zeros((c, m, m)), np.zeros((2, c, m))
-        for j, i in enumerate(general):
-            s, r = sups[i], rows[i]
-            cells[j, s:s + r, :s] = flux[i][started[i]][:, support[i]]
-            us[j, :s], us[j, s:s + r] = nus[i, support[i]], -mus[i, started[i]]
-            start[j, :s] = f[i, support[i]]
-            start[j, s:s + r] = np.log(cells[j, s:s + r, :s] @ np.exp(start[j, :s])
-                                       / mus[i, started[i]])
-        start[~np.isfinite(start)] = 0.0
     if general.size:
+        # coupling graphs: the n targets, then the n rows, started at f and
+        # log(P e^f); a target off the support or a row not started is an
+        # isolated zero-speed node, which the evaluator pins
+        a, sent = flux[general], np.where(support, f, 0.0)[general]
+        cells = np.zeros((general.size, 2 * n, 2 * n))
+        cells[:, n:, :n] = a
+        us = np.concatenate((nus[general], -mus[general]), axis=1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rows = np.log((a @ np.exp(sent)[..., None])[..., 0] / mus[general])
+        start = np.concatenate((sent, np.where(np.isfinite(rows), rows, 0.0)), axis=1)
         status[general], x, value[general], iters[general], gnorm[general], kept = (
-            _lagrangian_cells(cells, us, 1.0 - cells.sum(axis=(1, 2)), opts, start,
+            _lagrangian_cells(cells, us, 1.0 - a.sum(axis=(1, 2)), opts, start,
                               MEASURE_ZERO, MEASURE_SUM_TOL))
-        for j, (i, s) in enumerate(zip(general, sups[general])):
-            f[i, support[i]] = x[j, :s]
-            if status[i] == _Status.BOUNDARY:
-                # a dropped pair shuts as its target's component sinks below its
-                # row's: pin each kept component, count the components upstream
-                root = _reachable(kept[j] | kept[j].T).argmax(axis=1)[:s]
-                f[i, support[i]] -= x[j, root]
-                pairs = kept[j, s:s + rows[i], :s].T @ live[i][started[i]][:, support[i]]
-                ahead = _reachable(pairs)
-                levels[i, support[i]] = ahead[root == np.arange(s)].sum(axis=0) - 1
-    out = []
-    for i in range(k):
-        sup = tuple(np.flatnonzero(support[i]).tolist())
-        if status[i] == _Status.INFINITE:
-            return out + [ConditionalRateResult(math.inf, None, sup, None, None, 0,
-                                                math.inf)]
-        _settled(status[i], opts)
-        attained = len(sup) == n and status[i] == _Status.CONVERGED
-        out.append(ConditionalRateResult(
-            max(float(value[i]), 0.0), Potential(gen.space, f[i]) if attained else None,
-            sup, f[i, support[i]], levels[i, support[i]], int(iters[i]), float(gnorm[i])))
-    return out
+        f[general] = x[:, :n]
+        for j in (status[general] == _Status.BOUNDARY).nonzero()[0]:
+            # a dropped pair shuts as its target's component sinks below its
+            # row's: pin each kept component, count the components upstream
+            i, root = general[j], _reachable(kept[j] | kept[j].T).argmax(axis=1)[:n]
+            f[i] -= x[j, root]
+            ahead = _reachable(kept[j, n:, :n].T @ live[i])
+            levels[i] = ahead[root == np.arange(n)].sum(axis=0) - 1
+    stop = (status == _Status.INFINITE).nonzero()[0]
+    end = stop[0] + 1 if stop.size else k
+    unsettled = (status[:end] == _Status.STALLED) | (status[:end] == _Status.MAX_ITERS)
+    if unsettled.any():
+        _settled(status[unsettled.argmax()], opts)
+    return tuple(a[:end] for a in (np.maximum(value, 0.0), status, f, levels, iters, gnorm))
 
 
 @dataclass(frozen=True)
@@ -255,18 +256,17 @@ def joint_rate(gen: Generator, mu0: Measure, partition: Partition,
     if len(nus) != len(times) or any(nu.space != gen.space for nu in nus):
         raise MalformedModel(f"need {len(times)} marginals on the generator's "
                              f"states for {len(times) - 1} partition times")
-    value, steps = relative_entropy(nus[0], mu0), []
-    if math.isfinite(value):
-        Ps = [_expm_generator(gen, b - a) for a, b in zip(times, times[1:])]
-        laws = np.array([nu.p for nu in nus])
-        steps = _conditional_rates(gen, laws[:-1], laws[1:], np.array(Ps), opts)
-        value += sum(step.value for step in steps)
-    iters = sum(step.iterations for step in steps)
-    gnorm = max((step.gradient_norm for step in steps), default=math.inf)
-    attained = math.isfinite(value) and all(step.attained for step in steps)
-    if not (attained and np.all(mu0.p > 0.0) and np.all(nus[0].p > 0.0)):
+    value = relative_entropy(nus[0], mu0)
+    if not math.isfinite(value):
+        return JointRateResult(value, None, 0, math.inf)
+    Ps = np.array([_expm_generator(gen, b - a) for a, b in zip(times, times[1:])])
+    laws = np.array([nu.p for nu in nus])
+    steps, status, g, _, its, norms = _conditional_rates(laws[:-1], laws[1:], Ps, opts)
+    value, iters, gnorm = value + float(steps.sum()), int(its.sum()), float(norms.max())
+    if not (math.isfinite(value) and (status == _Status.CONVERGED).all()
+            and (laws > 0.0).all() and (mu0.p > 0.0).all()):
         return JointRateResult(value, None, iters, gnorm)
-    g = [np.log(nus[0].p / mu0.p)] + [step.maximizer.f for step in steps]
+    g = [np.log(nus[0].p / mu0.p), *g]
     f = [gi - _log_matrix_apply(P, gn) for gi, P, gn in zip(g, Ps, g[1:])] + [g[-1]]
     return JointRateResult(value, tuple(Potential(gen.space, fi) for fi in f), iters, gnorm)
 
@@ -350,5 +350,5 @@ def partition_rate(gen: Generator, path: PathGrid, partition: Partition,
     if any(b <= a for a, b in zip(idx, idx[1:])):
         raise InvalidParameter("partition times collapse onto the same grid node")
 
-    nodes = [path.measure(j) for j in [0] + idx]
-    return joint_rate(gen, P0, Partition(tuple(j * dt for j in idx)), nodes, opts).value
+    return joint_rate(gen, P0, Partition(tuple(j * dt for j in idx)),
+                      path.measures[[0] + idx], opts).value

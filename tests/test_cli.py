@@ -245,6 +245,24 @@ class TestVerifyLdp:
         assert report["outputs"]["reference_rate"] == pytest.approx(
             0.04585, abs=2e-4)
 
+    def test_zero_reference_rate_leaves_the_relative_gap_undefined(
+            self, tmp_path, capsys):
+        # the ball holds the evolved law, so the reference rate is 0: a
+        # relative gap is undefined whatever the fitted slope, and the
+        # absolute gap is printed instead
+        code = main(["verify-ldp", "--model", RING, "--t", "0.5",
+                     "--target", "0.34,0.36,0.30", "--radius", "0.2",
+                     "--n", "10,20,40", "--reps", "400", "--seed", "3",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        out = strict_loads(
+            (tmp_path / "verify_ldp_report.json").read_text())["outputs"]
+        assert out["reference_rate"] == 0.0 and out["slope"] != 0.0
+        assert out["relative_gap"] == "nan"
+        text = capsys.readouterr().out
+        assert "rel. gap" not in text
+        assert f"abs. gap = {abs(out['slope']):.3g}" in text
+
     def test_hopeless_event_reports_insufficient_sampling(self, tmp_path,
                                                           capsys):
         code = main(["verify-ldp", "--model", ABSORBING, "--t", "0.5",

@@ -610,6 +610,71 @@ class TestJointRate:
         full = np.all(mu0.p > 0.0) and np.all(nus[0].p > 0.0)
         assert res.attained == (attained and math.isfinite(value) and full)
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_stack_matches_single_rates_step_by_step(self, seed):
+        # a stack mixing full-support, zero-entry, Dirac, boundary and
+        # infinite steps gives, step by step up to the first infinite one,
+        # what a single conditional rate gives: value, iterations, the
+        # maximizer, and the pinned support potential and levels the capped
+        # tilt is built from
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(2, 5)), int(rng.integers(2, 7))
+        rates_ = rng.uniform(0.05, 2.0, (n, n))
+        rates_[rng.random((n, n)) < 0.3] = 0.0
+        rates_[-1] = 0.0
+        gen = validate_generator([f"s{i}" for i in range(n)], rates_)
+        sp, ts = gen.space, rng.uniform(0.1, 1.0, k)
+        mus, nus = rng.dirichlet(np.ones(n), (2, k))
+        for mu, nu in zip(mus, nus):
+            # the last state absorbs: a target that keeps its mass leaves
+            # the pairs into it unused (boundary), one that loses mass is
+            # infinite, and the others gain mass there
+            kind = rng.choice(["full", "zero", "dirac", "boundary", "infinite"])
+            last = {"boundary": mu[-1], "infinite": 0.5 * mu[-1]}.get(
+                kind, mu[-1] + (1.0 - mu[-1]) * nu[-1])
+            nu[:-1] *= (1.0 - last) / nu[:-1].sum()
+            nu[-1] = last
+            if kind == "zero":
+                nu[rng.integers(n - 1)] = 0.0
+            elif kind == "dirac" and rng.integers(2):
+                mu[:] = np.eye(n)[rng.integers(n - 1)]
+            elif kind == "dirac":
+                nu[:] = np.eye(n)[-1]
+        nus /= nus.sum(axis=1, keepdims=True)
+        singles = []
+        for mu, nu, t in zip(mus, nus, ts):
+            try:
+                singles.append(conditional_rate(gen, Measure(sp, mu), Measure(sp, nu), t))
+            except NumericalFailure:
+                singles.append(None)
+            if singles[-1] is None or singles[-1].value == math.inf:
+                break
+        Ps = np.array([_expm_generator(gen, t) for t in ts])
+        if singles[-1] is None:
+            with pytest.raises(NumericalFailure):
+                rates._conditional_rates(mus, nus, Ps, None)
+            return
+        value, status, f, levels, iters, gnorm = rates._conditional_rates(
+            mus, nus, Ps, None)
+        assert len(value) == len(singles)
+        for i, (one, on) in enumerate(zip(singles, nus > 0.0)):
+            assert value[i] == pytest.approx(one.value, rel=1e-12, abs=1e-15)
+            assert iters[i] == one.iterations
+            assert gnorm[i] == pytest.approx(one.gradient_norm, rel=1e-6, abs=1e-12)
+            if one.value == math.inf:
+                assert status[i] == _Status.INFINITE
+                continue
+            assert (status[i] == _Status.CONVERGED and on.all()) == one.attained
+            if one.attained:
+                np.testing.assert_allclose(f[i], one.maximizer.f, rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(f[i, on], one.support_potential, rtol=1e-9, atol=1e-9)
+            np.testing.assert_array_equal(levels[i, on], one.support_levels)
+            batch = rates.ConditionalRateResult(value[i], None, one.support, f[i, on],
+                                                levels[i, on], iters[i], gnorm[i])
+            np.testing.assert_allclose(batch.tilt_potential(sp).f,
+                                       one.tilt_potential(sp).f, rtol=1e-9, atol=1e-9)
+
     def test_steps_after_an_infinite_one_neither_count_nor_raise(self):
         # nothing reaches c, so the first step is +infinity; the second needs
         # several Newton iterations and alone fails to settle in one
@@ -849,6 +914,27 @@ class TestPartitionRate:
             values.append(partition_rate(gen, path, Partition(times), p0))
         for coarse, fine in zip(values, values[1:]):
             assert fine >= coarse - 1e-6
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(("random", "stiff", "sparse")),
+           K=st.sampled_from((8, 64, 200)))
+    def test_every_node_of_a_doob_path_gives_the_exact_rate(self, seed, kind, K):
+        # over every node of a Doob path the chain of conditional rates
+        # telescopes, step k attained at the flow's h_{k+1}: the partition
+        # rate is KL(mu0 | P0) + <f, gamma_t> - <V(t)f, mu0> at any K
+        from ctmc_ldp import v_apply
+
+        rng = np.random.default_rng(seed)
+        gen = random_chain(rng, kind, n_max=4)
+        mu0, p0 = random_measure(rng, gen), random_measure(rng, gen)
+        f = random_potential(rng, gen, bound=1.0)
+        t = float(rng.uniform(0.3, 1.5))
+        path, _ = doob_forward(gen, mu0, doob_flow(gen, f, t, K))
+        exact = relative_entropy(mu0, p0) + float(f.f @ path.measures[-1]) \
+            - float(v_apply(gen, f, t).f @ mu0.p)
+        value = partition_rate(gen, path, Partition(tuple(path.node_times[1:])), p0)
+        assert value == pytest.approx(exact, rel=0.0, abs=1e-10)
 
     def test_strict_increase_on_non_optimal_path(self, rng):
         # a straight-line measure path is not a tilted flow, so finer
