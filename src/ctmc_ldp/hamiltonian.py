@@ -88,10 +88,14 @@ def pre_lagrangian(gen: Generator, g: Potential) -> Potential:
     Per state, Lg(x) = sum_y Q[x,y] (e^d * d - e^d + 1) with d = g(y)-g(x);
     each summand is u log u - u + 1 >= 0 evaluated at u = e^d.
     """
-    d = g.f[None, :] - g.f[:, None]
+    return Potential(gen.space, _pre_lagrangian(gen.off_diagonal, g.f))
+
+
+def _pre_lagrangian(rates: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Lg for a potential g (n,) and rates (n, n), or a stack (n, b) and (n, n, 1)."""
+    d = g[None] - g[:, None]
     ed = np.exp(d)
-    cost = (gen.off_diagonal * (ed * d - ed + 1.0)).sum(axis=1)
-    return Potential(gen.space, cost)
+    return (rates * (ed * d - ed + 1.0)).sum(axis=1)
 
 
 def v_apply(gen: Generator, f: Potential, t: float) -> Potential:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleSpeed, MalformedModel, NumericalFailure
-from .hamiltonian import _hamiltonian_raw, _tilted_rates
+from .hamiltonian import _tilted_rates
 from .markov import (
     Generator, Measure, Potential, StateSpace, _frozen, _reachable, _transport)
 
@@ -489,14 +489,22 @@ def lagrangian_value(gen: Generator, mu: Measure, u,
 
 def dual_check(gen: Generator, mu: Measure, f: Potential,
                opts: SolverOptions | None = None) -> float:
-    """Residual of the duality identity <Hf,mu> = <f,rho(mu,f)> - L(mu,rho(mu,f)).
+    """Residual of the duality identity <Hf,mu> = <f,rho(mu,f)> - L(mu,rho(mu,f)):
+    the one-row case of ``_dual_residuals``."""
+    return float(_dual_residuals(gen, mu.p[None], f.f[None], opts)[0])
 
-    The left side is the closed form; the Lagrangian on the right is
-    evaluated by numerical maximization, warm-started at f.
-    """
-    Hf = _hamiltonian_raw(gen.off_diagonal, gen.exit_rates, f.f)
-    lhs = float(Hf @ mu.p)
-    rho = speed(gen, mu, f)
-    res = lagrangian_value(gen, mu, rho, opts=opts, initial=f.f)
-    rhs = float(f.f @ rho.u) - res.value
-    return abs(lhs - rhs)
+
+def _dual_residuals(gen: Generator, mus, fs, opts=None) -> np.ndarray:
+    """The duality residual of each row of (b, n) laws and potentials: the
+    left side in closed form, the Lagrangians as cells of one evaluator
+    call, warm-started at f; NumericalFailure if one does not settle."""
+    opts = opts or DEFAULT_OPTIONS
+    M = _tilted_rates(gen.off_diagonal[..., None], fs.T)  # (n, n, b), cells last
+    out = M.sum(axis=1)
+    rho = (mus.T[:, None] * M).sum(axis=0) - mus.T * out
+    status, _, value, _, _, _ = _lagrangian_cells(
+        mus[:, :, None] * gen.off_diagonal, rho.T, 0.0, opts, fs)
+    for verdict in status:
+        _settled(verdict, opts)
+    lhs = ((out - gen.exit_rates[:, None]) * mus.T).sum(axis=0)
+    return np.abs(lhs - (fs.T * rho).sum(axis=0) + np.maximum(value, 0.0))

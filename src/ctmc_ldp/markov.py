@@ -371,8 +371,10 @@ def relative_entropy(mu: Measure, nu: Measure) -> float:
     """
     if mu.space != nu.space:
         raise MalformedModel("measures live on different state spaces")
-    sup = mu.p > 0
-    if np.any(nu.p[sup] == 0):
-        return math.inf
-    m = mu.p[sup]
-    return float(np.sum(m * np.log(m / nu.p[sup])))
+    return float(_relative_entropy(mu.p, nu.p))
+
+
+def _relative_entropy(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """KL(p | q) along the last axis of arrays of laws."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0.0, p * np.log(p / q), 0.0).sum(axis=-1)

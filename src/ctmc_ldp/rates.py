@@ -47,6 +47,7 @@ from .markov import (
     _expm_generator,
     _frozen,
     _reachable,
+    _relative_entropy,
     relative_entropy,
 )
 
@@ -334,21 +335,29 @@ def path_action(gen: Generator, path: PathGrid,
 
 def partition_rate(gen: Generator, path: PathGrid, partition: Partition,
                    P0: Measure, opts: SolverOptions | None = None) -> float:
-    """``joint_rate`` of the grid nodes at the partition times, from P0.
+    """``joint_rate(...).value`` of the grid nodes at the partition times,
+    from P0: KL(node 0 | P0) plus the chain of conditional rates over the
+    node rows, one ``_expm_generator`` call per distinct node gap.
 
     Partition times must coincide with grid nodes after t0, to within
     GRID_NODE_TOL times the length of the grid.
     """
+    if path.space != gen.space or P0.space != gen.space:
+        raise MalformedModel("inputs live on different state spaces")
     dt = path.dt
-    idx = []
+    idx = [0]
     for tau in partition.times:
         j = int(round((tau - path.t0) / dt))
         off_node = abs(path.t0 + j * dt - tau) > GRID_NODE_TOL * (path.t1 - path.t0)
         if j < 1 or j > path.K or off_node:
             raise InvalidParameter(f"partition time {tau} is not a grid node")
         idx.append(j)
-    if any(b <= a for a, b in zip(idx, idx[1:])):
+    gaps, step = np.unique(np.diff(idx), return_inverse=True)
+    if gaps[0] < 1:
         raise InvalidParameter("partition times collapse onto the same grid node")
-
-    return joint_rate(gen, P0, Partition(tuple(j * dt for j in idx)),
-                      path.measures[[0] + idx], opts).value
+    laws = path.measures[idx]
+    value = float(_relative_entropy(laws[0], P0.p))
+    if not math.isfinite(value):
+        return value
+    Ps = np.array([_expm_generator(gen, g * dt) for g in gaps.tolist()])
+    return value + float(_conditional_rates(laws[:-1], laws[1:], Ps[step], opts)[0].sum())

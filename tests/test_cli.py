@@ -5,13 +5,36 @@ import collections
 import io
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ctmc_ldp import Potential, cli, path_action
+from ctmc_ldp import (
+    Measure,
+    PathGrid,
+    Potential,
+    StateSpace,
+    apply_hamiltonian,
+    barrel_radius,
+    cli,
+    dual_check,
+    evolve_law,
+    lagrangian,
+    path_action,
+    pre_lagrangian,
+    relative_entropy,
+    resolvent_matrix,
+    transition_matrix,
+    v_apply,
+    validate_generator,
+)
 from ctmc_ldp.cli import build_parser, load_model, load_report, main, read_path_csv
+from ctmc_ldp.errors import ToolkitError
+from ctmc_ldp.hamiltonian import _hamiltonian_raw
+from conftest import random_chain
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 ABSORBING = str(MODELS / "absorbing.json")
@@ -105,6 +128,144 @@ class TestCheck:
                      "--out", str(tmp_path)])
         assert code == 1
         assert "FAIL  two Hamiltonian formulas agree" in capsys.readouterr().out
+
+
+def reference_checks(gen):
+    """The battery one draw at a time, through the public functions: the
+    stream order and the rows ``cli._invariant_checks`` must reproduce."""
+    rng = np.random.default_rng(0)
+    n = gen.size
+    Q = gen.Q
+
+    t, s = 0.37, 0.81
+    lhs = transition_matrix(gen, t + s).P
+    rhs = transition_matrix(gen, t).P @ transition_matrix(gen, s).P
+    yield "semigroup law P(t+s) = P(t)P(s)", float(np.abs(lhs - rhs).max()), 1e-9
+
+    lam = 0.5
+    J = resolvent_matrix(gen, lam)
+    res = np.abs((np.eye(n) - lam * Q) @ J - np.eye(n)).max()
+    yield "resolvent residual (I - lam Q)J = I", float(res), 1e-10
+    yield "resolvent rows sum to one", float(np.abs(J.sum(axis=1) - 1).max()), 1e-10
+
+    worst = 0.0
+    for _ in range(20):
+        mu = Measure(gen.space, rng.dirichlet(np.ones(n)))
+        out = evolve_law(gen, mu, float(rng.uniform(0, 3)))
+        worst = max(worst, abs(out.p.sum() - 1.0), -min(out.p.min(), 0.0))
+    yield "evolved laws stay probabilities", worst, 1e-10
+
+    worst = 0.0
+    for _ in range(20):
+        mu = Measure(gen.space, rng.dirichlet(np.ones(n)))
+        q = rng.dirichlet(np.ones(n)) + 1e-3
+        nu = Measure(gen.space, q / q.sum())
+        gap = relative_entropy(mu, nu) - 0.5 * np.abs(mu.p - nu.p).sum() ** 2
+        worst = max(worst, -gap)
+    yield "entropy dominates squared l1 distance", worst, 1e-12
+
+    worst = 0.0
+    for _ in range(10):
+        f = Potential(gen.space, rng.uniform(-2, 2, n))
+        direct = apply_hamiltonian(gen, f).f
+        other = np.exp(-f.f) * (Q @ np.exp(f.f))
+        scale = np.maximum(1.0, np.exp(-f.f) * (np.abs(Q) @ np.exp(f.f)))
+        worst = max(worst, float((np.abs(direct - other) / scale).max()))
+    yield "two Hamiltonian formulas agree", worst, 1e-12
+
+    worst = 0.0
+    for _ in range(10):
+        g = Potential(gen.space, rng.uniform(-2, 2, n))
+        worst = max(worst, -float(pre_lagrangian(gen, g).f.min()))
+    yield "pre-Lagrangian is nonnegative", worst, 0.0
+
+    worst = 0.0
+    for _ in range(5):
+        q = rng.dirichlet(np.ones(n)) + 1e-2
+        mu = Measure(gen.space, q / q.sum())
+        f = Potential(gen.space, rng.uniform(-1.5, 1.5, n))
+        worst = max(worst, dual_check(gen, mu, f))
+    yield "Hamiltonian/Lagrangian duality", worst, 1e-6
+
+    f = Potential(gen.space, rng.uniform(-1, 1, n))
+    t1, t2 = 0.4, 0.9
+    chained = v_apply(gen, v_apply(gen, f, t2), t1).f
+    joint = v_apply(gen, f, t1 + t2).f
+    yield "nonlinear semigroup law", float(np.abs(chained - joint).max()), 1e-8
+
+    try:
+        radius = barrel_radius(gen)
+        G = rng.uniform(-radius, radius, size=(2000, n)).T
+        hvals = _hamiltonian_raw(gen.off_diagonal[..., None], gen.exit_rates[:, None], G)
+        yield "Hamiltonian bounded on the barrel", \
+            float(np.abs(hvals).max()) - 1.0, 1e-12
+    except ToolkitError:
+        pass
+
+
+def assert_battery_matches_reference(gen):
+    rows, expected = list(cli._invariant_checks(gen)), list(reference_checks(gen))
+    assert [row[::2] for row in rows] == [row[::2] for row in expected]
+    for (name, got, tol), (_, want, _) in zip(rows, expected):
+        assert (got <= tol) == (want <= tol), name
+        assert abs(got - want) <= 1e-10, name
+
+
+class TestBattery:
+    @pytest.mark.parametrize("model", ["absorbing", "symmetric", "ring3", "fast"])
+    def test_model_rows_match_the_reference(self, model):
+        gen = validate_generator(["s0", "s1", "s2"], FAST_RATES) if model == "fast" \
+            else load_model(MODELS / f"{model}.json")[0]
+        assert_battery_matches_reference(gen)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(("random", "stiff", "sparse")))
+    def test_chain_rows_match_the_reference(self, seed, kind):
+        assert_battery_matches_reference(
+            random_chain(np.random.default_rng(seed), kind, n_max=6))
+
+    def test_stacks_hold_the_reference_draws(self, monkeypatch):
+        # a pairing or order slip can leave the residuals unchanged (the
+        # entropy gap reads 0 for any pairs): the stacks themselves must
+        # be the reference loop's draws, row by row
+        gen, calls = load_model(RING)[0], collections.defaultdict(list)
+        for module, name in ((cli, "_relative_entropy"), (cli, "_dual_residuals"),
+                             (sys.modules[__name__], "relative_entropy"),
+                             (sys.modules[__name__], "dual_check")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, name=name, real=real: (
+                calls[name].append(args), real(*args))[1])
+        list(cli._invariant_checks(gen)), list(reference_checks(gen))
+        (mu, nu), = calls["_relative_entropy"]
+        assert np.abs(np.stack([mu, nu], axis=1) - [
+            [m.p, v.p] for m, v in calls["relative_entropy"]]).max() <= 1e-15
+        (_, mus, fs), = calls["_dual_residuals"]
+        assert np.abs(mus - [m.p for _, m, _ in calls["dual_check"]]).max() <= 1e-15
+        assert np.array_equal(fs, [f.f for _, _, f in calls["dual_check"]])
+
+    def test_flat_dirichlet_draws_the_same_stream(self):
+        ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+        for shape in (3, (4, 5), (2, 3, 2)):
+            n = shape if isinstance(shape, int) else shape[-1]
+            want = theirs.dirichlet(np.ones(n), None if shape == n else shape[:-1])
+            assert np.abs(cli._flat_dirichlet(ours, shape) - want).max() <= 1e-15
+            assert ours.uniform() == theirs.uniform()
+
+    def test_perturbed_lagrangian_fails(self, tmp_path, capsys, monkeypatch):
+        exact = lagrangian._lagrangian_cells
+
+        def scaled(*args, **kwargs):
+            status, f, value, *rest = exact(*args, **kwargs)
+            return status, f, value * (1.0 + 1e-5), *rest
+
+        monkeypatch.setattr(lagrangian, "_lagrangian_cells", scaled)
+        code = main(["check", "--model", _write_model(tmp_path, FAST_RATES),
+                     "--out", str(tmp_path)])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "FAIL  Hamiltonian/Lagrangian duality" in out
+        assert "9/10 checks passed" in out
 
 
 class TestDispatch:
@@ -311,6 +472,36 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert "line 3" in err and why in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("case", [
+        "string rate", "ragged rates", "states not a list", "string initial",
+        "model is a directory", "path is a directory", "model not UTF-8",
+        "path not UTF-8"])
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, case):
+        # exit code 1 means failed checks: an input that cannot be read or
+        # parsed exits 2 with one error line, not a traceback
+        model, path = tmp_path / "m.json", tmp_path / "p.csv"
+        doc = {"states": ["a", "b"], "rates": [[0, 1], [1, 0]], "initial": [1, 0]}
+        doc.update({"string rate": {"rates": [["x", 1], [1, 0]]},
+                    "ragged rates": {"rates": [[0, 1], [1]]},
+                    "states not a list": {"states": 5},
+                    "string initial": {"initial": ["p", "q"]}}.get(case, {}))
+        model.write_text(json.dumps(doc))
+        path.write_text(DRIFTING_PATH)
+        if case == "model is a directory":
+            model = tmp_path
+        elif case == "path is a directory":
+            path = tmp_path
+        elif case == "model not UTF-8":
+            model.write_bytes(b'{"states": ["\xe9", "b"], "rates": [[0, 1], [1, 0]]}')
+        elif case == "path not UTF-8":
+            path.write_bytes(b"t,a,b\n0,0.5,0.5\n1,0.5,\xff\n")
+        argv = ["action", "--path", str(path)] if "path" in case else ["check"]
+        code = main([*argv, "--model", str(model), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ["semigroup", "--model", SYMMETRIC],
         ["simulate", "--model", ABSORBING, "--t", "1.0", "--seed", "1"],
@@ -381,6 +572,16 @@ class TestReports:
             b'  "b": 0.25,\n  "c": {\n    "e": [],\n    "n": 3,\n'
             b'    "ok": true,\n    "v": [\n      1.5,\n      2.0\n    ]\n'
             b'  },\n  "s": "x\\u00e9",\n  "t": [\n    0.5,\n    null\n  ]\n}\n')
+
+    def test_path_csv_bytes_are_golden(self, tmp_path):
+        # times to 12 and laws to 17 significant digits, subnormals included
+        grid = PathGrid(StateSpace(("a", "b")), 0.0, 1.0,
+                        [[0.5, 0.5], [0.1, 0.9], [1 / 3, 2 / 3], [5e-324, 1.0]])
+        cli.write_path_csv(tmp_path / "p.csv", grid)
+        assert (tmp_path / "p.csv").read_bytes() == (
+            b"t,a,b\n0,0.5,0.5\n0.333333333333,0.10000000000000001,0.90000000000000002\n"
+            b"0.666666666667,0.33333333333333331,0.66666666666666663\n"
+            b"1,4.9406564584124654e-324,1\n")
 
     def test_digest_covers_path_file(self, tmp_path):
         path = tmp_path / "path.csv"

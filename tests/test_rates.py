@@ -936,6 +936,38 @@ class TestPartitionRate:
         value = partition_rate(gen, path, Partition(tuple(path.node_times[1:])), p0)
         assert value == pytest.approx(exact, rel=0.0, abs=1e-10)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(("random", "stiff", "sparse")))
+    def test_matches_joint_rate_of_the_nodes(self, seed, kind):
+        # uneven node gaps, nodes with empty states and Dirac laws: the
+        # chain over the node rows gives joint_rate's value, its infinities
+        # and its raises
+        rng = np.random.default_rng(seed)
+        gen = random_chain(rng, kind, n_max=4)
+        K = int(rng.integers(2, 12))
+        t0 = float(rng.uniform(-1.0, 1.0))
+        grid = PathGrid(gen.space, t0, t0 + float(rng.uniform(0.2, 3.0)),
+                        [random_law(rng, gen).p for _ in range(K + 1)])
+        idx = np.sort(rng.choice(np.arange(1, K + 1), int(rng.integers(1, K + 1)),
+                                 replace=False))
+        p0 = random_law(rng, gen)
+
+        def outcome(rate):
+            try:
+                return rate()
+            except NumericalFailure as exc:
+                return type(exc)
+
+        got = outcome(lambda: partition_rate(
+            gen, grid, Partition(tuple(grid.node_times[idx])), p0))
+        want = outcome(lambda: joint_rate(
+            gen, p0, Partition(tuple(idx * grid.dt)), grid.measures[[0, *idx]]).value)
+        if isinstance(want, type) or math.isinf(want):
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
     def test_strict_increase_on_non_optimal_path(self, rng):
         # a straight-line measure path is not a tilted flow, so finer
         # partitions genuinely sharpen the lower bound toward the action
