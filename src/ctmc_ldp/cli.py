@@ -14,7 +14,7 @@ SHA-256 digest of the model file, the ``--path`` file and the arguments,
 the seed, the outputs and the wall time. Reports and
 ``decay_estimate.json`` are strict JSON: non-finite floats are the strings
 ``"inf"``, ``"-inf"`` and ``"nan"``. Reruns with identical inputs are
-byte-identical apart from wall time.
+byte-identical apart from wall time; every output is rewritten in place.
 
 Exit codes: 0 success, 1 failed checks, 2 unreadable or unparseable input
 (a file, its UTF-8 text, JSON or CSV, or a model field), 3 validation failure.
@@ -29,6 +29,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -95,6 +96,8 @@ def load_model(path, data=None) -> tuple[Generator, Measure, dict]:
     if not isinstance(doc, dict) or "states" not in doc or "rates" not in doc:
         raise ToolkitError("model file needs 'states' and 'rates' keys")
     try:
+        if not isinstance(doc["states"], list):
+            raise TypeError(f"'states' is a {type(doc['states']).__name__}, not a list")
         states, rates = tuple(doc["states"]), np.asarray(doc["rates"], dtype=float)
         p0 = np.asarray(doc["initial"], dtype=float) if "initial" in doc else None
     except (TypeError, ValueError) as exc:
@@ -111,15 +114,17 @@ def load_model(path, data=None) -> tuple[Generator, Measure, dict]:
 
 
 def write_path_csv(path, grid: PathGrid) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", *grid.space.labels])
-        for t, row in zip(grid.node_times.tolist(), grid.measures.tolist()):
-            writer.writerow([f"{t:.12g}", *[f"{v:.17g}" for v in row]])
+    head = io.StringIO()
+    csv.writer(head, lineterminator="\n").writerow(["t", *grid.space.labels])
+    line = "%.12g" + ",%.17g" * grid.space.size + "\n"  # one format per row
+    _write_text(path, head.getvalue() + "".join(
+        line % (t, *row)
+        for t, row in zip(grid.node_times.tolist(), grid.measures.tolist())))
 
 
 def read_path_csv(path, space=None, data=None) -> PathGrid:
-    reader = csv.reader(io.StringIO(_text(path, data), newline=None))
+    text = _text(path, data)
+    reader = csv.reader(io.StringIO(text, newline=None))
     header = next(reader, [])
     if len(header) < 3 or header[0] != "t":
         raise ToolkitError("path CSV must have header 't,<label>...'")
@@ -128,19 +133,26 @@ def read_path_csv(path, space=None, data=None) -> PathGrid:
         space = StateSpace(labels)
     elif tuple(space.labels) != labels:
         raise ToolkitError("path CSV labels do not match the model")
-    rows = []
-    for row in filter(None, reader):
-        where = f"{path}, line {reader.line_num}"
-        if len(row) != len(header):
-            raise _Unparseable(f"{where}: {len(row)} fields, header has "
-                               f"{len(header)}")
-        try:
-            rows.append([float(v) for v in row])
-        except ValueError as exc:
-            raise _Unparseable(f"{where}: {exc}") from None
-    if len(rows) < 2:
+    rows = [row for row in reader if row]
+    try:  # all cells at once; NumPy parses a str as float() does
+        if set(map(len, rows)) - {len(header)}:
+            raise ValueError
+        table = np.array(rows, dtype=float)
+    except ValueError:  # read again, row by row, for the line at fault
+        reader = csv.reader(io.StringIO(text, newline=None))
+        next(reader)
+        for row in filter(None, reader):
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(header):
+                raise _Unparseable(f"{where}: {len(row)} fields, header has "
+                                   f"{len(header)}") from None
+            try:
+                [float(v) for v in row]
+            except ValueError as exc:
+                raise _Unparseable(f"{where}: {exc}") from None
+        raise  # NumPy and float() reject the same cells
+    if len(table) < 2:
         raise ToolkitError("path CSV needs at least two rows")
-    table = np.array(rows)
     times = table[:, 0]
     dts = np.diff(times)
     if np.max(np.abs(dts - dts[0])) > 1e-9 * max(1.0, abs(times[-1])):
@@ -167,10 +179,18 @@ def _strict(obj):
     return obj
 
 
+def _write_text(path, text) -> None:
+    """Write ``text`` as UTF-8 over the file's old bytes and cut it there: a
+    truncation to zero frees the blocks, and ext4 with ``discard`` discards them."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    with open(fd, "wb") as fh:  # from a descriptor, "wb" truncates nothing
+        fh.write(text.encode("utf-8"))
+        fh.truncate()
+
+
 def _write_json(path, doc) -> None:
-    text = json.dumps(_strict(doc), indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+    _write_text(path, json.dumps(_strict(doc), indent=2, sort_keys=True,
+                                 allow_nan=False) + "\n")
 
 
 def load_report(path) -> dict:
@@ -482,7 +502,7 @@ def main(argv=None) -> int:
         print(f"error: cannot parse model file at line {exc.lineno}, "
               f"column {exc.colno}: {exc.msg}", file=sys.stderr)
         return 2
-    except _Unparseable as exc:
+    except (_Unparseable, OSError) as exc:  # OSError: --out or an output file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ToolkitError as exc:

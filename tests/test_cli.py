@@ -2,9 +2,12 @@
 
 import builtins
 import collections
+import csv
 import io
 import json
+import os
 import re
+import stat
 import sys
 from pathlib import Path
 
@@ -473,9 +476,9 @@ class TestMalformedInput:
         assert "line 3" in err and why in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("case", [
-        "string rate", "ragged rates", "states not a list", "string initial",
-        "model is a directory", "path is a directory", "model not UTF-8",
-        "path not UTF-8"])
+        "string rate", "ragged rates", "states not a list", "states a string",
+        "string initial", "model is a directory", "path is a directory",
+        "model not UTF-8", "path not UTF-8"])
     def test_unreadable_input_exits_2(self, tmp_path, capsys, case):
         # exit code 1 means failed checks: an input that cannot be read or
         # parsed exits 2 with one error line, not a traceback
@@ -484,6 +487,7 @@ class TestMalformedInput:
         doc.update({"string rate": {"rates": [["x", 1], [1, 0]]},
                     "ragged rates": {"rates": [[0, 1], [1]]},
                     "states not a list": {"states": 5},
+                    "states a string": {"states": "ab"},
                     "string initial": {"initial": ["p", "q"]}}.get(case, {}))
         model.write_text(json.dumps(doc))
         path.write_text(DRIFTING_PATH)
@@ -501,6 +505,20 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", ["out is a file", "out below a file",
+                                      "report is a directory"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, case):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = {"out is a file": afile, "out below a file": afile / "sub",
+               "report is a directory": tmp_path / "out"}[case]
+        (tmp_path / "out" / "check_report.json").mkdir(parents=True)
+        code = main(["check", "--model", RING, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert afile.read_text() == "kept\n"
 
     @pytest.mark.parametrize("argv", [
         ["semigroup", "--model", SYMMETRIC],
@@ -616,3 +634,96 @@ class TestReports:
                          "--out", str(tmp_path / "out")]) == 0
             assert reads[str(model)] == 1
             assert reads[str(path)] == (argv[0] == "action")
+
+
+def _grid(K):
+    """A K-cell path on two states whose rows are not all alike."""
+    rows = np.full((K + 1, 2), 0.5)
+    rows[::2] = [1 / 3, 2 / 3]
+    return PathGrid(StateSpace(("a", "b")), 0.0, 1.0, rows)
+
+
+class TestWriter:
+    @pytest.mark.parametrize("old, new", [("x" * 5000 + "\n", "é short\n"),
+                                          ("short\n", "é" + "y" * 5000 + "\n")],
+                             ids=["long to short", "short to long"])
+    def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path, old, new):
+        path = tmp_path / "f"
+        cli._write_text(path, old)
+        cli._write_text(path, new)
+        assert path.read_bytes() == new.encode("utf-8")
+
+    def test_csv_rewrite_leaves_no_stale_rows(self, tmp_path):
+        cli.write_path_csv(tmp_path / "fresh.csv", _grid(1))
+        cli.write_path_csv(tmp_path / "p.csv", _grid(60))
+        cli.write_path_csv(tmp_path / "p.csv", _grid(1))
+        assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+    def test_new_file_gets_the_mode_of_open_w(self, tmp_path):
+        old = os.umask(0o002)  # keeps the group write bit of 0o666
+        try:
+            cli._write_text(tmp_path / "new", "x\n")
+            with open(tmp_path / "ref", "w", newline="\n") as fh:
+                fh.write("x\n")
+        finally:
+            os.umask(old)
+        modes = {stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+        assert modes == {0o666 & ~0o002}
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "ref").read_bytes()
+
+    def test_writers_never_truncate_at_open(self, tmp_path, monkeypatch):
+        # a truncation to zero frees the file's blocks before the rewrite
+        flags, real = [], os.open
+
+        def recording(path, flag, *args, **kwargs):
+            flags.append(flag)
+            return real(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording)
+        for _ in range(2):  # a new file, then a rewrite
+            cli._write_json(tmp_path / "r.json", {"a": 1.5})
+            cli.write_path_csv(tmp_path / "p.csv", _grid(3))
+        assert len(flags) == 4 and not any(f & os.O_TRUNC for f in flags)
+
+
+def reference_rows(text):
+    """The row-by-row parse that ``read_path_csv`` did before it converted
+    every cell in one NumPy call."""
+    reader = csv.reader(io.StringIO(text, newline=None))
+    next(reader)
+    return np.array([[float(v) for v in row] for row in filter(None, reader)])
+
+
+# entries of a law but its last: the ones the writer must carry exactly, or any
+_ENTRY = st.sampled_from([0.0, 5e-324, 1 / 3]) | st.floats(0.0, 1 / 3)
+
+
+class TestPathCsvRoundTrip:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 5), K=st.integers(1, 60), data=st.data(),
+           t0=st.integers(-1000, 1000), span=st.integers(1, 10**6))
+    def test_write_then_read_is_bitwise(self, tmp_path_factory, n, K, data, t0, span):
+        head = st.lists(_ENTRY, min_size=n - 1, max_size=n - 1).filter(
+            lambda row: sum(row) <= 1.0)
+        head = np.array(data.draw(st.lists(head, min_size=K + 1, max_size=K + 1)))
+        rows = np.column_stack([head, 1.0 - head.sum(axis=1)])
+        # end times that 12 significant digits carry exactly
+        grid = PathGrid(StateSpace(tuple("abcde"[:n])), t0 / 100,
+                        (10 * t0 + span) / 1000, rows)
+        path = tmp_path_factory.mktemp("csv") / "p.csv"
+        cli.write_path_csv(path, grid)
+        back = read_path_csv(path, grid.space)
+        assert back.node_times.tobytes() == grid.node_times.tobytes()
+        assert back.measures.tobytes() == grid.measures.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        DRIFTING_PATH.replace("\n", "\r\n"),
+        't,a,b\n0,"0.5",0.5\n0.5,0.6," 0.4"\n1,0.7,0.3\n',
+        DRIFTING_PATH + "\n\n\n",
+        "t,a,b\r\n0,0.5,0.5\r\n\r\n0.5,0.6,0.4\n1,0.7,0.3\r\n\r\n",
+    ], ids=["CRLF", "quoted cells", "trailing blank lines", "mixed"])
+    def test_pinned_parses_match_the_reference(self, text):
+        grid = read_path_csv("p.csv", data=text.encode())
+        table = reference_rows(text)
+        assert grid.measures.tobytes() == table[:, 1:].tobytes()
+        assert (grid.t0, grid.t1, grid.K) == (table[0, 0], table[-1, 0], len(table) - 1)
