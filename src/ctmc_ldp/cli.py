@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import hashlib
 import io
@@ -409,7 +410,7 @@ def cmd_verify_ldp(args, gen, mu0):
         return 1, {"error": str(exc), "partial": exc.partial,
                    "reference_rate": reference}
     est_path = Path(args.out) / "decay_estimate.json"
-    _write_json(est_path, est.to_dict())
+    _write_json(est_path, dataclasses.asdict(est))
     rel = abs(est.slope - reference) / reference if reference > 0 else math.nan
     gap = f"rel. gap = {rel:.1%}" if reference > 0 else f"abs. gap = {abs(est.slope):.3g}"
     print(f"fitted slope = {est.slope:.6g} +- {est.stderr:.2g}  "

@@ -14,7 +14,8 @@ Every log-space evaluation ``log(P e^f)`` is a max-shifted mat-vec,
 is recomputed as ``c_x + log(sum_y P_xy e^{f_y - c_x})`` with ``c_x`` the
 largest f on its own support, so each row keeps its leading term at any
 spread of f. Tilted rates come from one broadcasting kernel, which also tilts
-whole stacks of potentials at once.
+whole stacks of potentials at once. Times and resolvent parameters are
+admitted by ``markov`` (``_time``, ``resolvent_matrix``): finite, or an error.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateModel, InvalidParameter, InvalidTime
-from .markov import Generator, Potential, _expm_generator, resolvent_matrix
+from .errors import DegenerateModel, InvalidParameter
+from .markov import Generator, Potential, _expm_generator, _time, resolvent_matrix
 
 EXPONENT_CLIP = 700.0  # |exponent| bound that keeps e^x finite (overflow at 709.8)
 
@@ -100,16 +101,12 @@ def _pre_lagrangian(rates: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def v_apply(gen: Generator, f: Potential, t: float) -> Potential:
     """The nonlinear semigroup V(t)f = log E[e^{f(X(t))} | X(0) = x]."""
-    if t < 0:
-        raise InvalidTime(f"time must be nonnegative, got {t}")
-    P = _expm_generator(gen, float(t))
+    P = _expm_generator(gen, _time(t))
     return Potential(gen.space, _log_matrix_apply(P, f.f))
 
 
 def nonlinear_resolvent(gen: Generator, f: Potential, lam: float) -> Potential:
     """R(lam)f = log((I - lam*Q)^{-1} e^f)."""
-    if lam <= 0:
-        raise InvalidParameter(f"resolvent parameter must be positive, got {lam}")
     J = resolvent_matrix(gen, lam)
     return Potential(gen.space, _log_matrix_apply(J, f.f))
 
@@ -124,9 +121,7 @@ def resolvent_iterate(gen: Generator, f: Potential, t: float, n: int) -> Potenti
     """
     if n < 1:
         raise InvalidParameter(f"n must be a positive integer, got {n}")
-    if t < 0:
-        raise InvalidTime(f"time must be nonnegative, got {t}")
-    steps = int(math.floor(n * t + 1e-9))
+    steps = int(math.floor(n * _time(t) + 1e-9))
     J = resolvent_matrix(gen, 1.0 / n)
     g = f.f
     if steps:

@@ -15,12 +15,12 @@ It decides whether each is finite and attained, flow questions with exact
 answers (L is the cheapest current realizing u along the live channels,
 attained when some current uses every one-way channel; one no current can
 use shuts only as f -> -infinity and costs its flux), settles forests in
-closed form, and batches the rest through one damped Newton core.
+closed form, and batches the rest through one damped Newton core. Its steps
+are one stacked solve: LAPACK, or elimination for a large or singular stack.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleSpeed, MalformedModel, NumericalFailure
-from .hamiltonian import _tilted_rates
+from .hamiltonian import _tilted_rates, tilted_generator
 from .markov import (
     Generator, Measure, Potential, StateSpace, _frozen, _reachable, _transport)
 
@@ -102,9 +102,7 @@ class LagrangianResult:
 
 def speed(gen: Generator, mu: Measure, g: Potential) -> Speed:
     """Forward speed of the g-tilted dynamics, rho(mu, g) = (A^g)' mu."""
-    Qt = _tilted_rates(gen.off_diagonal, g.f)
-    np.fill_diagonal(Qt, -Qt.sum(axis=1))
-    return Speed(gen.space, Qt.T @ mu.p)
+    return Speed(gen.space, tilted_generator(gen, g).Q.T @ mu.p)
 
 
 class _Status:
@@ -142,7 +140,8 @@ def _newton_ascent(objective, hessian, x, free, opts, tol=None):
     cells ``rows`` (indices, or None for all) at iterates x (m, b), and
     ``hessian(state)`` minus the (m, m, b) Hessians, solved by
     ``_eliminate`` for ELIMINATION_CELLS cells or more, else as one LAPACK
-    stack on a (b, m, m) view. Only the ``free`` coordinates move. Per cell:
+    stack on a (b, m, m) view, or by ``_eliminate`` when a cell there is
+    singular. Only the ``free`` coordinates move. Per cell:
     its gradient tolerance ``tol`` (default opts.gradient_tol); the Newton
     step (the gradient if it is singular, non-finite or no ascent), scaled
     to move no coordinate by more than STEP_CAP, taken whole when it halves
@@ -218,10 +217,7 @@ def _newton_ascent(objective, hessian, x, free, opts, tol=None):
             try:
                 step = np.linalg.solve(A.transpose(2, 0, 1), g.T[..., None])[..., 0].T.copy()
             except np.linalg.LinAlgError:  # some cell is singular: NaN there
-                step = np.full(g.shape, np.nan)
-                for k in range(g.shape[1]):
-                    with contextlib.suppress(np.linalg.LinAlgError):
-                        step[:, k] = np.linalg.solve(A[..., k], g[:, k])
+                step = _eliminate(A, g)
         # a singular or non-finite step has a non-finite slope
         slope = (g * step).sum(axis=0)
         fallback = ~((slope > 0.0) & (slope < math.inf))

@@ -6,6 +6,10 @@ evolution of probability laws, relative entropy, and the reachability and
 transport kernels behind the exact verdicts. All values are immutable after
 construction and safe to share across threads; a generator's cached
 uniformization table is read-only, and a race at worst computes it twice.
+
+``_time`` and ``_positive`` admit a time or a scale only if it is finite
+(NaN fails); ``_power_rows`` forms y0 M^j by doubling, for the table of
+e^{tQ} and the Doob rows alike.
 """
 
 from __future__ import annotations
@@ -36,6 +40,35 @@ def _frozen(a, dtype=float):
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _time(t) -> float:
+    """t as a float, if 0 <= t < inf (NaN fails); else InvalidTime."""
+    if not 0.0 <= float(t) < math.inf:
+        raise InvalidTime(f"time must be nonnegative and finite, got {t}")
+    return float(t)
+
+
+def _positive(x, what: str) -> float:
+    """x as a float, if 0 < x < inf (NaN fails); else InvalidParameter."""
+    if not 0.0 < float(x) < math.inf:
+        raise InvalidParameter(f"{what} must be positive and finite, got {x}")
+    return float(x)
+
+
+def _power_rows(y0: np.ndarray, M: np.ndarray, K: int) -> np.ndarray:
+    """The products y0 M^j, j = 0..K, stacked as (K + 1, *y0.shape), for a
+    row y0 (n,) or a block of rows (r, n). Each doubling round fills the
+    rows of y0 M^m.. as those of y0 M^0.. times M^m, one dot over all of
+    them, then squares M^m."""
+    Y = np.empty((K + 1,) + y0.shape)
+    Y[0] = y0
+    rows, j = Y.reshape(-1, len(M)), y0.size // len(M)  # j: the rows filled
+    while j < len(rows):
+        top = rows[j:2 * j]
+        np.dot(rows[:len(top)], M, out=top)
+        M, j = M.dot(M), 2 * j
+    return Y
 
 
 @dataclass(frozen=True)
@@ -121,24 +154,10 @@ class Generator:
         k, tail = n - 1, 1.0  # tail: 1 / k! over its value at k = n - 1
         while tail >= UNIFORMIZATION_TAIL:
             k, tail = k + 1, tail / (k + 1)
-        terms = np.empty((k + 1, n * n))
-        rows, B, j = terms.reshape(-1, n), np.eye(n) + self.Q / c, n
-        rows[:n] = np.eye(n)  # rows: B^0..B^K stacked, then scaled by 1/k!
-        while j < len(rows):  # B^j.. as B^0.. times B^j, j doubling
-            top = rows[j:2 * j]
-            np.dot(rows[:len(top)], B, out=top)
-            B, j = B.dot(B), 2 * j
-        terms[1:] *= np.cumprod(1.0 / np.arange(1, k + 1))[:, None]
+        terms = _power_rows(np.eye(n), np.eye(n) + self.Q / c, k)  # B^0..B^K
+        terms[1:] *= np.cumprod(1.0 / np.arange(1, k + 1))[:, None, None]
         terms.setflags(write=False)
-        return c, terms
-
-    def jump_probabilities(self) -> np.ndarray:
-        """Embedded-chain transition matrix; rows of absorbing states are zero."""
-        off = self.off_diagonal
-        rates = off.sum(axis=1)
-        out = np.zeros_like(off)
-        np.divide(off, rates[:, None], out=out, where=rates[:, None] > 0)
-        return out
+        return c, terms.reshape(k + 1, n * n)
 
 
 @dataclass(frozen=True)
@@ -262,8 +281,10 @@ def _expm_generator(gen: Generator, t: float) -> np.ndarray:
     are normalized after the sum and after each square.
     """
     c, terms = gen._uniformized
+    if c * t == math.inf:
+        raise InvalidParameter(f"time {t} times the largest exit rate {c} overflows")
     s = math.ceil(math.log2(c * t)) if c * t > 1.0 else 0
-    P = ((c * t / 2**s) ** np.arange(len(terms)) @ terms).reshape(gen.Q.shape)
+    P = (math.ldexp(c * t, -s) ** np.arange(len(terms)) @ terms).reshape(gen.Q.shape)
     P /= P.sum(axis=1, keepdims=True)
     for _ in range(s):
         P = P @ P
@@ -273,9 +294,7 @@ def _expm_generator(gen: Generator, t: float) -> np.ndarray:
 
 def transition_matrix(gen: Generator, t: float) -> StochasticMatrix:
     """Transition probabilities e^{tQ} after time t >= 0."""
-    if t < 0:
-        raise InvalidTime(f"time must be nonnegative, got {t}")
-    return StochasticMatrix(gen.space, _expm_generator(gen, float(t)))
+    return StochasticMatrix(gen.space, _expm_generator(gen, _time(t)))
 
 
 def _reachable(adjacency: np.ndarray) -> np.ndarray:
@@ -335,8 +354,7 @@ def resolvent_matrix(gen: Generator, lam: float) -> np.ndarray:
     reached from x: rounding leaves weight there, which log-space use
     multiplies by e^{f_y - f_x}.
     """
-    if lam <= 0:
-        raise InvalidParameter(f"resolvent parameter must be positive, got {lam}")
+    lam = _positive(lam, "resolvent parameter")
     n = gen.size
     J = np.linalg.solve(np.eye(n) - lam * gen.Q, np.eye(n))
     return np.where(_reachable(gen.off_diagonal > 0.0), J, 0.0)
@@ -358,9 +376,7 @@ def _fix_probability_vector(p: np.ndarray) -> np.ndarray:
 
 def evolve_law(gen: Generator, mu: Measure, t: float) -> Measure:
     """Push a law forward: the distribution of X(t) when X(0) ~ mu."""
-    if t < 0:
-        raise InvalidTime(f"time must be nonnegative, got {t}")
-    p = mu.p @ _expm_generator(gen, float(t))
+    p = mu.p @ _expm_generator(gen, _time(t))
     return Measure(gen.space, _fix_probability_vector(p))
 
 

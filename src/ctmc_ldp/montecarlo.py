@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InsufficientSampling, InvalidParameter, MalformedModel
 from .lagrangian import SolverOptions
-from .markov import Generator, Measure, _expm_generator
+from .markov import Generator, Measure, _expm_generator, _positive, _time
 from .rates import PathGrid, _conditional_rates
 
 # copies simulated at once: bounds the sampler's memory whatever the number
@@ -46,11 +46,13 @@ def _stream(seed: int, n: int) -> np.random.Generator:
 
 
 def _jump_law(gen: Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Mean holding times, and each state's cumulative jump law less its
-    last entry as one column, that ``_run_copies`` draws from."""
-    rates = gen.exit_rates
+    """Mean holding times, and each state's cumulative embedded-chain row (0 if
+    absorbing) less its last entry as one column, for ``_run_copies``."""
+    rates, off = gen.exit_rates, gen.off_diagonal
     hold = np.divide(1.0, rates, out=np.full(gen.size, np.inf), where=rates > 0)
-    return hold, np.cumsum(gen.jump_probabilities(), axis=1)[:, :-1].T.copy()
+    total = off.sum(axis=1)[:, None]
+    jump = np.divide(off, total, out=np.zeros_like(off), where=total > 0)
+    return hold, np.cumsum(jump, axis=1)[:, :-1].T.copy()
 
 
 def _run_copies(law, mu0: Measure, n: int, batches: int, nodes, rng,
@@ -99,9 +101,8 @@ def empirical_trajectory(gen: Generator, mu0: Measure, n: int,
         raise InvalidParameter(f"need at least one copy, got {n}")
     if K < 1:
         raise InvalidParameter(f"need at least one time interval, got K={K}")
-    if not t0 < t1:
-        raise InvalidParameter("need t0 < t1")
-    nodes = t0 + (t1 - t0) / K * np.arange(K + 1)
+    t0 = _time(t0)
+    nodes = t0 + _positive(t1 - t0, "t1 - t0") / K * np.arange(K + 1)
     rng = _stream(seed, n)
     tally = np.zeros((K + 1) * gen.size, dtype=np.int64)
     law = _jump_law(gen)
@@ -129,17 +130,6 @@ class DecayEstimate:
             raise MalformedModel("n values must be strictly increasing")
         if any(lp > 0 for lp in self.log_probs):
             raise MalformedModel("log probabilities must be nonpositive")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_values": list(self.n_values),
-            "log_probs": list(self.log_probs),
-            "slope": self.slope,
-            "stderr": self.stderr,
-            "hits": list(self.hits),
-            "reps": self.reps,
-            "seed": self.seed,
-        }
 
 
 def _wilson_log_sigma(hits: int, reps: int, z: float = 1.959964) -> float:
@@ -176,9 +166,8 @@ def estimate_event_decay(gen: Generator, mu0: Measure, event: BallEvent,
             b <= a for a, b in zip(n_values, n_values[1:])):
         raise InvalidParameter("n values must be positive and strictly increasing")
     target = event.target.p
-    horizon = float(event.time)
-    if horizon <= 0:
-        raise InvalidParameter("event time must be positive")
+    horizon = _positive(event.time, "event time")
+    radius = _positive(event.radius, "ball radius")
 
     hits, law = [], _jump_law(gen)
     for i_n, n in enumerate(n_values):
@@ -191,7 +180,7 @@ def estimate_event_decay(gen: Generator, mu0: Measure, event: BallEvent,
             counts = np.bincount(np.repeat(np.arange(batches) * gen.size, n)
                                  + states, minlength=batches * gen.size)
             emp = counts.reshape(batches, gen.size) / n
-            count += int((np.abs(emp - target).sum(axis=1) < event.radius).sum())
+            count += int((np.abs(emp - target).sum(axis=1) < radius).sum())
         hits.append(count)
         if count == 0:
             partial = {
@@ -229,11 +218,8 @@ def ball_infimum_rate(gen: Generator, mu0: Measure, nu: Measure, t: float,
     the evolved law bounds the ball infimum from above (and is exact when
     the minimizer lies on that segment).
     """
-    if delta <= 0:
-        raise InvalidParameter("ball radius must be positive")
-    if t <= 0:
-        raise InvalidParameter(f"time must be positive, got {t}")
-    P = _expm_generator(gen, float(t))
+    delta = _positive(delta, "ball radius")
+    P = _expm_generator(gen, _positive(t, "time"))
     center = mu0.p @ P
     dist = float(np.abs(center - nu.p).sum())
     if dist <= delta:

@@ -46,6 +46,7 @@ from .markov import (
     StateSpace,
     _expm_generator,
     _frozen,
+    _positive,
     _reachable,
     _relative_entropy,
     relative_entropy,
@@ -67,8 +68,8 @@ class PathGrid:
 
     def __post_init__(self):
         m = np.asarray(self.measures, dtype=float)
-        if not self.t0 < self.t1:
-            raise MalformedModel("need t0 < t1")
+        if not -math.inf < self.t0 < self.t1 < math.inf:
+            raise MalformedModel("need finite t0 < t1")
         if m.ndim != 2 or m.shape[0] < 2 or m.shape[1] != self.space.size:
             raise MalformedModel("measures must be a (K+1, size) array with K >= 1")
         if not np.all(np.isfinite(m)) or np.any(m < -PROBABILITY_SLACK):
@@ -103,8 +104,8 @@ class Partition:
         ts = tuple(float(t) for t in self.times)
         if not ts:
             raise MalformedModel("a partition needs at least one time")
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise MalformedModel("partition times must be strictly increasing")
+        if not all(map(math.isfinite, ts)) or any(b <= a for a, b in zip(ts, ts[1:])):
+            raise MalformedModel("partition times must be finite and strictly increasing")
         object.__setattr__(self, "times", ts)
 
 
@@ -151,11 +152,10 @@ def conditional_rate(gen: Generator, mu: Measure, nu: Measure, t: float,
     the value is exact but reported as unattained (the optimal tilt
     diverges there).
     """
-    if t <= 0:
-        raise InvalidParameter(f"time must be positive, got {t}")
+    t = _positive(t, "time")
     if mu.space != nu.space or mu.space != gen.space:
         raise MalformedModel("inputs live on different state spaces")
-    P = _expm_generator(gen, float(t))
+    P = _expm_generator(gen, t)
     value, status, f, levels, iters, gnorm = (
         a[0] for a in _conditional_rates(mu.p[None], nu.p[None], P[None], opts))
     on = nu.p > 0.0
@@ -251,8 +251,7 @@ def joint_rate(gen: Generator, mu0: Measure, partition: Partition,
     f_0 = log(nu_0 / mu0) - log(P_0 e^{g_1}).
     """
     times = (0.0,) + partition.times
-    if times[1] <= 0.0:
-        raise InvalidParameter(f"partition times must be positive, got {times[1]}")
+    _positive(times[1], "partition times")
     nus = [m if isinstance(m, Measure) else Measure(gen.space, m) for m in marginals]
     if len(nus) != len(times) or any(nu.space != gen.space for nu in nus):
         raise MalformedModel(f"need {len(times)} marginals on the generator's "

@@ -37,6 +37,8 @@ from .markov import (
     StateSpace,
     _expm_generator,
     _frozen,
+    _positive,
+    _power_rows,
 )
 from .rates import (
     ActionResult,
@@ -63,8 +65,8 @@ class DoobFlow:
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float)
-        if self.horizon <= 0:
-            raise MalformedModel("horizon must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise MalformedModel("horizon must be positive and finite")
         if h.ndim != 2 or h.shape[0] < 2 or h.shape[1] != self.space.size:
             raise MalformedModel("flow must be a (K+1, size) array with K >= 1")
         if not np.all(np.isfinite(h)):
@@ -79,23 +81,8 @@ class DoobFlow:
     def dt(self) -> float:
         return self.horizon / self.K
 
-    @property
-    def terminal(self) -> Potential:
-        return Potential(self.space, self.h[-1])
-
     def potential(self, k: int) -> Potential:
         return Potential(self.space, self.h[k])
-
-
-def _power_rows(y0: np.ndarray, M: np.ndarray, K: int) -> np.ndarray:
-    """The rows y0 M^j, j = 0..K: each doubling round fills rows [m, 2m)
-    as rows [0, m) times M^m, then squares M^m."""
-    Y = np.empty((K + 1, y0.size))
-    Y[0], m = y0, 1
-    while m <= K:
-        Y[m:2 * m] = Y[:min(m, K + 1 - m)] @ M
-        M, m = M @ M, 2 * m
-    return Y
 
 
 def doob_flow(gen: Generator, f: Potential, t: float, K: int) -> DoobFlow:
@@ -107,8 +94,7 @@ def doob_flow(gen: Generator, f: Potential, t: float, K: int) -> DoobFlow:
     can underflow, the flow is nested one max-shifted log-space step at a
     time.
     """
-    if t <= 0:
-        raise InvalidParameter(f"horizon must be positive, got {t}")
+    t = _positive(t, "horizon")
     if K < 1:
         raise InvalidParameter(f"need at least one interval, got K={K}")
     Pdt = _expm_generator(gen, t / K)
@@ -120,7 +106,7 @@ def doob_flow(gen: Generator, f: Potential, t: float, K: int) -> DoobFlow:
     else:
         for k in range(K - 1, -1, -1):
             h[k] = _log_matrix_apply(Pdt, h[k + 1])
-    return DoobFlow(gen.space, float(t), h)
+    return DoobFlow(gen.space, t, h)
 
 
 def _forward_measures(mu0: Measure, flow: DoobFlow, Pdt: np.ndarray) -> np.ndarray:
@@ -219,13 +205,12 @@ def optimal_bridge(gen: Generator, mu0: Measure, mu1: Measure, t: float,
 
 def zero_cost_path(gen: Generator, mu0: Measure, t: float, K: int) -> PathGrid:
     """The trajectory of the untilted dynamics itself, which costs nothing."""
-    if t <= 0:
-        raise InvalidParameter(f"horizon must be positive, got {t}")
+    t = _positive(t, "horizon")
     if K < 1:
         raise InvalidParameter(f"need at least one interval, got K={K}")
     out = _power_rows(mu0.p, _expm_generator(gen, t / K), K)
     out[1:] /= out[1:].sum(axis=1, keepdims=True)
-    return PathGrid(gen.space, 0.0, float(t), out)
+    return PathGrid(gen.space, 0.0, t, out)
 
 
 def entropy_identity_check(gen: Generator, mu0: Measure, f: Potential,

@@ -8,6 +8,7 @@ import json
 import os
 import re
 import stat
+import subprocess
 import sys
 from pathlib import Path
 
@@ -324,6 +325,15 @@ class TestSemigroup:
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 5e-3
 
+    def test_potential_option_sets_the_tilt(self, tmp_path):
+        code = main(["semigroup", "--model", RING, "--t", "0.7",
+                     "--potential=-1,0.5,2", "--out", str(tmp_path)])
+        assert code == 0
+        gen, _, _ = load_model(RING)
+        exact = v_apply(gen, Potential(gen.space, [-1.0, 0.5, 2.0]), 0.7).f
+        report = load_report(tmp_path / "semigroup_report.json")
+        assert report["outputs"]["exact"] == exact.tolist()
+
 
 class TestRate:
     def test_value_matches_library(self, tmp_path):
@@ -365,6 +375,17 @@ class TestBridgeAndAction:
         gen, _, _ = load_model(RING)
         recomputed = path_action(gen, grid).value
         assert recomputed == pytest.approx(report["outputs"]["action"], abs=1e-9)
+
+    def test_action_names_the_infeasible_cell(self, tmp_path, capsys):
+        # nothing returns to a on the absorbing chain
+        path = tmp_path / "p.csv"
+        path.write_text("t,a,b\n0,0.5,0.5\n0.5,0.5,0.5\n1,0.6,0.4\n")
+        code = main(["action", "--model", ABSORBING, "--path", str(path),
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert "infeasible at cell 1" in capsys.readouterr().out
+        outputs = load_report(tmp_path / "action_report.json")["outputs"]
+        assert outputs["action"] == "inf" and outputs["infeasible_cell"] == 1
 
 
 class TestSimulate:
@@ -456,6 +477,49 @@ class TestMalformedInput:
             main([*argv, "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert "argument --n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", [
+        "model without rates", "path header", "path labels", "path of one row",
+        "path nodes not uniform", "target entry count"])
+    def test_invalid_input_exits_3(self, tmp_path, capsys, case):
+        # readable input that fails validation: one error line, exit 3
+        model, path = tmp_path / "m.json", tmp_path / "p.csv"
+        model.write_text(json.dumps({"states": ["a", "b"], "initial": [1, 0]}))
+        path.write_text({
+            "path header": "time,a,b\n0,0.5,0.5\n1,0.5,0.5\n",
+            "path labels": "t,a,c\n0,0.5,0.5\n1,0.5,0.5\n",
+            "path of one row": "t,a,b\n0,0.5,0.5\n",
+            "path nodes not uniform": "t,a,b\n0,0.5,0.5\n0.2,0.5,0.5\n1,0.5,0.5\n",
+        }.get(case, STATIONARY_PATH))
+        argv = {"model without rates": ["check", "--model", str(model)],
+                "target entry count": ["rate", "--model", RING, "--t", "0.5",
+                                       "--target", "0.5,0.5"]}.get(
+            case, ["action", "--model", SYMMETRIC, "--path", str(path)])
+        code = main([*argv, "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        *([sub, "--t", t] for sub in ("rate", "bridge", "semigroup", "verify-ldp",
+                                      "simulate") for t in ("nan", "inf", "1e400")),
+        ["rate", "--t", "1e308"], ["verify-ldp", "--t", "1", "--radius", "nan"]],
+        ids=" ".join)
+    def test_non_finite_time_or_radius_exits_3(self, tmp_path, argv):
+        # in a subprocess with a timeout, so that a run that never returns
+        # (simulate at --t inf keeps every copy due before the last node)
+        # fails instead of hanging the suite
+        extra = {"rate": ["--target", "0.2,0.3,0.5"], "bridge": ["--target", "0.2,0.3,0.5"],
+                 "verify-ldp": ["--seed", "1"], "simulate": ["--seed", "1"]}
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run(
+            [sys.executable, "-m", "ctmc_ldp", argv[0], "--model", RING, *argv[1:],
+             *extra.get(argv[0], []), "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=30)
+        assert run.returncode == 3
+        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
 
     def test_bad_target_exits_2(self, tmp_path, capsys):
         code = main(["rate", "--model", ABSORBING, "--t", "0.5",

@@ -281,6 +281,11 @@ class TestNonlinearResolvent:
 
 
 class TestResolventIterate:
+    def test_no_iterations_rejected(self):
+        gen = symmetric_chain()
+        with pytest.raises(InvalidParameter):
+            resolvent_iterate(gen, Potential.zeros(gen.space), 1.0, 0)
+
     def test_zero_potential_fixed_point(self):
         gen = symmetric_chain()
         out = resolvent_iterate(gen, Potential.zeros(gen.space), 1.0, 64)

@@ -7,18 +7,33 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctmc_ldp import (
+    BallEvent,
+    DoobFlow,
     Generator,
     InvalidParameter,
     InvalidRate,
     InvalidTime,
     MalformedModel,
     Measure,
+    Partition,
+    PathGrid,
+    Potential,
     StateSpace,
+    ball_infimum_rate,
+    conditional_rate,
+    doob_flow,
+    empirical_trajectory,
+    estimate_event_decay,
     evolve_law,
+    joint_rate,
+    nonlinear_resolvent,
     relative_entropy,
+    resolvent_iterate,
     resolvent_matrix,
     transition_matrix,
+    v_apply,
     validate_generator,
+    zero_cost_path,
 )
 from ctmc_ldp.markov import UNIFORMIZATION_TAIL, _expm_generator
 from conftest import (
@@ -262,6 +277,11 @@ class TestRelativeEntropy:
         db = Measure.dirac(gen.space, "b")
         assert relative_entropy(da, db) == math.inf
 
+    def test_different_spaces_rejected(self):
+        mu = Measure.uniform(symmetric_chain().space)
+        with pytest.raises(MalformedModel):
+            relative_entropy(mu, Measure.uniform(StateSpace(("x", "y"))))
+
     def test_pinsker_inequality(self, rng):
         # entropy dominates half the squared l1 distance
         for _ in range(50):
@@ -289,3 +309,62 @@ class TestTypeInvariants:
         mu = random_measure(rng, gen)
         with pytest.raises(ValueError):
             mu.p[0] = 0.5
+
+
+# the ring3 model: every time or scale the package takes is admitted at its
+# own call site, finite (NaN and +inf fail) and with that site's error class
+RING = validate_generator(["a", "b", "c"],
+                          [[0.0, 1.5, 0.3], [0.4, 0.0, 1.1], [0.9, 0.2, 0.0]])
+MU, NU = Measure(RING.space, [0.5, 0.3, 0.2]), Measure(RING.space, [0.2, 0.3, 0.5])
+F = Potential(RING.space, [0.0, 0.5, 1.0])
+SCALAR_SITES = {
+    "transition_matrix": (lambda x: transition_matrix(RING, x), InvalidTime),
+    "evolve_law": (lambda x: evolve_law(RING, MU, x), InvalidTime),
+    "resolvent_matrix": (lambda x: resolvent_matrix(RING, x), InvalidParameter),
+    "v_apply": (lambda x: v_apply(RING, F, x), InvalidTime),
+    "nonlinear_resolvent": (lambda x: nonlinear_resolvent(RING, F, x), InvalidParameter),
+    "resolvent_iterate": (lambda x: resolvent_iterate(RING, F, x, 8), InvalidTime),
+    "conditional_rate": (lambda x: conditional_rate(RING, MU, NU, x), InvalidParameter),
+    "joint_rate": (lambda x: joint_rate(RING, MU, Partition((x,)), [MU, NU]),
+                   MalformedModel),
+    "PathGrid t0": (lambda x: PathGrid(RING.space, x, 1.0, [MU.p, NU.p]), MalformedModel),
+    "PathGrid t1": (lambda x: PathGrid(RING.space, 0.0, x, [MU.p, NU.p]), MalformedModel),
+    "doob_flow": (lambda x: doob_flow(RING, F, x, 4), InvalidParameter),
+    "DoobFlow": (lambda x: DoobFlow(RING.space, x, np.zeros((2, 3))), MalformedModel),
+    "zero_cost_path": (lambda x: zero_cost_path(RING, MU, x, 4), InvalidParameter),
+    "event time": (lambda x: estimate_event_decay(
+        RING, MU, BallEvent(NU, x, 0.4), [10, 20], 100, 0), InvalidParameter),
+    "event radius": (lambda x: estimate_event_decay(
+        RING, MU, BallEvent(NU, 0.5, x), [10, 20], 100, 0), InvalidParameter),
+    "ball_infimum_rate t": (lambda x: ball_infimum_rate(RING, MU, NU, x, 0.1),
+                            InvalidParameter),
+    "ball_infimum_rate radius": (lambda x: ball_infimum_rate(RING, MU, NU, 0.5, x),
+                                 InvalidParameter),
+    "empirical_trajectory t1": (lambda x: empirical_trajectory(RING, MU, 10, x, 4, 0),
+                                InvalidParameter),
+    "empirical_trajectory t0": (lambda x: empirical_trajectory(
+        RING, MU, 10, 1.0, 4, 0, t0=x), InvalidTime),
+}
+
+
+class TestAdmissibleScalars:
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    @pytest.mark.parametrize("site", sorted(SCALAR_SITES))
+    def test_non_finite_rejected(self, site, x):
+        call, error = SCALAR_SITES[site]
+        with pytest.raises(error):
+            call(x)
+
+    def test_negative_start_time_rejected(self):
+        # the copies start at time 0: a node before it would carry their start
+        with pytest.raises(InvalidTime):
+            empirical_trajectory(RING, MU, 10, 1.0, 4, 0, t0=-1.0)
+
+    def test_time_past_the_largest_scaled_rate(self):
+        # c t overflows on the ring (c = 1.8); at c = 1 it does not, and the
+        # s = 1024 halvings stay finite
+        with pytest.raises(InvalidParameter):
+            transition_matrix(RING, 1e308)
+        gen = validate_generator(["a", "b"], [[0.0, 1.0], [0.5, 0.0]])
+        np.testing.assert_allclose(transition_matrix(gen, 1e308).P,
+                                   [[1 / 3, 2 / 3]] * 2, atol=1e-12)

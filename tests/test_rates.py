@@ -18,6 +18,7 @@ from ctmc_ldp import (
     PathGrid,
     Potential,
     SolverOptions,
+    StateSpace,
     conditional_rate,
     doob_flow,
     doob_forward,
@@ -80,6 +81,22 @@ class TestConditionalRate:
             res = conditional_rate(gen, da, da, t)
             assert res.value == pytest.approx(t, abs=1e-10)
             assert not res.attained  # optimal tilt diverges on state b
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-13, 1e-12, 1e-9])
+    def test_mass_gained_by_a_state_only_it_reaches(self, delta):
+        # a -> b at rate 1, b and c absorbing: nu_a may exceed mu_a only by
+        # rounding, which leaves the a -> a edge of the coupling forest
+        # running against its flux; that edge is dropped and the forest
+        # solved again, at the cost of keeping all of a: 0.3 t
+        gen = validate_generator(["a", "b", "c"], [[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+        mu = Measure(gen.space, [0.3, 0.4, 0.3])
+        nu = Measure(gen.space, [0.3 + delta, 0.4 - delta, 0.3])
+        res = conditional_rate(gen, mu, nu, 0.8)
+        if delta > 1e-12:
+            assert res.value == math.inf
+        else:
+            assert res.value == pytest.approx(0.24, abs=1e-12)
+            assert not res.attained and res.iterations == 0
 
     def test_unreachable_target_infinite(self):
         gen = absorbing_chain()
@@ -1024,6 +1041,31 @@ class TestPartitionRate:
 
 
 class TestGridTypes:
+    @pytest.mark.parametrize("case, error", [
+        ("grid with one node", MalformedModel), ("grid node negative", MalformedModel),
+        ("conditional rate spaces", MalformedModel), ("action spaces", MalformedModel),
+        ("partition rate spaces", MalformedModel),
+        ("partition times on one node", InvalidParameter)])
+    def test_invalid_input_rejected(self, case, error):
+        gen, other = symmetric_chain(), StateSpace(("x", "y"))
+        half = Measure.uniform(gen.space)
+        path = PathGrid(gen.space, 0.0, 1.0, np.full((5, 2), 0.5))
+        foreign = PathGrid(other, 0.0, 1.0, np.full((5, 2), 0.5))
+        call = {
+            "grid with one node": lambda: PathGrid(gen.space, 0.0, 1.0, [[0.5, 0.5]]),
+            "grid node negative": lambda: PathGrid(
+                gen.space, 0.0, 1.0, [[1.1, -0.1], [0.5, 0.5]]),
+            "conditional rate spaces": lambda: conditional_rate(
+                gen, Measure.uniform(other), half, 0.5),
+            "action spaces": lambda: path_action(gen, foreign),
+            "partition rate spaces": lambda: partition_rate(
+                gen, foreign, Partition((0.5,)), half),
+            "partition times on one node": lambda: partition_rate(
+                gen, path, Partition((0.25, 0.25 + 1e-10)), half),
+        }[case]
+        with pytest.raises(error):
+            call()
+
     def test_pathgrid_validation(self):
         gen = symmetric_chain()
         with pytest.raises(MalformedModel):

@@ -10,6 +10,7 @@ from ctmc_ldp import (
     BoundaryBridgeWarning,
     DoobFlow,
     InfeasibleBridge,
+    InvalidParameter,
     MalformedModel,
     Measure,
     Potential,
@@ -63,6 +64,27 @@ def _nested_flow(gen, f, t, K):
 
 
 class TestDoobFlow:
+    @pytest.mark.parametrize("case, error", [
+        ("horizon zero", MalformedModel), ("one node", MalformedModel),
+        ("non-finite node", MalformedModel), ("doob_flow at t = 0", InvalidParameter),
+        ("doob_flow with K = 0", InvalidParameter),
+        ("zero_cost_path at t = 0", InvalidParameter),
+        ("zero_cost_path with K = 0", InvalidParameter)])
+    def test_invalid_input_rejected(self, case, error):
+        gen = symmetric_chain()
+        f, mu0 = Potential.zeros(gen.space), Measure.uniform(gen.space)
+        call = {
+            "horizon zero": lambda: DoobFlow(gen.space, 0.0, np.zeros((3, 2))),
+            "one node": lambda: DoobFlow(gen.space, 1.0, np.zeros((1, 2))),
+            "non-finite node": lambda: DoobFlow(gen.space, 1.0, [[0.0, 0.0], [np.inf, 0.0]]),
+            "doob_flow at t = 0": lambda: doob_flow(gen, f, 0.0, 4),
+            "doob_flow with K = 0": lambda: doob_flow(gen, f, 1.0, 0),
+            "zero_cost_path at t = 0": lambda: zero_cost_path(gen, mu0, 0.0, 4),
+            "zero_cost_path with K = 0": lambda: zero_cost_path(gen, mu0, 1.0, 0),
+        }[case]
+        with pytest.raises(error):
+            call()
+
     def test_terminal_node_exact(self, rng):
         gen = random_model(rng)
         f = random_potential(rng, gen, bound=1.5)
