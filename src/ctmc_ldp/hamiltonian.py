@@ -117,11 +117,13 @@ def resolvent_iterate(gen: Generator, f: Potential, t: float, n: int) -> Potenti
     Each step is log(J_+ e^f) with J = (I - Q/n)^{-1} and J_+ = max(J, 0)
     (rounding can leave J slightly negative), so the k steps are one
     log-space apply of J_+^k, which np.linalg.matrix_power forms by
-    repeated squaring.
+    repeated squaring. InvalidParameter unless n >= 1 and n t < 2^53,
+    below which step counts are exact integers.
     """
-    if n < 1:
-        raise InvalidParameter(f"n must be a positive integer, got {n}")
-    steps = int(math.floor(n * _time(t) + 1e-9))
+    steps = n * _time(t)
+    if not (n >= 1 and steps < 2.0 ** 53):
+        raise InvalidParameter(f"need n >= 1 and n t below 2^53, got n = {n}, t = {t}")
+    steps = int(math.floor(steps + 1e-9))
     J = resolvent_matrix(gen, 1.0 / n)
     g = f.f
     if steps:

@@ -108,7 +108,8 @@ def speed(gen: Generator, mu: Measure, g: Potential) -> Speed:
 class _Status:
     """Per-cell verdicts: ``_newton_ascent`` settles CONVERGED, STALLED (no
     step gains along the Newton step or the gradient) or MAX_ITERS; INFINITE
-    and BOUNDARY (attained only in a limit) are decided before Newton."""
+    and BOUNDARY (attained only in a limit) are decided before Newton. The
+    two that leave a cell unsettled, STALLED and MAX_ITERS, come last."""
 
     CONVERGED, INFINITE, BOUNDARY, STALLED, MAX_ITERS = range(5)
 
@@ -141,13 +142,14 @@ def _newton_ascent(objective, hessian, x, free, opts, tol=None):
     ``hessian(state)`` minus the (m, m, b) Hessians, solved by
     ``_eliminate`` for ELIMINATION_CELLS cells or more, else as one LAPACK
     stack on a (b, m, m) view, or by ``_eliminate`` when a cell there is
-    singular. Only the ``free`` coordinates move. Per cell:
-    its gradient tolerance ``tol`` (default opts.gradient_tol); the Newton
-    step (the gradient if it is singular, non-finite or no ascent), scaled
-    to move no coordinate by more than STEP_CAP, taken whole when it halves
-    the gradient sup-norm, which keeps converging below the noise floor of
-    the objective, and does not lower the value by more than rounding, else
-    backtracked by Armijo halvings; one retry along the gradient on a stall.
+    singular. Only the ``free`` coordinates move. Per cell: its gradient
+    tolerance ``tol`` (default opts.gradient_tol), compressed with the cell;
+    the Newton step (the gradient if it is singular, non-finite or no
+    ascent), scaled to move no coordinate by more than STEP_CAP, taken whole
+    when it halves the gradient sup-norm, which keeps converging below the
+    noise floor of the objective, and does not lower the value by more than
+    rounding, else backtracked by Armijo halvings; one retry along the
+    gradient on a stall.
 
     Returns per-cell arrays: status, x, value, iterations, gradient norm.
     """
@@ -162,9 +164,9 @@ def _newton_ascent(objective, hessian, x, free, opts, tol=None):
         return np.abs(grad[free]).max(axis=0, initial=0.0)
 
     def settle(done, verdict, xs, values):
-        rows = cells[done]
-        status[rows], out_value[rows], out_norm[rows] = verdict, values[done], norm[done]
-        out_x[:, rows], iters[rows] = xs.compress(done, axis=1), it
+        rows = cells.compress(done)
+        status[rows], iters[rows], out_value[rows] = verdict, it, values.compress(done)
+        out_x[:, rows], out_norm[rows] = xs.compress(done, axis=1), norm.compress(done)
 
     def capped(step, slope):  # scaled to move no coordinate past STEP_CAP
         scale = STEP_CAP / np.abs(step).max(axis=0, initial=STEP_CAP)
@@ -190,8 +192,8 @@ def _newton_ascent(objective, hessian, x, free, opts, tol=None):
             if alpha < 1.0:
                 step_to(back, alpha, direction)
             trial, old = vt[back], value[back]
-            back = back[~(np.isfinite(trial) & (trial > old)
-                          & (trial >= old + 1e-4 * alpha * slope[back]))]
+            back = back.compress(~(np.isfinite(trial) & (trial > old)
+                                   & (trial >= old + 1e-4 * alpha * slope[back])))
             alpha *= 0.5
         return back
 
@@ -199,15 +201,15 @@ def _newton_ascent(objective, hessian, x, free, opts, tol=None):
     value, grad, state = objective(x, live)
     norm = sup_norm(grad)
     for it in range(1, opts.max_iters + 1):
-        done = norm <= tol[cells]
+        done = norm <= tol
         n_done = np.count_nonzero(done)
         if n_done:
             settle(done, _Status.CONVERGED, x, value)
         if n_done == len(cells):  # every cell settled, or none left
             break
         if n_done:
-            cells, x, value, grad, state, norm = (
-                a.compress(~done, axis=-1) for a in (cells, x, value, grad, state, norm))
+            cells, x, value, grad, state, norm, tol = (a.compress(~done, axis=-1) for a in (
+                cells, x, value, grad, state, norm, tol))
             live = cells
         g = grad[free]
         A = hessian(state)[block]
@@ -234,13 +236,13 @@ def _newton_ascent(objective, hessian, x, free, opts, tol=None):
             direction[np.ix_(free, stalled)], slope[stalled] = capped(
                 g.take(stalled, axis=1), (g.take(stalled, axis=1) ** 2).sum(axis=0))
             step_to(stalled, 1.0, direction)
-            stalled = search(stalled[to_backtrack()[stalled]], direction, slope)
+            stalled = search(stalled.compress(to_backtrack()[stalled]), direction, slope)
         if stalled.size:
             moved = np.ones(len(cells), dtype=bool)
             moved[stalled] = False
             settle(~moved, _Status.STALLED, x, value)
-            cells, xt, vt, gt, st, nt = (
-                a.compress(moved, axis=-1) for a in (cells, xt, vt, gt, st, nt))
+            cells, xt, vt, gt, st, nt, tol = (
+                a.compress(moved, axis=-1) for a in (cells, xt, vt, gt, st, nt, tol))
             live = cells
         x, value, grad, state, norm = xt, vt, gt, st, nt
     else:
@@ -378,8 +380,10 @@ def _idle_channels(us, shape, zero, slack):
 def _lagrangian_cells(flux, us, offset, opts, initial=None, zero=STRUCTURAL_TOL,
                       slack=None):
     """sup_f { <f, u_k> - sum_xy a_xy (e^{f_y - f_x} - 1) } + offset_k on a
-    stack of flux graphs a_k (K, n, n), speeds and offsets, from f = 0 or
-    the warm starts ``initial``: L(mu, u) for the flux mu_x r_xy and offset 0.
+    stack of flux graphs a_k (n, n, K), speeds and warm starts ``initial``
+    (n, K), if given, and offsets, from f = 0 or the warm starts: L(mu, u)
+    for the flux mu_x r_xy and offset 0. The cells are on the last axis of
+    every array, as in ``_newton_ascent``, and no input is written to.
 
     Cells with the same live channels (a_xy > 0) are grouped. A component
     whose speed entries do not balance, to what ``Speed`` accepts, is
@@ -391,66 +395,72 @@ def _lagrangian_cells(flux, us, offset, opts, initial=None, zero=STRUCTURAL_TOL,
     or its gradient's rounding floor 8 eps sum|u|; a warm start that does
     not converge is solved again from 0. Relative to max(1, sum|u|), sums
     and currents within ``zero``, and mass left unrouted within ``slack``,
-    if given, are rounding. Inside, copies keep the cells on their last
-    axis, as in ``_newton_ascent``. Returns per-cell status, maximizer,
-    value, iterations and gradient norm as ``_newton_ascent`` does (0
-    iterations for a screened or forest cell), and the live channels less
-    those shut.
+    if given, are rounding. A group of every cell in order is not copied.
+    Returns per-cell status, maximizers (n, K), value, iterations and
+    gradient norm as ``_newton_ascent`` does (0 iterations for a screened
+    or forest cell), and the live channels less those shut (n, n, K).
     """
-    K, n = us.shape
-    us = us - us.sum(axis=1, keepdims=True) / n  # mass conserved despite rounding
-    flux, us = flux.transpose(1, 2, 0).copy(), us.T.copy()
+    n, K = us.shape
+    given = flux  # the caller's stack, until a drop replaces flux by a copy
+    us = us - us.sum(axis=0) / n  # mass conserved despite rounding
     scale = np.abs(us).sum(axis=0)
     balance_tol = SPEED_SUM_TOL * np.maximum(1.0, scale)  # spread over every state
     gradient_tol = np.maximum(opts.gradient_tol, 8 * np.finfo(float).eps * scale)
     base = flux.sum(axis=(0, 1)) + offset
     live = flux > 0.0
-    keys = live.reshape(n * n, K).T.copy().view(f"V{n * n}")[:, 0]  # the patterns as bytes
-    x = np.zeros((n, K)) if initial is None else np.asarray(initial, float).T.copy()
+    x = np.zeros((n, K)) if initial is None else np.array(initial, dtype=float)
     status, iters = np.full(K, _Status.INFINITE), np.zeros(K, dtype=int)
     value, norm = np.full((2, K), math.inf)
     shut, rest = np.zeros(K), np.arange(K)  # shut: flux of the dropped channels
 
+    def index(cells):  # every cell in order (no drop yet): a slice, no copies
+        return slice(None) if cells.size == K and flux is given else cells
+
+    def pick(a, at):
+        return a if isinstance(at, slice) else a.take(at, axis=-1)
+
     def drop(out):  # cells ``out`` lost live channels: shut them, group again
-        nonlocal rest
+        nonlocal rest, flux
         shut[out] += (flux.take(out, axis=-1) * ~live.take(out, axis=-1)).sum(axis=(0, 1))
-        flux[..., out] *= live.take(out, axis=-1)
-        keys[out] = live[..., out].reshape(n * n, -1).T.copy().view(keys.dtype)[:, 0]
-        rest = np.append(rest, out)
+        flux, rest = flux * live, np.append(rest, out)  # a copy: the caller's is kept
 
     while rest.size:
-        same = keys[rest] == keys[rest[0]]
-        group, rest = rest[same], rest[~same]
-        shape = _pattern(n, keys[group[0]].tobytes())
-        balanced = np.abs(shape.reach @ us.take(group, axis=1)) <= balance_tol[group]
-        cells = group[balanced.all(axis=0)]
+        patterns = pick(live, index(rest)).reshape(n * n, -1)  # one column per cell
+        same = (patterns == patterns[:, :1]).all(axis=0)
+        group, rest = rest.compress(same), rest.compress(~same)
+        shape = _pattern(n, patterns[:, 0].tobytes())
+        at = index(group)
+        balanced = np.abs(shape.reach @ pick(us, at)) <= pick(balance_tol, at)
+        cells = group.compress(balanced.all(axis=0))
+        at = index(cells)
         if shape.currents is not None:  # a forest: no ascent
-            status[cells], x[:, cells], value[cells], edges, back = _forest_cells(
-                flux.take(cells, axis=-1), us.take(cells, axis=1),
-                base[cells] - shut[cells], shape, zero, slack)
-            norm[cells[np.isfinite(value[cells])]] = 0.0
+            status[at], x[:, at], value[at], edges, back = _forest_cells(
+                pick(flux, at), pick(us, at), pick(base - shut, at), shape, zero, slack)
+            norm[cells.compress(np.isfinite(value[at]))] = 0.0
             live[shape.tail[:, None], shape.head[:, None], cells] &= ~(edges | back)
             if back.any():  # solved again without the unusable edges
-                drop(cells[back.any(axis=0)])
+                drop(cells.compress(back.any(axis=0)))
             continue
         if shape.between is not None and cells.size:
-            feasible, idle = _idle_channels(us.take(cells, axis=1), shape, zero, slack)
+            feasible, idle = _idle_channels(pick(us, at), shape, zero, slack)
             reduced = feasible & idle.any(axis=(0, 1))
-            live[..., cells] &= ~idle
+            live[..., at] &= ~idle
             if reduced.any():
-                drop(cells[reduced])
-            cells = cells[feasible & ~reduced]
-        todo, start = cells, x.take(cells, axis=1) - x[shape.root[:, None], cells]
+                drop(cells.compress(reduced))
+            cells = cells.compress(feasible & ~reduced)
+        todo, start = cells, pick(x - x[shape.root], index(cells))
         while todo.size:  # a warm start that does not converge starts over at 0
-            every = todo.size == K and (todo == np.arange(K)).all()  # in order: no copies
-            objective, hessian = _lagrangian_objective(*(
-                a if every else a.take(todo, axis=-1) for a in (flux, us, base - shut)))
-            status[todo], x[:, todo], value[todo], iters[todo], norm[todo] = _newton_ascent(
-                objective, hessian, start, shape.free, opts, gradient_tol[todo])
-            todo = todo[(status[todo] != _Status.CONVERGED) & start.any(axis=0)]
+            at = index(todo)
+            objective, hessian = _lagrangian_objective(
+                *(pick(a, at) for a in (flux, us, base - shut)))
+            status[at], x[:, at], value[at], iters[at], norm[at] = _newton_ascent(
+                objective, hessian, start, shape.free, opts, pick(gradient_tol, at))
+            todo = todo.compress((status[at] != _Status.CONVERGED) & start.any(axis=0))
             start = np.zeros((n, todo.size))
-    status[(shut > 0.0) & (status == _Status.CONVERGED)] = _Status.BOUNDARY
-    return status, x.T, value + shut, iters, norm, live.transpose(2, 0, 1)
+    if flux is not given:  # channels were dropped
+        status[(shut > 0.0) & (status == _Status.CONVERGED)] = _Status.BOUNDARY
+        value += shut
+    return status, x, value, iters, norm, live
 
 
 def lagrangian_value(gen: Generator, mu: Measure, u,
@@ -471,10 +481,11 @@ def lagrangian_value(gen: Generator, mu: Measure, u,
     opts = opts or DEFAULT_OPTIONS
     if not isinstance(u, Speed):
         u = Speed(gen.space, np.asarray(u, dtype=float))
-    flux = mu.p[None, :, None] * gen.off_diagonal
-    unfed = (mu.p == 0.0) & (flux[0].sum(axis=0) <= 0.0)
-    status, f, value, iters, gnorm, _ = (a[0] for a in _lagrangian_cells(
-        flux, u.u[None], 0.0, opts, None if initial is None else [initial]))
+    flux = mu.p[:, None] * gen.off_diagonal
+    unfed = (mu.p == 0.0) & (flux.sum(axis=0) <= 0.0)
+    status, f, value, iters, gnorm, _ = (a[..., 0] for a in _lagrangian_cells(
+        flux[..., None], u.u[:, None], 0.0, opts,
+        None if initial is None else np.reshape(initial, (-1, 1))))
     if status == _Status.INFINITE:
         return LagrangianResult(math.inf, None, 0, math.inf)
     _settled(status, opts)
@@ -495,12 +506,13 @@ def _dual_residuals(gen: Generator, mus, fs, opts=None) -> np.ndarray:
     left side in closed form, the Lagrangians as cells of one evaluator
     call, warm-started at f; NumericalFailure if one does not settle."""
     opts = opts or DEFAULT_OPTIONS
-    M = _tilted_rates(gen.off_diagonal[..., None], fs.T)  # (n, n, b), cells last
+    mus, fs = (np.ascontiguousarray(a.T) for a in (mus, fs))  # (n, b), cells last
+    M = _tilted_rates(gen.off_diagonal[..., None], fs)
     out = M.sum(axis=1)
-    rho = (mus.T[:, None] * M).sum(axis=0) - mus.T * out
+    rho = (mus[:, None] * M).sum(axis=0) - mus * out
     status, _, value, _, _, _ = _lagrangian_cells(
-        mus[:, :, None] * gen.off_diagonal, rho.T, 0.0, opts, fs)
+        mus[:, None] * gen.off_diagonal[..., None], rho, 0.0, opts, fs)
     for verdict in status:
         _settled(verdict, opts)
-    lhs = ((out - gen.exit_rates[:, None]) * mus.T).sum(axis=0)
-    return np.abs(lhs - (fs.T * rho).sum(axis=0) + np.maximum(value, 0.0))
+    lhs = ((out - gen.exit_rates[:, None]) * mus).sum(axis=0)
+    return np.abs(lhs - (fs * rho).sum(axis=0) + np.maximum(value, 0.0))

@@ -29,6 +29,9 @@ from .rates import PathGrid, _conditional_rates
 # copies simulated at once: bounds the sampler's memory whatever the number
 # of batches (a single batch of more copies is simulated alone)
 _BLOCK_COPIES = 1 << 14
+# expected jumps past which a run is refused: about 5 s from 1,000 copies up
+# (2e7 jumps/s), longer with fewer copies, since each round jumps every copy due
+MAX_EXPECTED_JUMPS = 1e8
 
 
 class BallEvent(NamedTuple):
@@ -45,9 +48,15 @@ def _stream(seed: int, n: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(n,)))
 
 
-def _jump_law(gen: Generator) -> tuple[np.ndarray, np.ndarray]:
+def _jump_law(gen: Generator, copies: int, horizon: float) -> tuple[np.ndarray, np.ndarray]:
     """Mean holding times, and each state's cumulative embedded-chain row (0 if
-    absorbing) less its last entry as one column, for ``_run_copies``."""
+    absorbing) less its last entry as one column, for ``_run_copies`` to run
+    ``copies`` copies up to ``horizon``, if they expect MAX_EXPECTED_JUMPS
+    jumps or fewer; else InvalidParameter."""
+    jumps = copies * gen.max_exit_rate * horizon
+    if jumps > MAX_EXPECTED_JUMPS:
+        raise InvalidParameter(f"{copies} copies up to time {horizon:g} expect about "
+                               f"{jumps:.3g} jumps, over {MAX_EXPECTED_JUMPS:.0e}")
     rates, off = gen.exit_rates, gen.off_diagonal
     hold = np.divide(1.0, rates, out=np.full(gen.size, np.inf), where=rates > 0)
     total = off.sum(axis=1)[:, None]
@@ -84,7 +93,7 @@ def _run_copies(law, mu0: Measure, n: int, batches: int, nodes, rng,
             tally -= np.bincount(row + old, minlength=tally.size)
         at += rng.standard_exponential(due.size) * hold[new]
         keep = at < nodes[-1]
-        due, at = due[keep], at[keep]
+        due, at = due.compress(keep), at.compress(keep)
     return states
 
 
@@ -103,9 +112,9 @@ def empirical_trajectory(gen: Generator, mu0: Measure, n: int,
         raise InvalidParameter(f"need at least one time interval, got K={K}")
     t0 = _time(t0)
     nodes = t0 + _positive(t1 - t0, "t1 - t0") / K * np.arange(K + 1)
+    law = _jump_law(gen, n, nodes[-1])
     rng = _stream(seed, n)
     tally = np.zeros((K + 1) * gen.size, dtype=np.int64)
-    law = _jump_law(gen)
     for first in range(0, n, _BLOCK_COPIES):
         m = min(_BLOCK_COPIES, n - first)
         _run_copies(law, mu0, m, 1, nodes, rng, tally)
@@ -169,7 +178,7 @@ def estimate_event_decay(gen: Generator, mu0: Measure, event: BallEvent,
     horizon = _positive(event.time, "event time")
     radius = _positive(event.radius, "ball radius")
 
-    hits, law = [], _jump_law(gen)
+    hits, law = [], _jump_law(gen, reps * sum(n_values), horizon)
     for i_n, n in enumerate(n_values):
         rng = _stream(seed, n)
         per_block = max(1, _BLOCK_COPIES // n)

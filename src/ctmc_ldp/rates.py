@@ -74,7 +74,7 @@ class PathGrid:
             raise MalformedModel("measures must be a (K+1, size) array with K >= 1")
         if not np.all(np.isfinite(m)) or np.any(m < -PROBABILITY_SLACK):
             raise MalformedModel("grid nodes must be valid probability vectors")
-        if np.max(np.abs(m.sum(axis=1) - 1.0)) > MEASURE_SUM_TOL:
+        if np.max(np.abs(m @ np.ones(m.shape[1]) - 1.0)) > MEASURE_SUM_TOL:
             raise MalformedModel("grid node masses must sum to 1")
         object.__setattr__(self, "measures", _frozen(np.clip(m, 0.0, None)))
 
@@ -195,26 +195,27 @@ def _conditional_rates(mus, nus, Ps, opts):
         # log(P e^f); a target off the support or a row not started is an
         # isolated zero-speed node, which the evaluator pins
         a, sent = flux[general], np.where(support, f, 0.0)[general]
-        cells = np.zeros((general.size, 2 * n, 2 * n))
-        cells[:, n:, :n] = a
-        us = np.concatenate((nus[general], -mus[general]), axis=1)
+        cells = np.zeros((2 * n, 2 * n, general.size))  # cells last
+        cells[n:, :n] = a.transpose(1, 2, 0)
+        us = np.concatenate((nus[general], -mus[general]), axis=1).T
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             rows = np.log((a @ np.exp(sent)[..., None])[..., 0] / mus[general])
-        start = np.concatenate((sent, np.where(np.isfinite(rows), rows, 0.0)), axis=1)
+        start = np.concatenate((sent, np.where(np.isfinite(rows), rows, 0.0)), axis=1).T
         status[general], x, value[general], iters[general], gnorm[general], kept = (
             _lagrangian_cells(cells, us, 1.0 - a.sum(axis=(1, 2)), opts, start,
                               MEASURE_ZERO, MEASURE_SUM_TOL))
-        f[general] = x[:, :n]
+        f[general] = x[:n].T
         for j in (status[general] == _Status.BOUNDARY).nonzero()[0]:
             # a dropped pair shuts as its target's component sinks below its
             # row's: pin each kept component, count the components upstream
-            i, root = general[j], _reachable(kept[j] | kept[j].T).argmax(axis=1)[:n]
-            f[i] -= x[j, root]
-            ahead = _reachable(kept[j, n:, :n].T @ live[i])
+            i, pairs = general[j], kept[..., j]
+            root = _reachable(pairs | pairs.T).argmax(axis=1)[:n]
+            f[i] -= x[root, j]
+            ahead = _reachable(pairs[n:, :n].T @ live[i])
             levels[i] = ahead[root == np.arange(n)].sum(axis=0) - 1
     stop = (status == _Status.INFINITE).nonzero()[0]
     end = stop[0] + 1 if stop.size else k
-    unsettled = (status[:end] == _Status.STALLED) | (status[:end] == _Status.MAX_ITERS)
+    unsettled = status[:end] >= _Status.STALLED
     if unsettled.any():
         _settled(status[unsettled.argmax()], opts)
     return tuple(a[:end] for a in (np.maximum(value, 0.0), status, f, levels, iters, gnorm))
@@ -302,29 +303,33 @@ def path_action(gen: Generator, path: PathGrid,
                 initial: np.ndarray | None = None) -> ActionResult:
     """Integral of L(mu(s), mu'(s)) ds over the grid, cell by cell.
 
-    Each cell contributes dt * L(measure at the quadrature node,
+    Each cell contributes dt * L(measure at the quadrature node w,
     finite-difference speed), evaluated as ``lagrangian_value`` does, with
-    its screens and pins, for all cells at once. Newton starts in each cell
-    at f = 0, or at the (K+1, n) node potentials ``initial`` taken at the
-    quadrature node in e^f, where a Doob flow is linear (a start that does
-    not converge is retried from f = 0). The first cell in cell order that
-    is infinite ends the sweep and is named in the result; if a cell before
-    it does not settle, NumericalFailure is raised instead.
+    its screens and pins, for all cells at once, built cells last. Newton
+    starts in each cell at f = 0, or at the (K+1, n) node potentials
+    ``initial`` taken at w in e^f, where a Doob flow is linear, as
+    c + log((1 - w) e^{f_k - c} + w e^{f_{k+1} - c}), c = max(f_k, f_{k+1})
+    (a start that does not converge is retried from f = 0). The first cell
+    in cell order that is infinite ends the sweep and is named in the
+    result; if a cell before it does not settle, NumericalFailure is raised.
     """
     if path.space != gen.space:
         raise MalformedModel("path and generator use different state spaces")
     opts = opts or DEFAULT_OPTIONS
     dt = path.dt
-    m = path.measures
+    m = np.ascontiguousarray(path.measures.T)  # (n, K + 1): cells last
     w = QUADRATURE_NODE
-    mids = (1.0 - w) * m[:-1] + w * m[1:]
+    mids = (1.0 - w) * m[:, :-1] + w * m[:, 1:]
+    start = None
+    if initial is not None:
+        h = np.ascontiguousarray(np.asarray(initial, dtype=float).T)
+        c = np.maximum(h[:, :-1], h[:, 1:])
+        start = c + np.log((1.0 - w) * np.exp(h[:, :-1] - c) + w * np.exp(h[:, 1:] - c))
     status, _, values, _, _, _ = _lagrangian_cells(
-        mids[:, :, None] * gen.off_diagonal, (m[1:] - m[:-1]) / dt, 0.0, opts,
-        None if initial is None else np.logaddexp(
-            initial[:-1] + math.log(1.0 - w), initial[1:] + math.log(w)))
+        mids[:, None] * gen.off_diagonal[..., None], (m[:, 1:] - m[:, :-1]) / dt,
+        0.0, opts, start)
     cells = dt * np.maximum(values, 0.0)
-    unsettled = (status == _Status.STALLED) | (status == _Status.MAX_ITERS)
-    stop = np.flatnonzero(unsettled | ~np.isfinite(cells))
+    stop = np.flatnonzero((status >= _Status.STALLED) | ~np.isfinite(cells))
     if stop.size:
         k = int(stop[0])
         _settled(status[k], opts)

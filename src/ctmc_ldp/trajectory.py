@@ -131,7 +131,7 @@ def _forward_measures(mu0: Measure, flow: DoobFlow, Pdt: np.ndarray) -> np.ndarr
         out[0] = mu0.p
         for k in range(flow.K):
             out[k + 1] = out[k] @ np.exp(logP + (h[k + 1] - h[k][:, None]))
-    out[1:] /= out[1:].sum(axis=1, keepdims=True)
+    out[1:] /= (out[1:] @ np.ones(len(Pdt)))[:, None]  # a mat-vec: no short-axis sum
     return out
 
 
@@ -144,10 +144,11 @@ def doob_forward(gen: Generator, mu0: Measure, flow: DoobFlow,
     must be space-time harmonic for the generator, as ``doob_flow`` builds
     it: MalformedModel is raised when its last interval is not one step
     h_{K-1} = log(P_dt e^{h_K}). The action is ``path_action``'s, with
-    Newton started in each cell at the flow at the quadrature node, taken
-    there in e^h, where the flow is linear: on a capped boundary tilt e^h
-    falls by orders of magnitude over the last cell, and a start between
-    the h themselves lies far from that cell's maximizer.
+    Newton started in each cell at the flow at the quadrature node w, taken
+    there in e^h, where the flow is linear, as c + log((1 - w) e^{h_k - c}
+    + w e^{h_{k+1} - c}), c = max(h_k, h_{k+1}): on a capped boundary tilt
+    e^h falls by orders of magnitude over the last cell, and a start
+    between the h themselves lies far from that cell's maximizer.
     """
     if flow.space != gen.space or mu0.space != gen.space:
         raise MalformedModel("flow, law, and generator use different state spaces")

@@ -464,6 +464,20 @@ class TestVerifyLdp:
         assert "seed" in capsys.readouterr().err
 
 
+def _exits_3_in_a_subprocess(argv, tmp_path):
+    """Run the CLI in a subprocess with a 30 s timeout, so that a run that
+    never returns fails instead of hanging the suite; it must exit 3 with
+    one ``error:`` line, which is returned."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "ctmc_ldp", *argv, "--out", str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=30)
+    assert run.returncode == 3
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+    return run.stderr
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("argv", [
         ["semigroup", "--model", SYMMETRIC, "--n", "abc"],
@@ -511,15 +525,21 @@ class TestMalformedInput:
         # fails instead of hanging the suite
         extra = {"rate": ["--target", "0.2,0.3,0.5"], "bridge": ["--target", "0.2,0.3,0.5"],
                  "verify-ldp": ["--seed", "1"], "simulate": ["--seed", "1"]}
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        run = subprocess.run(
-            [sys.executable, "-m", "ctmc_ldp", argv[0], "--model", RING, *argv[1:],
-             *extra.get(argv[0], []), "--out", str(tmp_path)],
-            capture_output=True, text=True, env=env, timeout=30)
-        assert run.returncode == 3
-        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+        _exits_3_in_a_subprocess(
+            [argv[0], "--model", RING, *argv[1:], *extra.get(argv[0], [])], tmp_path)
+
+    @pytest.mark.parametrize("argv", [
+        # c = 1, so V(t) succeeds and the resolvent's step count n t is what
+        # fails: past floats at 1e308, past the exact integers at 1e300
+        "semigroup symmetric --t 1e308", "semigroup symmetric --t 1e300",
+        "semigroup symmetric --t 1.2e15 --n 8",
+        # expected jumps over the sampler's bound: these used to run for minutes
+        "simulate ring3 --t 1e6 --n 300 --seed 1", "verify-ldp ring3 --t 1e4 --seed 1"])
+    def test_work_past_its_bound_exits_3(self, tmp_path, argv):
+        sub, model, *rest = argv.split()
+        err = _exits_3_in_a_subprocess(
+            [sub, "--model", str(MODELS / f"{model}.json"), *rest], tmp_path)
+        assert "2^53" in err if sub == "semigroup" else "jumps" in err
 
     def test_bad_target_exits_2(self, tmp_path, capsys):
         code = main(["rate", "--model", ABSORBING, "--t", "0.5",

@@ -286,6 +286,20 @@ class TestResolventIterate:
         with pytest.raises(InvalidParameter):
             resolvent_iterate(gen, Potential.zeros(gen.space), 1.0, 0)
 
+    @pytest.mark.parametrize("n, t", [(8, 1e308), (8, 1e300), (8, 2.0 ** 50)])
+    def test_step_count_past_the_exact_integers_rejected(self, n, t):
+        # n t overflows, or is 2^53 or more
+        gen = symmetric_chain()
+        with pytest.raises(InvalidParameter, match="2\\^53"):
+            resolvent_iterate(gen, Potential.zeros(gen.space), t, n)
+
+    def test_step_count_below_2_to_the_53_runs(self):
+        gen = symmetric_chain()
+        # admitted: 2^52 steps; squaring rounds at about k ulps, so only
+        # finiteness is asked of the result
+        out = resolvent_iterate(gen, Potential.zeros(gen.space), 2.0 ** 49, 8)
+        assert np.isfinite(out.f).all()
+
     def test_zero_potential_fixed_point(self):
         gen = symmetric_chain()
         out = resolvent_iterate(gen, Potential.zeros(gen.space), 1.0, 64)

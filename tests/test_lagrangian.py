@@ -495,8 +495,8 @@ class TestForestClosedForm:
             u = np.zeros(n)
             np.add.at(u, head, j)
             np.add.at(u, tail, -j)
-        status, x, value, iters, _, _ = (a[0] for a in _lagrangian_cells(
-            flux[None], u[None], 0.0, DEFAULT_OPTIONS))
+        status, x, value, iters, _, _ = (a[..., 0] for a in _lagrangian_cells(
+            flux[..., None], u[:, None], 0.0, DEFAULT_OPTIONS))
         assert iters == 0
         ref_status, ref_x, ref_value = _newton_reference(gen, p, u)
         assert status == ref_status
@@ -542,7 +542,8 @@ class TestBatchedCells:
         us[::2] += rng.normal(0.0, 0.1, us[::2].shape)
         us -= us.mean(axis=1, keepdims=True)
         status, _, values, iterations, _, _ = _lagrangian_cells(
-            mus[:, :, None] * gen.off_diagonal, us, 0.0, DEFAULT_OPTIONS)
+            (mus[:, :, None] * gen.off_diagonal).transpose(1, 2, 0), us.T, 0.0,
+            DEFAULT_OPTIONS)
         for k in range(len(mus)):
             try:
                 cold = lagrangian_value(gen, Measure(gen.space, mus[k]), us[k])
@@ -593,14 +594,38 @@ class TestBatchedCells:
         us -= us.mean(axis=1, keepdims=True)
         offset = rng.uniform(0.0, 1.0, K)
         order = rng.permutation(K)
-        ref = _lagrangian_cells(flux.copy(), us, offset, DEFAULT_OPTIONS, start)
-        out = _lagrangian_cells(flux[order], us[order], offset[order], DEFAULT_OPTIONS,
-                                start[order])
+        ref = _lagrangian_cells(flux.transpose(1, 2, 0).copy(), us.T, offset,
+                                DEFAULT_OPTIONS, start.T)
+        out = _lagrangian_cells(flux[order].transpose(1, 2, 0), us[order].T, offset[order],
+                                DEFAULT_OPTIONS, start[order].T)
         np.testing.assert_array_equal(out[0], ref[0][order])
         np.testing.assert_array_equal(out[3], ref[3][order])
         finite = np.isfinite(ref[2][order])
         np.testing.assert_array_equal(np.isfinite(out[2]), finite)
         np.testing.assert_allclose(out[2][finite], ref[2][order][finite], rtol=1e-12)
+
+    def test_caller_stacks_left_unchanged(self):
+        # cells last: a full cell; a forest whose one-way edge carries a
+        # current against it within the slack (dropped, solved again); a
+        # cycle with an idle channel out of it (dropped); the stacks, and
+        # warm starts, read back as they went in, whether the evaluator used
+        # them whole or dropped channels
+        flux = np.zeros((3, 3, 3))
+        flux[..., 0] = [[0.0, 1.0, 0.5], [0.7, 0.0, 0.4], [0.2, 0.9, 0.0]]
+        flux[..., 1] = [[0.0, 1.0, 0.0], [0.0, 0.0, 0.6], [0.0, 0.8, 0.0]]
+        flux[..., 2] = [[0.0, 1.0, 0.3], [1.0, 0.0, 0.5], [0.0, 0.0, 0.0]]
+        us = np.array([[0.1, 1e-11, 0.1], [-0.3, -1e-11, -0.1], [0.2, 0.0, 0.0]])
+        start = np.array([[0.3, 0.1, 0.2], [-0.2, 0.0, 0.4], [0.5, -0.3, 0.0]])
+        for stacks in ((flux[..., :1], us[:, :1], start[:, :1]), (flux, us, start)):
+            copies = [a.copy() for a in stacks]
+            out = _lagrangian_cells(*stacks[:2], 0.0, DEFAULT_OPTIONS, stacks[2],
+                                    slack=2e-10)
+            for given, kept in zip(stacks, copies):
+                np.testing.assert_array_equal(given, kept)
+        assert out[0].tolist() == [_Status.CONVERGED, _Status.BOUNDARY, _Status.BOUNDARY]
+        kept = flux > 0.0
+        kept[0, 1, 1] = kept[:2, 2, 2] = False  # the dropped channels
+        np.testing.assert_array_equal(out[5], kept)
 
     def test_warm_start_is_shifted_within_each_component(self):
         # a, pinned alone in its component, holds mass but no flux; a warm
@@ -612,10 +637,10 @@ class TestBatchedCells:
         f = np.array([60.0, 0.0, 1.0])
         u = speed(gen, mu, Potential(gen.space, f)).u
         status, x, values, iterations, _, _ = _lagrangian_cells(
-            mu.p[None, :, None] * gen.off_diagonal, u[None], 0.0, DEFAULT_OPTIONS,
-            initial=f[None])
+            mu.p[:, None, None] * gen.off_diagonal[..., None], u[:, None], 0.0,
+            DEFAULT_OPTIONS, initial=f[:, None])
         assert status[0] == _Status.CONVERGED and iterations[0] <= 1
-        np.testing.assert_allclose(x[0], [0.0, 0.0, 1.0], atol=1e-9)
+        np.testing.assert_allclose(x[:, 0], [0.0, 0.0, 1.0], atol=1e-9)
         assert values[0] == pytest.approx(lagrangian_value(gen, mu, u).value, abs=1e-12)
 
     def test_pins_one_state_per_flux_component(self, rng):
@@ -651,8 +676,9 @@ class TestBatchedCells:
                             stack.append(y)
             g = random_potential(rng, gen)
             u = speed(gen, Measure(gen.space, p), g).u
-            status, x = (a[0] for a in _lagrangian_cells(
-                p[None, :, None] * gen.off_diagonal, u[None], 0.0, DEFAULT_OPTIONS)[:2])
+            status, x = (a[..., 0] for a in _lagrangian_cells(
+                p[:, None, None] * gen.off_diagonal[..., None], u[:, None], 0.0,
+                DEFAULT_OPTIONS)[:2])
             assert status == _Status.CONVERGED
             np.testing.assert_allclose(x, g.f - g.f[pin], rtol=0.0, atol=1e-6)
 

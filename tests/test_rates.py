@@ -36,7 +36,8 @@ from ctmc_ldp import (
 from ctmc_ldp import lagrangian, rates
 from ctmc_ldp.lagrangian import DEFAULT_OPTIONS, _lagrangian_cells, _Status
 from ctmc_ldp.markov import _expm_generator, _transport
-from ctmc_ldp.rates import QUADRATURE_NODE
+from ctmc_ldp.hamiltonian import EXPONENT_CLIP
+from ctmc_ldp.rates import DEFAULT_TILT_CAP, QUADRATURE_NODE
 from conftest import (
     absorbing_chain,
     random_chain,
@@ -785,8 +786,8 @@ def _cell_status(gen, grid):
     mids = (1 - w) * m[:-1] + w * m[1:]
     speeds = (m[1:] - m[:-1]) / dt
     speeds = speeds - speeds.sum(axis=1, keepdims=True) / gen.size
-    return _lagrangian_cells(mids[:, :, None] * gen.off_diagonal, speeds, 0.0,
-                             DEFAULT_OPTIONS)[0]
+    return _lagrangian_cells((mids[:, :, None] * gen.off_diagonal).transpose(1, 2, 0),
+                             speeds.T, 0.0, DEFAULT_OPTIONS)[0]
 
 
 def _settled(status):
@@ -794,6 +795,42 @@ def _settled(status):
 
 
 class TestBatchedPathAction:
+    def test_warm_start_is_the_logaddexp_form(self, monkeypatch):
+        # the start at the quadrature node w, c + log((1 - w) e^{f_k - c} +
+        # w e^{f_{k+1} - c}) with c = max(f_k, f_{k+1}), against
+        # logaddexp(f_k + log(1 - w), f_{k+1} + log(w)): within 4 ulps of
+        # max(|x|, 1) (near 0 either form is exact only to absolute
+        # rounding), with no warning, on random pairs, pairs apart by up to
+        # EXPONENT_CLIP (exactly, too), a boundary bridge's -30 cap, and
+        # near-equal pairs past where e^f overflows
+        rng = np.random.default_rng(30)
+        K = 4000
+        h = np.empty((K + 1, 4))
+        h[:, 0] = rng.normal(0.0, 3.0, K + 1)
+        h[:, 1] = rng.uniform(-0.5, 0.5, K + 1) * EXPONENT_CLIP
+        h[:4, 1] = [0.0, EXPONENT_CLIP, 0.0, -EXPONENT_CLIP]
+        h[:, 2] = np.where(np.arange(K + 1) % 2, -DEFAULT_TILT_CAP,
+                           rng.uniform(-2.0, 2.0, K + 1))
+        h[:, 3] = 800.0 + np.cumsum(rng.normal(0.0, 1e-3, K + 1))
+        gen = validate_generator(list("abcd"), np.ones((4, 4)))
+        grid = PathGrid(gen.space, 0.0, 1.0, np.full((K + 1, 4), 0.25))
+        starts = []
+
+        def recorded(flux, us, offset, opts, initial=None, *args):
+            starts.append(initial)
+            raise StopIteration
+
+        monkeypatch.setattr(rates, "_lagrangian_cells", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StopIteration):
+                path_action(gen, grid, initial=h)
+        w = QUADRATURE_NODE
+        want = np.logaddexp(h[:-1] + math.log(1.0 - w), h[1:] + math.log(w)).T
+        assert starts[0].shape == want.shape
+        ulps = np.abs(starts[0] - want) / np.spacing(np.maximum(np.abs(want), 1.0))
+        assert ulps.max() <= 4.0
+
     def test_boundary_bridge_cells_match_cold_solves(self, rng):
         # A capped-tilt bridge to a target with one zero entry drains that
         # state; the per-cell backtrack settles the drained end as well.
