@@ -108,10 +108,10 @@ def speed(gen: Generator, mu: Measure, g: Potential) -> Speed:
 class _Status:
     """Per-cell verdicts: ``_newton_ascent`` settles CONVERGED, STALLED (no
     step gains along the Newton step or the gradient) or MAX_ITERS; INFINITE
-    and BOUNDARY (attained only in a limit) are decided before Newton. The
-    two that leave a cell unsettled, STALLED and MAX_ITERS, come last."""
+    and BOUNDARY (attained only in a limit) are decided before Newton.
+    INFINITE and then the two that leave a cell unsettled come last."""
 
-    CONVERGED, INFINITE, BOUNDARY, STALLED, MAX_ITERS = range(5)
+    CONVERGED, BOUNDARY, INFINITE, STALLED, MAX_ITERS = range(5)
 
 
 def _eliminate(A, g):
@@ -178,10 +178,8 @@ def _newton_ascent(objective, hessian, x, free, opts, tol=None):
         vt[rows], gt[:, rows], st[..., rows] = objective(trial, cells[rows])
         nt[rows] = sup_norm(gt.take(rows, axis=1))
 
-    def to_backtrack():
-        """Cells whose full step is backtracked: it does not halve the
-        gradient sup-norm, or it lowers the value by more than rounding."""
-        return ~((nt <= 0.5 * norm) & (vt >= value - 1e-12 * (1.0 + np.abs(value))))
+    def to_backtrack():  # full steps short of half the sup-norm or the value floor, or NaN
+        return ~((nt <= half) & (vt >= floor))
 
     def search(back, direction, slope):
         """Armijo backtrack of rows ``back`` from xt; returns those that stall."""
@@ -203,6 +201,9 @@ def _newton_ascent(objective, hessian, x, free, opts, tol=None):
     for it in range(1, opts.max_iters + 1):
         done = norm <= tol
         n_done = np.count_nonzero(done)
+        if n_done == len(cells) and live is None:  # the whole batch at once: no copies
+            status[:], iters[:] = _Status.CONVERGED, it
+            return status, x if it > 1 else out_x, value, iters, norm
         if n_done:
             settle(done, _Status.CONVERGED, x, value)
         if n_done == len(cells):  # every cell settled, or none left
@@ -217,18 +218,19 @@ def _newton_ascent(objective, hessian, x, free, opts, tol=None):
             step = _eliminate(A, g)
         else:
             try:
-                step = np.linalg.solve(A.transpose(2, 0, 1), g.T[..., None])[..., 0].T.copy()
+                step = np.linalg.solve(A.transpose(2, 0, 1), g.T[..., None])[..., 0].T
             except np.linalg.LinAlgError:  # some cell is singular: NaN there
                 step = _eliminate(A, g)
         # a singular or non-finite step has a non-finite slope
         slope = (g * step).sum(axis=0)
-        fallback = ~((slope > 0.0) & (slope < math.inf))
-        if np.count_nonzero(fallback):
-            step, slope = np.where(fallback, g, step), np.where(
-                fallback, (g ** 2).sum(axis=0), slope)
+        ascent = (slope > 0.0) & (slope < math.inf)
+        if np.count_nonzero(ascent) < len(cells):
+            step, slope = np.where(ascent, step, g), np.where(
+                ascent, slope, (g ** 2).sum(axis=0))
         direction = np.zeros(x.shape)
         direction[free], slope = capped(step, slope)
         xt = x + direction
+        half, floor = 0.5 * norm, value - 1e-12 * (1.0 + np.abs(value))
         vt, gt, st = objective(xt, live)
         nt = sup_norm(gt)
         stalled = search(to_backtrack().nonzero()[0], direction, slope)
@@ -264,7 +266,7 @@ def _lagrangian_objective(flux, us, base):
     the untilted fluxes mu_x r_xy (n, n, b), speeds (n, b) and totals (b,),
     the cells on the last axis: the gradient is u - rho(mu, f), minus the
     Hessian the graph Laplacian of the symmetrized tilted flux."""
-    diag = np.arange(flux.shape[0])
+    n = len(flux)
 
     def objective(f, rows):
         a, u, b = (v if rows is None else v.take(rows, axis=-1) for v in (flux, us, base))
@@ -277,7 +279,7 @@ def _lagrangian_objective(flux, us, base):
     def hessian(M):
         S = M + M.transpose(1, 0, 2)
         lap = -S
-        lap[diag, diag] += S.sum(axis=1)
+        lap.reshape(n * n, -1)[::n + 1] += S.sum(axis=1)  # the diagonal, as a view
         return lap
 
     return objective, hessian

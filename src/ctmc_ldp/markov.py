@@ -4,8 +4,9 @@ Everything here is exact linear machinery on a finite state space: rate
 matrices, the transition semigroup computed by uniformization, resolvents,
 evolution of probability laws, relative entropy, and the reachability and
 transport kernels behind the exact verdicts. All values are immutable after
-construction and safe to share across threads; a generator's cached
-uniformization table is read-only, and a race at worst computes it twice.
+construction and safe to share across threads; a generator caches its
+read-only uniformization table and its last e^{tQ}, as one (t, e^{tQ})
+tuple handed out as copies, so a race at worst computes either twice.
 
 ``_time`` and ``_positive`` admit a time or a scale only if it is finite
 (NaN fails); ``_power_rows`` forms y0 M^j by doubling, for the table of
@@ -104,8 +105,8 @@ class StateSpace:
 
 @dataclass(frozen=True)
 class Generator:
-    """Rate matrix of a CTMC: nonnegative off-diagonal, zero row sums. Its
-    uniformization table for e^{tQ} is computed on first use and kept."""
+    """Rate matrix of a CTMC: nonnegative off-diagonal, zero row sums. It keeps
+    its uniformization table for e^{tQ}, made on first use, and its last e^{tQ}."""
 
     space: StateSpace
     Q: np.ndarray
@@ -271,15 +272,18 @@ def validate_generator(labels, rates) -> Generator:
 def _expm_generator(gen: Generator, t: float) -> np.ndarray:
     """e^{tQ} by uniformization, scaled and squared (Moler and Van Loan,
     SIAM Rev. 45, 2003). With c the largest exit rate, s = ceil(log2 ct)
-    halvings (none when ct <= 1) and m = ct / 2^s <= 1, the series
-    e^{-m} sum_k m^k B^k / k!, B = I + Q/c, gives e^{tQ / 2^s}, squared s
-    times. Its terms B^k / k! through the degree K at which it stops at
-    m = 1 are the generator's cached ``_uniformized``; each call sums all
-    K + 1. Every term is nonnegative and the series runs through n - 1
-    jumps, so every reachable transition is positive; the neglected tail
-    is relative to that jump's weight (see UNIFORMIZATION_TAIL). The rows
-    are normalized after the sum and after each square.
-    """
+    halvings (none when ct <= 1) and m = ct / 2^s <= 1, the series e^{-m}
+    sum_k m^k B^k / k!, B = I + Q/c, gives e^{tQ / 2^s}, squared s times.
+    Its terms B^k / k! through the degree K at which it stops at m = 1 are
+    the generator's cached ``_uniformized``; each call sums all K + 1, but
+    a repeat of the last t copies the last result. Every term is
+    nonnegative and the series runs through n - 1 jumps, so every
+    reachable transition is positive; the neglected tail is relative to
+    that jump's weight (see UNIFORMIZATION_TAIL). The rows are normalized
+    after the sum and after each square."""
+    last_t, last = vars(gen).get("_last_expm", (None, None))  # one tuple, set below
+    if t == last_t:
+        return last.copy()
     c, terms = gen._uniformized
     if c * t == math.inf:
         raise InvalidParameter(f"time {t} times the largest exit rate {c} overflows")
@@ -289,7 +293,8 @@ def _expm_generator(gen: Generator, t: float) -> np.ndarray:
     for _ in range(s):
         P = P @ P
         P /= P.sum(axis=1, keepdims=True)
-    return P
+    object.__setattr__(gen, "_last_expm", (t, P))
+    return P.copy()
 
 
 def transition_matrix(gen: Generator, t: float) -> StochasticMatrix:

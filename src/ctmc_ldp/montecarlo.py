@@ -32,6 +32,7 @@ _BLOCK_COPIES = 1 << 14
 # expected jumps past which a run is refused: about 5 s from 1,000 copies up
 # (2e7 jumps/s), longer with fewer copies, since each round jumps every copy due
 MAX_EXPECTED_JUMPS = 1e8
+MAX_EXPECTED_ROUNDS = 1e6  # likewise the rounds per copy: about 15 us each, so 15 s
 
 
 class BallEvent(NamedTuple):
@@ -52,11 +53,13 @@ def _jump_law(gen: Generator, copies: int, horizon: float) -> tuple[np.ndarray, 
     """Mean holding times, and each state's cumulative embedded-chain row (0 if
     absorbing) less its last entry as one column, for ``_run_copies`` to run
     ``copies`` copies up to ``horizon``, if they expect MAX_EXPECTED_JUMPS
-    jumps or fewer; else InvalidParameter."""
-    jumps = copies * gen.max_exit_rate * horizon
-    if jumps > MAX_EXPECTED_JUMPS:
-        raise InvalidParameter(f"{copies} copies up to time {horizon:g} expect about "
-                               f"{jumps:.3g} jumps, over {MAX_EXPECTED_JUMPS:.0e}")
+    jumps and MAX_EXPECTED_ROUNDS rounds or fewer; else InvalidParameter."""
+    rounds = gen.max_exit_rate * horizon  # per copy: each round jumps every copy due
+    for expected, bound, what in ((copies * rounds, MAX_EXPECTED_JUMPS, "jumps"),
+                                  (rounds, MAX_EXPECTED_ROUNDS, "sampler rounds per copy")):
+        if expected > bound:
+            raise InvalidParameter(f"{copies} copies up to time {horizon:g} expect about "
+                                   f"{expected:.3g} {what}, over {bound:.0e}")
     rates, off = gen.exit_rates, gen.off_diagonal
     hold = np.divide(1.0, rates, out=np.full(gen.size, np.inf), where=rates > 0)
     total = off.sum(axis=1)[:, None]

@@ -169,11 +169,11 @@ def conditional_rate(gen: Generator, mu: Measure, nu: Measure, t: float,
 def _conditional_rates(mus, nus, Ps, opts):
     """I(nu_k | mu_k) under the transition matrices P_k for a stack of
     steps, the laws rescaled to sum to one. Stranded mass and product
-    couplings are settled here, the other steps by the evaluator, every
-    coupling graph on the same 2n nodes. Returns per-step value, status,
-    maximizer rows (pinned on the support), support levels, iterations
-    and gradient norm, up to and including the first +infinite step;
-    NumericalFailure if one before it does not settle."""
+    couplings mu x nu (formed only if some step is one) are settled here,
+    the other steps by the evaluator on the same 2n nodes, as whole stacks
+    if that is every step. Returns per-step value, status, maximizer rows
+    (pinned on the support), levels, iterations and gradient norm through
+    the first +infinite step; NumericalFailure if one before is unsettled."""
     opts = opts or DEFAULT_OPTIONS
     k, n = mus.shape
     mus, nus = (a / a.sum(axis=1, keepdims=True) for a in (mus, nus))
@@ -182,30 +182,30 @@ def _conditional_rates(mus, nus, Ps, opts):
     live = flux > 0.0
     finite = ~(started & ~live.any(axis=2) | support & ~live.any(axis=1)).any(axis=1)
     general = (finite & (started.sum(axis=1) > 1) & (support.sum(axis=1) > 1)).nonzero()[0]
+    at = slice(None) if general.size == k else general  # every step: no copies
     status = np.where(finite, _Status.CONVERGED, _Status.INFINITE)
     iters, levels = np.zeros(k, int), np.zeros((k, n), int)
     gnorm = np.where(finite, 0.0, math.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g = np.log(nus / (mus[:, None, :] @ Ps)[:, 0])
-        value = np.where(finite, (mus[:, :, None] * nus[:, None, :] * np.log(
-            np.where(live, nus[:, None, :] / Ps, 1.0))).sum(axis=(1, 2)), math.inf)
+        value = np.where(finite, 0.0 if np.count_nonzero(finite) == general.size else (
+            mus[:, :, None] * nus[:, None, :] * np.log(
+                np.where(live, nus[:, None, :] / Ps, 1.0))).sum(axis=(1, 2)), math.inf)
         f = g - g[np.arange(k), support.argmax(axis=1)][:, None]
+        if general.size:
+            # coupling graphs: n targets, then n rows, started at f and log(P e^f);
+            # an off-support target or unstarted row is an isolated zero-speed node, pinned
+            a, sent = flux[at], np.where(support, f, 0.0)[at]
+            rows = np.log((a @ np.exp(sent)[..., None])[..., 0] / mus[at])
     if general.size:
-        # coupling graphs: the n targets, then the n rows, started at f and
-        # log(P e^f); a target off the support or a row not started is an
-        # isolated zero-speed node, which the evaluator pins
-        a, sent = flux[general], np.where(support, f, 0.0)[general]
         cells = np.zeros((2 * n, 2 * n, general.size))  # cells last
         cells[n:, :n] = a.transpose(1, 2, 0)
-        us = np.concatenate((nus[general], -mus[general]), axis=1).T
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            rows = np.log((a @ np.exp(sent)[..., None])[..., 0] / mus[general])
+        us = np.concatenate((nus[at], -mus[at]), axis=1).T
         start = np.concatenate((sent, np.where(np.isfinite(rows), rows, 0.0)), axis=1).T
-        status[general], x, value[general], iters[general], gnorm[general], kept = (
-            _lagrangian_cells(cells, us, 1.0 - a.sum(axis=(1, 2)), opts, start,
-                              MEASURE_ZERO, MEASURE_SUM_TOL))
-        f[general] = x[:n].T
-        for j in (status[general] == _Status.BOUNDARY).nonzero()[0]:
+        status[at], x, value[at], iters[at], gnorm[at], kept = _lagrangian_cells(
+            cells, us, 1.0 - a.sum(axis=(1, 2)), opts, start, MEASURE_ZERO, MEASURE_SUM_TOL)
+        f[at] = x[:n].T
+        for j in (status[at] == _Status.BOUNDARY).nonzero()[0]:
             # a dropped pair shuts as its target's component sinks below its
             # row's: pin each kept component, count the components upstream
             i, pairs = general[j], kept[..., j]
@@ -213,12 +213,12 @@ def _conditional_rates(mus, nus, Ps, opts):
             f[i] -= x[root, j]
             ahead = _reachable(pairs[n:, :n].T @ live[i])
             levels[i] = ahead[root == np.arange(n)].sum(axis=0) - 1
-    stop = (status == _Status.INFINITE).nonzero()[0]
-    end = stop[0] + 1 if stop.size else k
-    unsettled = status[:end] >= _Status.STALLED
-    if unsettled.any():
-        _settled(status[unsettled.argmax()], opts)
-    return tuple(a[:end] for a in (np.maximum(value, 0.0), status, f, levels, iters, gnorm))
+    out = np.maximum(value, 0.0), status, f, levels, iters, gnorm
+    stop = (status >= _Status.INFINITE).nonzero()[0]
+    if stop.size:  # the first is unsettled (raise) or infinite (the last step)
+        _settled(status[stop[0]], opts)
+        return tuple(a[:stop[0] + 1] for a in out)
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
-"""Every name a package module imports is used in it."""
+"""Every name a package module imports is used in it, and every module it
+imports is the standard library's, NumPy's or the package's own."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,3 +26,16 @@ def test_every_import_is_used(path):
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert {name: line for name, line in imported.items() if name not in used} == {}
+
+
+@pytest.mark.parametrize("path", sorted(Path(ctmc_ldp.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_imports_only_the_standard_library_and_numpy(path):
+    # SciPy and the other references are test extras: the package needs NumPy alone
+    allowed = sys.stdlib_module_names | {"numpy", "ctmc_ldp"}
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    roots = {alias.name.split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names}
+    roots |= {node.module.split(".")[0] for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert roots - allowed == set()

@@ -162,12 +162,14 @@ class TestUniformizedTable:
         times = (0.0, 1e-4, 0.5, 3.0, 50.0)
         first = []
         for t in times:
-            P = _expm_generator(gen, t)
             fresh = _expm_generator(Generator(gen.space, gen.Q), t)
-            assert P.tobytes() == fresh.tobytes()
             first.append(fresh)
-            P[...] = 7.0
-        for t, P in zip(times, first):
+            for _ in range(3):  # the later calls repeat the generator's last time
+                P = _expm_generator(gen, t)
+                assert P.flags.writeable and P.tobytes() == fresh.tobytes()
+                P[...] = 7.0
+        for t, P in zip(times, first):  # each after a different time, then repeated
+            assert _expm_generator(gen, t).tobytes() == P.tobytes()
             assert _expm_generator(gen, t).tobytes() == P.tobytes()
         c, terms = gen._uniformized
         assert not terms.flags.writeable

@@ -83,19 +83,21 @@ class TestEmpiricalTrajectory:
 
 
 class TestWorkBound:
-    # largest exit rate 2: 10 copies to t = 0.5 expect 10 jumps, and 100
-    # batches of 10 and 20 copies to t = 0.5 expect 3,000
+    # largest exit rate 2: 10 copies to t = 0.5 expect 10 jumps, 100
+    # batches of 10 and 20 copies to t = 0.5 expect 3,000, and one copy to
+    # t = 0.5 expects one sampler round
     GEN = validate_generator(["a", "b"], [[0.0, 2.0], [1.0, 0.0]])
 
     def runs(self):
         mu0 = Measure.dirac(self.GEN.space, "a")
-        yield 10.0, lambda: empirical_trajectory(self.GEN, mu0, 10, 0.5, 5, seed=1)
-        yield 3000.0, lambda: estimate_event_decay(
+        yield "JUMPS", 10.0, lambda: empirical_trajectory(self.GEN, mu0, 10, 0.5, 5, seed=1)
+        yield "JUMPS", 3000.0, lambda: estimate_event_decay(
             self.GEN, mu0, BallEvent(mu0, 0.5, 1.5), [10, 20], 100, seed=1)
+        yield "ROUNDS", 1.0, lambda: empirical_trajectory(self.GEN, mu0, 1, 0.5, 5, seed=1)
 
     def test_expected_jumps_at_the_bound_run(self, monkeypatch):
-        for jumps, run in self.runs():
-            monkeypatch.setattr(montecarlo, "MAX_EXPECTED_JUMPS", jumps)
+        for work, bound, run in self.runs():
+            monkeypatch.setattr(montecarlo, f"MAX_EXPECTED_{work}", bound)
             run()
 
     def test_expected_jumps_past_the_bound_refused_before_drawing(self, monkeypatch):
@@ -103,9 +105,9 @@ class TestWorkBound:
             raise AssertionError("copies simulated")
 
         monkeypatch.setattr(montecarlo, "_run_copies", simulate)
-        for jumps, run in self.runs():
-            monkeypatch.setattr(montecarlo, "MAX_EXPECTED_JUMPS", jumps * (1 - 1e-12))
-            with pytest.raises(InvalidParameter, match="jumps"):
+        for work, bound, run in self.runs():
+            monkeypatch.setattr(montecarlo, f"MAX_EXPECTED_{work}", bound * (1 - 1e-12))
+            with pytest.raises(InvalidParameter, match=work.lower()):
                 run()
 
 
