@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateModel, InvalidParameter
-from .markov import Generator, Potential, _expm_generator, _time, resolvent_matrix
+from .markov import Generator, Potential, _expm_generator, _on, _time, resolvent_matrix
 
 EXPONENT_CLIP = 700.0  # |exponent| bound that keeps e^x finite (overflow at 709.8)
 
@@ -72,12 +72,14 @@ def apply_hamiltonian(gen: Generator, f: Potential) -> Potential:
     Equivalently e^{-f} Q e^{f}; the local-rate form used here is invariant
     under constant shifts of f.
     """
+    _on(gen.space, f)
     h = _hamiltonian_raw(gen.off_diagonal, gen.exit_rates, f.f)
     return Potential(gen.space, h)
 
 
 def tilted_generator(gen: Generator, g: Potential) -> Generator:
     """The generator with each rate multiplied by e^{g(y)-g(x)}."""
+    _on(gen.space, g)
     Qt = _tilted_rates(gen.off_diagonal, g.f)
     np.fill_diagonal(Qt, -Qt.sum(axis=1))
     return Generator(gen.space, Qt)
@@ -89,6 +91,7 @@ def pre_lagrangian(gen: Generator, g: Potential) -> Potential:
     Per state, Lg(x) = sum_y Q[x,y] (e^d * d - e^d + 1) with d = g(y)-g(x);
     each summand is u log u - u + 1 >= 0 evaluated at u = e^d.
     """
+    _on(gen.space, g)
     return Potential(gen.space, _pre_lagrangian(gen.off_diagonal, g.f))
 
 
@@ -101,12 +104,14 @@ def _pre_lagrangian(rates: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def v_apply(gen: Generator, f: Potential, t: float) -> Potential:
     """The nonlinear semigroup V(t)f = log E[e^{f(X(t))} | X(0) = x]."""
+    _on(gen.space, f)
     P = _expm_generator(gen, _time(t))
     return Potential(gen.space, _log_matrix_apply(P, f.f))
 
 
 def nonlinear_resolvent(gen: Generator, f: Potential, lam: float) -> Potential:
     """R(lam)f = log((I - lam*Q)^{-1} e^f)."""
+    _on(gen.space, f)
     J = resolvent_matrix(gen, lam)
     return Potential(gen.space, _log_matrix_apply(J, f.f))
 
@@ -120,6 +125,7 @@ def resolvent_iterate(gen: Generator, f: Potential, t: float, n: int) -> Potenti
     repeated squaring. InvalidParameter unless n >= 1 and n t < 2^53,
     below which step counts are exact integers.
     """
+    _on(gen.space, f)
     steps = n * _time(t)
     if not (n >= 1 and steps < 2.0 ** 53):
         raise InvalidParameter(f"need n >= 1 and n t below 2^53, got n = {n}, t = {t}")

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import InfeasibleSpeed, MalformedModel, NumericalFailure
 from .hamiltonian import _tilted_rates, tilted_generator
 from .markov import (
-    Generator, Measure, Potential, StateSpace, _frozen, _reachable, _transport)
+    Generator, Measure, Potential, StateSpace, _admit, _on, _reachable, _transport)
 
 SPEED_SUM_TOL = 1e-10
 
@@ -53,15 +53,11 @@ class Speed:
     u: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        if u.shape != (self.space.size,):
-            raise MalformedModel("speed vector has the wrong length")
-        if not np.all(np.isfinite(u)):
-            raise MalformedModel("speed vector contains non-finite entries")
+        u = _admit(self.u, "speed vector", (self.space.size,))
         # relative to the entries summed, which round off at their own scale
         if abs(u.sum()) > SPEED_SUM_TOL * max(1.0, np.abs(u).sum()):
             raise InfeasibleSpeed(f"speed entries sum to {u.sum()!r}, not 0")
-        object.__setattr__(self, "u", _frozen(u))
+        object.__setattr__(self, "u", u)
 
 
 @dataclass(frozen=True)
@@ -102,6 +98,7 @@ class LagrangianResult:
 
 def speed(gen: Generator, mu: Measure, g: Potential) -> Speed:
     """Forward speed of the g-tilted dynamics, rho(mu, g) = (A^g)' mu."""
+    _on(gen.space, mu)
     return Speed(gen.space, tilted_generator(gen, g).Q.T @ mu.p)
 
 
@@ -482,7 +479,8 @@ def lagrangian_value(gen: Generator, mu: Measure, u,
     """
     opts = opts or DEFAULT_OPTIONS
     if not isinstance(u, Speed):
-        u = Speed(gen.space, np.asarray(u, dtype=float))
+        u = Speed(gen.space, u)
+    _on(gen.space, mu, u)
     flux = mu.p[:, None] * gen.off_diagonal
     unfed = (mu.p == 0.0) & (flux.sum(axis=0) <= 0.0)
     status, f, value, iters, gnorm, _ = (a[..., 0] for a in _lagrangian_cells(
@@ -500,6 +498,7 @@ def dual_check(gen: Generator, mu: Measure, f: Potential,
                opts: SolverOptions | None = None) -> float:
     """Residual of the duality identity <Hf,mu> = <f,rho(mu,f)> - L(mu,rho(mu,f)):
     the one-row case of ``_dual_residuals``."""
+    _on(gen.space, mu, f)
     return float(_dual_residuals(gen, mu.p[None], f.f[None], opts)[0])
 
 

@@ -8,9 +8,11 @@ construction and safe to share across threads; a generator caches its
 read-only uniformization table and its last e^{tQ}, as one (t, e^{tQ})
 tuple handed out as copies, so a race at worst computes either twice.
 
-``_time`` and ``_positive`` admit a time or a scale only if it is finite
-(NaN fails); ``_power_rows`` forms y0 M^j by doubling, for the table of
-e^{tQ} and the Doob rows alike.
+Each input is admitted by one check of its kind: ``_time`` and ``_positive``
+a time or a scale, finite (NaN fails); ``_admit`` an array, as read-only
+finite floats of its shape; ``_on`` objects used together, on one state
+space; ``_count`` an integer count. ``_power_rows`` forms y0 M^j by
+doubling, for the table of e^{tQ} and the Doob rows alike.
 """
 
 from __future__ import annotations
@@ -37,10 +39,42 @@ RENORM_DRIFT = 1e-8          # beyond this drift evolution is considered broken
 UNIFORMIZATION_TAIL = 1e-13  # Poisson weight, relative to jump n - 1, where e^{tQ} stops
 
 
-def _frozen(a, dtype=float):
-    out = np.array(a, dtype=dtype)
-    out.setflags(write=False)
-    return out
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A new array a, made read-only."""
+    a.setflags(write=False)
+    return a
+
+
+def _admit(a, what: str, shape: tuple) -> np.ndarray:
+    """a as a new read-only array of finite floats of ``shape``, a leading None
+    for a node table of any K + 1 >= 2 rows; else MalformedModel, also for
+    input NumPy cannot read as floats (ragged or text)."""
+    try:
+        out = np.array(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MalformedModel(f"{what} is not an array of numbers: {exc}") from None
+    table = shape[0] is None  # compare every axis but a table's rows
+    if out.shape[table:] != shape[table:] or table and len(out) < 2:
+        want = f"(K+1, {shape[1]}) with K >= 1" if table else shape
+        raise MalformedModel(f"{what} must have shape {want}, got {out.shape}")
+    if not np.isfinite(out).all():
+        raise MalformedModel(f"{what} contains non-finite entries")
+    return _frozen(out)
+
+
+def _on(space: StateSpace, *objects) -> None:
+    """MalformedModel unless every object lives on space (identity first: hot paths)."""
+    for x in objects:
+        if x.space is not space and x.space != space:
+            raise MalformedModel("inputs live on different state spaces")
+
+
+def _count(x, what: str, least: int) -> int:
+    """x as an int, if a Python or NumPy integer of at least ``least``;
+    else InvalidParameter(what), with x formatted into its ``{}``."""
+    if isinstance(x, (int, np.integer)) and x >= least:
+        return int(x)
+    raise InvalidParameter(what.format(x))
 
 
 def _time(t) -> float:
@@ -112,20 +146,17 @@ class Generator:
     Q: np.ndarray
 
     def __post_init__(self):
-        Q = np.asarray(self.Q, dtype=float)
-        n = self.space.size
-        if Q.shape != (n, n):
-            raise MalformedModel(f"rate matrix must be {n}x{n}, got {Q.shape}")
-        if not np.all(np.isfinite(Q)):
-            raise MalformedModel("rate matrix contains non-finite entries")
-        off = Q[~np.eye(n, dtype=bool)]
-        if np.any(off < 0):
-            raise InvalidRate("off-diagonal rates must be nonnegative")
+        n, labels = self.space.size, self.space.labels
+        Q = _admit(self.Q, "rate matrix", (n, n))
+        negative = (Q < 0) & ~np.eye(n, dtype=bool)
+        if negative.any():
+            x, y = np.argwhere(negative)[0]
+            raise InvalidRate(f"negative rate {Q[x, y]} at ({labels[x]} -> {labels[y]})")
         # relative to the row's rates, which round off at their own scale
         scale = np.maximum(1.0, np.abs(Q).sum(axis=1))
         if np.any(np.abs(Q.sum(axis=1)) > ROW_SUM_TOL * scale):
             raise MalformedModel("generator rows must sum to zero")
-        object.__setattr__(self, "Q", _frozen(Q))
+        object.__setattr__(self, "Q", Q)
 
     @property
     def size(self) -> int:
@@ -169,16 +200,12 @@ class Measure:
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        if p.shape != (self.space.size,):
-            raise MalformedModel("measure has the wrong length")
-        if not np.all(np.isfinite(p)):
-            raise MalformedModel("measure contains non-finite entries")
+        p = _admit(self.p, "measure", (self.space.size,))
         if np.any(p < 0):
             raise MalformedModel("measure has negative entries")
         if abs(p.sum() - 1.0) > MEASURE_SUM_TOL:
             raise MalformedModel(f"measure sums to {p.sum()!r}, not 1")
-        object.__setattr__(self, "p", _frozen(p))
+        object.__setattr__(self, "p", p)
 
     @classmethod
     def dirac(cls, space: StateSpace, state) -> "Measure":
@@ -199,12 +226,7 @@ class Potential:
     f: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.f, dtype=float)
-        if f.shape != (self.space.size,):
-            raise MalformedModel("potential has the wrong length")
-        if not np.all(np.isfinite(f)):
-            raise MalformedModel("potential contains non-finite entries")
-        object.__setattr__(self, "f", _frozen(f))
+        object.__setattr__(self, "f", _admit(self.f, "potential", (self.space.size,)))
 
     @classmethod
     def zeros(cls, space: StateSpace) -> "Potential":
@@ -219,12 +241,7 @@ class StochasticMatrix:
     P: np.ndarray
 
     def __post_init__(self):
-        P = np.asarray(self.P, dtype=float)
-        n = self.space.size
-        if P.shape != (n, n):
-            raise MalformedModel("transition matrix has the wrong shape")
-        if not np.all(np.isfinite(P)):
-            raise MalformedModel("transition matrix contains non-finite entries")
+        P = _admit(self.P, "transition matrix", (self.space.size,) * 2)
         if np.any(P < -PROBABILITY_SLACK) or np.any(P > 1 + PROBABILITY_SLACK):
             raise MalformedModel("transition probabilities outside [0, 1]")
         if np.max(np.abs(P.sum(axis=1) - 1.0)) > MEASURE_SUM_TOL:
@@ -245,26 +262,15 @@ def validate_generator(labels, rates) -> Generator:
     Raises
     ------
     InvalidRate
-        if an off-diagonal entry is negative.
+        if an off-diagonal entry is negative (from ``Generator``).
     MalformedModel
         if the matrix is not square, does not match the labels, or
         contains non-finite entries.
     """
     space = StateSpace(tuple(labels))
-    R = np.asarray(rates, dtype=float)
-    n = space.size
-    if R.shape != (n, n):
-        raise MalformedModel(f"rate matrix must be {n}x{n}, got {R.shape}")
-    if not np.all(np.isfinite(R)):
-        raise MalformedModel("rate matrix contains non-finite entries")
-    mask = ~np.eye(n, dtype=bool)
-    if np.any(R[mask] < 0):
-        bad = np.argwhere((R < 0) & mask)[0]
-        raise InvalidRate(
-            f"negative rate {R[bad[0], bad[1]]} at "
-            f"({space.labels[bad[0]]} -> {space.labels[bad[1]]})"
-        )
-    Q = np.where(mask, R, 0.0)
+    Q = _admit(rates, "rate matrix", (space.size,) * 2)
+    Q.setflags(write=True)  # _admit's own copy: its diagonal is rebuilt in place
+    np.fill_diagonal(Q, 0.0)
     np.fill_diagonal(Q, -Q.sum(axis=1))
     return Generator(space, Q)
 
@@ -381,6 +387,7 @@ def _fix_probability_vector(p: np.ndarray) -> np.ndarray:
 
 def evolve_law(gen: Generator, mu: Measure, t: float) -> Measure:
     """Push a law forward: the distribution of X(t) when X(0) ~ mu."""
+    _on(gen.space, mu)
     p = mu.p @ _expm_generator(gen, _time(t))
     return Measure(gen.space, _fix_probability_vector(p))
 
@@ -390,8 +397,7 @@ def relative_entropy(mu: Measure, nu: Measure) -> float:
 
     Returns +inf when mu puts mass where nu has none; 0*log(0) counts as 0.
     """
-    if mu.space != nu.space:
-        raise MalformedModel("measures live on different state spaces")
+    _on(mu.space, nu)
     return float(_relative_entropy(mu.p, nu.p))
 
 

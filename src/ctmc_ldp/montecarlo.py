@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InsufficientSampling, InvalidParameter, MalformedModel
 from .lagrangian import SolverOptions
-from .markov import Generator, Measure, _expm_generator, _positive, _time
+from .markov import Generator, Measure, _count, _expm_generator, _on, _positive, _time
 from .rates import PathGrid, _conditional_rates
 
 # copies simulated at once: bounds the sampler's memory whatever the number
@@ -44,8 +44,7 @@ class BallEvent(NamedTuple):
 
 
 def _stream(seed: int, n: int) -> np.random.Generator:
-    if seed < 0:
-        raise InvalidParameter(f"seed must be nonnegative, got {seed}")
+    seed = _count(seed, "seed must be nonnegative, got {}", 0)
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(n,)))
 
 
@@ -109,10 +108,9 @@ def empirical_trajectory(gen: Generator, mu0: Measure, n: int,
     t0 carries the law mu0 P(t0). All copies draw from the stream keyed by
     n; the result is deterministic given the seed.
     """
-    if n < 1:
-        raise InvalidParameter(f"need at least one copy, got {n}")
-    if K < 1:
-        raise InvalidParameter(f"need at least one time interval, got K={K}")
+    n = _count(n, "need at least one copy, got {}", 1)
+    K = _count(K, "need at least one time interval, got K={}", 1)
+    _on(gen.space, mu0)
     t0 = _time(t0)
     nodes = t0 + _positive(t1 - t0, "t1 - t0") / K * np.arange(K + 1)
     law = _jump_law(gen, n, nodes[-1])
@@ -169,14 +167,14 @@ def estimate_event_decay(gen: Generator, mu0: Measure, event: BallEvent,
         if some n records zero hits; the exception carries the partial
         per-n results.
     """
-    if reps < 100:
-        raise InvalidParameter(f"need at least 100 batches, got {reps}")
-    n_values = tuple(int(v) for v in n_values)
+    reps = _count(reps, "need at least 100 batches, got {}", 100)
+    order = "n values must be positive and strictly increasing"
+    n_values = tuple(_count(v, order, 1) for v in n_values)
     if len(n_values) < 2:
         raise InvalidParameter("need at least two copy counts to fit a slope")
-    if any(v < 1 for v in n_values) or any(
-            b <= a for a, b in zip(n_values, n_values[1:])):
-        raise InvalidParameter("n values must be positive and strictly increasing")
+    if any(b <= a for a, b in zip(n_values, n_values[1:])):
+        raise InvalidParameter(order)
+    _on(gen.space, mu0, event.target)
     target = event.target.p
     horizon = _positive(event.time, "event time")
     radius = _positive(event.radius, "ball radius")
@@ -231,6 +229,7 @@ def ball_infimum_rate(gen: Generator, mu0: Measure, nu: Measure, t: float,
     the minimizer lies on that segment).
     """
     delta = _positive(delta, "ball radius")
+    _on(gen.space, mu0, nu)
     P = _expm_generator(gen, _positive(t, "time"))
     center = mu0.p @ P
     dist = float(np.abs(center - nu.p).sum())

@@ -44,8 +44,10 @@ from .markov import (
     Measure,
     Potential,
     StateSpace,
+    _admit,
     _expm_generator,
     _frozen,
+    _on,
     _positive,
     _reachable,
     _relative_entropy,
@@ -67,13 +69,11 @@ class PathGrid:
     measures: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.measures, dtype=float)
         if not -math.inf < self.t0 < self.t1 < math.inf:
             raise MalformedModel("need finite t0 < t1")
-        if m.ndim != 2 or m.shape[0] < 2 or m.shape[1] != self.space.size:
-            raise MalformedModel("measures must be a (K+1, size) array with K >= 1")
-        if not np.all(np.isfinite(m)) or np.any(m < -PROBABILITY_SLACK):
-            raise MalformedModel("grid nodes must be valid probability vectors")
+        m = _admit(self.measures, "measures", (None, self.space.size))
+        if np.any(m < -PROBABILITY_SLACK):
+            raise MalformedModel("grid nodes have negative entries")
         if np.max(np.abs(m @ np.ones(m.shape[1]) - 1.0)) > MEASURE_SUM_TOL:
             raise MalformedModel("grid node masses must sum to 1")
         object.__setattr__(self, "measures", _frozen(np.clip(m, 0.0, None)))
@@ -153,8 +153,7 @@ def conditional_rate(gen: Generator, mu: Measure, nu: Measure, t: float,
     diverges there).
     """
     t = _positive(t, "time")
-    if mu.space != nu.space or mu.space != gen.space:
-        raise MalformedModel("inputs live on different state spaces")
+    _on(gen.space, mu, nu)
     P = _expm_generator(gen, t)
     value, status, f, levels, iters, gnorm = (
         a[0] for a in _conditional_rates(mu.p[None], nu.p[None], P[None], opts))
@@ -254,9 +253,9 @@ def joint_rate(gen: Generator, mu0: Measure, partition: Partition,
     times = (0.0,) + partition.times
     _positive(times[1], "partition times")
     nus = [m if isinstance(m, Measure) else Measure(gen.space, m) for m in marginals]
-    if len(nus) != len(times) or any(nu.space != gen.space for nu in nus):
-        raise MalformedModel(f"need {len(times)} marginals on the generator's "
-                             f"states for {len(times) - 1} partition times")
+    if len(nus) != len(times):
+        raise MalformedModel(f"need {len(times)} marginals, one per time")
+    _on(gen.space, mu0, *nus)
     value = relative_entropy(nus[0], mu0)
     if not math.isfinite(value):
         return JointRateResult(value, None, 0, math.inf)
@@ -286,7 +285,7 @@ class ActionResult:
 
     def __post_init__(self):
         object.__setattr__(self, "cell_values",
-                           _frozen(np.asarray(self.cell_values, dtype=float)))
+                           _frozen(np.array(self.cell_values, dtype=float)))
 
 
 # Within-cell location of the measure node for the action quadrature. The
@@ -313,8 +312,7 @@ def path_action(gen: Generator, path: PathGrid,
     in cell order that is infinite ends the sweep and is named in the
     result; if a cell before it does not settle, NumericalFailure is raised.
     """
-    if path.space != gen.space:
-        raise MalformedModel("path and generator use different state spaces")
+    _on(gen.space, path)
     opts = opts or DEFAULT_OPTIONS
     dt = path.dt
     m = np.ascontiguousarray(path.measures.T)  # (n, K + 1): cells last
@@ -346,8 +344,7 @@ def partition_rate(gen: Generator, path: PathGrid, partition: Partition,
     Partition times must coincide with grid nodes after t0, to within
     GRID_NODE_TOL times the length of the grid.
     """
-    if path.space != gen.space or P0.space != gen.space:
-        raise MalformedModel("inputs live on different state spaces")
+    _on(gen.space, path, P0)
     dt = path.dt
     idx = [0]
     for tau in partition.times:

@@ -22,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BoundaryBridgeWarning,
-    InfeasibleBridge,
-    InvalidParameter,
-    MalformedModel,
-)
+from .errors import BoundaryBridgeWarning, InfeasibleBridge, MalformedModel
 from .hamiltonian import _log_matrix_apply, v_apply
 from .lagrangian import SolverOptions
 from .markov import (
@@ -35,8 +30,10 @@ from .markov import (
     Measure,
     Potential,
     StateSpace,
+    _admit,
+    _count,
     _expm_generator,
-    _frozen,
+    _on,
     _positive,
     _power_rows,
 )
@@ -50,6 +47,7 @@ from .rates import (
 
 HARMONIC_TOL = 1e-9  # last-interval mismatch relative to 1 + max|h_K|
 LINEAR_SPREAD = 600.0  # widest exponent spread the doubling takes out of log space
+INTERVALS = "need at least one interval, got K={}"
 
 
 @dataclass(frozen=True)
@@ -64,14 +62,9 @@ class DoobFlow:
     h: np.ndarray
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
         if not 0 < self.horizon < math.inf:
             raise MalformedModel("horizon must be positive and finite")
-        if h.ndim != 2 or h.shape[0] < 2 or h.shape[1] != self.space.size:
-            raise MalformedModel("flow must be a (K+1, size) array with K >= 1")
-        if not np.all(np.isfinite(h)):
-            raise MalformedModel("flow contains non-finite entries")
-        object.__setattr__(self, "h", _frozen(h))
+        object.__setattr__(self, "h", _admit(self.h, "flow", (None, self.space.size)))
 
     @property
     def K(self) -> int:
@@ -94,9 +87,8 @@ def doob_flow(gen: Generator, f: Potential, t: float, K: int) -> DoobFlow:
     can underflow, the flow is nested one max-shifted log-space step at a
     time.
     """
-    t = _positive(t, "horizon")
-    if K < 1:
-        raise InvalidParameter(f"need at least one interval, got K={K}")
+    t, K = _positive(t, "horizon"), _count(K, INTERVALS, 1)
+    _on(gen.space, f)
     Pdt = _expm_generator(gen, t / K)
     h = np.empty((K + 1, gen.size))
     h[K] = f.f
@@ -150,8 +142,7 @@ def doob_forward(gen: Generator, mu0: Measure, flow: DoobFlow,
     e^h falls by orders of magnitude over the last cell, and a start
     between the h themselves lies far from that cell's maximizer.
     """
-    if flow.space != gen.space or mu0.space != gen.space:
-        raise MalformedModel("flow, law, and generator use different state spaces")
+    _on(gen.space, flow, mu0)
     Pdt = _expm_generator(gen, flow.dt)
     step = _log_matrix_apply(Pdt, flow.h[-1]) - flow.h[-2]
     if np.abs(step).max() > HARMONIC_TOL * (1.0 + np.abs(flow.h[-1]).max()):
@@ -205,13 +196,13 @@ def optimal_bridge(gen: Generator, mu0: Measure, mu1: Measure, t: float,
 
 
 def zero_cost_path(gen: Generator, mu0: Measure, t: float, K: int) -> PathGrid:
-    """The trajectory of the untilted dynamics itself, which costs nothing."""
-    t = _positive(t, "horizon")
-    if K < 1:
-        raise InvalidParameter(f"need at least one interval, got K={K}")
-    out = _power_rows(mu0.p, _expm_generator(gen, t / K), K)
-    out[1:] /= out[1:].sum(axis=1, keepdims=True)
-    return PathGrid(gen.space, 0.0, t, out)
+    """The trajectory of the untilted dynamics itself, which costs nothing:
+    the law of the Doob transform along the zero flow."""
+    t, K = _positive(t, "horizon"), _count(K, INTERVALS, 1)
+    _on(gen.space, mu0)
+    zero = DoobFlow(gen.space, t, np.zeros((K + 1, gen.size)))
+    return PathGrid(gen.space, 0.0, t,
+                    _forward_measures(mu0, zero, _expm_generator(gen, t / K)))
 
 
 def entropy_identity_check(gen: Generator, mu0: Measure, f: Potential,

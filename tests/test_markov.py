@@ -1,11 +1,14 @@
 """Linear Markov machinery: generators, semigroup, resolvent, entropy."""
 
+import inspect
 import math
+import typing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ctmc_ldp
 from ctmc_ldp import (
     BallEvent,
     DoobFlow,
@@ -18,18 +21,31 @@ from ctmc_ldp import (
     Partition,
     PathGrid,
     Potential,
+    Speed,
     StateSpace,
+    StochasticMatrix,
+    apply_hamiltonian,
     ball_infimum_rate,
     conditional_rate,
     doob_flow,
+    doob_forward,
+    dual_check,
     empirical_trajectory,
+    entropy_identity_check,
     estimate_event_decay,
     evolve_law,
     joint_rate,
+    lagrangian_value,
     nonlinear_resolvent,
+    optimal_bridge,
+    partition_rate,
+    path_action,
+    pre_lagrangian,
     relative_entropy,
     resolvent_iterate,
     resolvent_matrix,
+    speed,
+    tilted_generator,
     transition_matrix,
     v_apply,
     validate_generator,
@@ -370,3 +386,188 @@ class TestAdmissibleScalars:
         gen = validate_generator(["a", "b"], [[0.0, 1.0], [0.5, 0.0]])
         np.testing.assert_allclose(transition_matrix(gen, 1e308).P,
                                    [[1 / 3, 2 / 3]] * 2, atol=1e-12)
+
+
+# the seven value types, each admitted by ``markov._admit``: a valid array for
+# each, from which the malformed inputs below are derived
+ARRAY_SITES = {
+    "Generator": (lambda a: Generator(RING.space, a), RING.Q),
+    "Measure": (lambda a: Measure(RING.space, a), MU.p),
+    "Potential": (lambda a: Potential(RING.space, a), F.f),
+    "StochasticMatrix": (lambda a: StochasticMatrix(RING.space, a),
+                         transition_matrix(RING, 0.5).P),
+    "Speed": (lambda a: Speed(RING.space, a), np.array([0.1, -0.1, 0.0])),
+    "PathGrid": (lambda a: PathGrid(RING.space, 0.0, 1.0, a), np.array([MU.p, NU.p])),
+    "DoobFlow": (lambda a: DoobFlow(RING.space, 1.0, a), np.zeros((3, 3))),
+}
+
+
+def _malformed(good, kind):
+    """``good`` with its last column dropped ("shape"), or with its last
+    entry NaN, a word, or a one-entry list (ragged)."""
+    if kind == "shape":
+        return good[..., :-1]
+    rows = good.tolist()
+    last = rows if good.ndim == 1 else rows[-1]
+    last[-1] = {"nan": math.nan, "text": "x", "ragged": [last[-1]]}[kind]
+    return rows
+
+
+class TestAdmittedArrays:
+    @pytest.mark.parametrize("kind", ["shape", "nan", "text", "ragged"])
+    @pytest.mark.parametrize("site", sorted(ARRAY_SITES))
+    def test_malformed_array_rejected(self, site, kind):
+        make, good = ARRAY_SITES[site]
+        make(good)
+        with pytest.raises(MalformedModel):
+            make(_malformed(good, kind))
+
+    def test_admitted_arrays_are_read_only_copies(self):
+        a = MU.p.copy()
+        mu = Measure(RING.space, a)
+        a[0] = 0.9  # the caller's array stays writable and apart
+        assert mu.p[0] == 0.5 and not mu.p.flags.writeable
+        rates = np.array([[7.0, 1.0], [2.0, 7.0]])  # a diagonal to rebuild
+        gen = validate_generator(["a", "b"], rates)
+        assert rates[0, 0] == 7.0 and gen.Q[0, 0] == -1.0 and not gen.Q.flags.writeable
+
+    def test_generator_names_a_negative_rate(self):
+        # the labelled message validate_generator gives, from Generator itself
+        with pytest.raises(InvalidRate) as direct:
+            Generator(StateSpace(("a", "b")), [[1.0, -1.0], [0.5, -0.5]])
+        with pytest.raises(InvalidRate) as built:
+            validate_generator(["a", "b"], [[0.0, -1.0], [0.5, 0.0]])
+        assert str(direct.value) == str(built.value) == "negative rate -1.0 at (a -> b)"
+
+    def test_stochastic_matrix_rules(self):
+        space = StateSpace(("a", "b"))
+        with pytest.raises(MalformedModel, match="outside"):
+            StochasticMatrix(space, [[1.5, -0.5], [0.0, 1.0]])
+        with pytest.raises(MalformedModel, match="sum to 1"):
+            StochasticMatrix(space, [[0.5, 0.4], [0.0, 1.0]])
+        # rounding past [0, 1] within the slack is clipped
+        P = StochasticMatrix(space, [[1.0 + 1e-13, -1e-13], [0.0, 1.0]]).P
+        assert P[0, 0] == 1.0 and P[0, 1] == 0.0 and not P.flags.writeable
+
+
+# every public function that takes a generator with a law, potential, path,
+# flow, speed or event: each argument in turn built on ``space``, which
+# another state space replaces in the test
+SPACE_SITES = {
+    "relative_entropy": lambda s: relative_entropy(MU, Measure.uniform(s)),
+    "evolve_law": lambda s: evolve_law(RING, Measure.uniform(s), 0.5),
+    "apply_hamiltonian": lambda s: apply_hamiltonian(RING, Potential.zeros(s)),
+    "tilted_generator": lambda s: tilted_generator(RING, Potential.zeros(s)),
+    "pre_lagrangian": lambda s: pre_lagrangian(RING, Potential.zeros(s)),
+    "v_apply": lambda s: v_apply(RING, Potential.zeros(s), 0.5),
+    "nonlinear_resolvent": lambda s: nonlinear_resolvent(RING, Potential.zeros(s), 0.5),
+    "resolvent_iterate": lambda s: resolvent_iterate(RING, Potential.zeros(s), 0.5, 8),
+    "speed mu": lambda s: speed(RING, Measure.uniform(s), F),
+    "speed g": lambda s: speed(RING, MU, Potential.zeros(s)),
+    "lagrangian_value mu": lambda s: lagrangian_value(RING, Measure.uniform(s), np.zeros(3)),
+    "lagrangian_value u": lambda s: lagrangian_value(RING, MU, Speed(s, np.zeros(s.size))),
+    "dual_check mu": lambda s: dual_check(RING, Measure.uniform(s), F),
+    "dual_check f": lambda s: dual_check(RING, MU, Potential.zeros(s)),
+    "conditional_rate mu": lambda s: conditional_rate(RING, Measure.uniform(s), NU, 0.5),
+    "conditional_rate nu": lambda s: conditional_rate(RING, MU, Measure.uniform(s), 0.5),
+    "joint_rate mu0": lambda s: joint_rate(
+        RING, Measure.uniform(s), Partition((0.5,)), [MU, NU]),
+    "joint_rate marginals": lambda s: joint_rate(
+        RING, MU, Partition((0.5,)), [MU, Measure.uniform(s)]),
+    "path_action": lambda s: path_action(RING, _uniform_path(s)),
+    "partition_rate path": lambda s: partition_rate(
+        RING, _uniform_path(s), Partition((0.5,)), MU),
+    "partition_rate P0": lambda s: partition_rate(
+        RING, _uniform_path(RING.space), Partition((0.5,)), Measure.uniform(s)),
+    "doob_flow": lambda s: doob_flow(RING, Potential.zeros(s), 0.5, 4),
+    "doob_forward mu0": lambda s: doob_forward(
+        RING, Measure.uniform(s), doob_flow(RING, F, 0.5, 4)),
+    "doob_forward flow": lambda s: doob_forward(
+        RING, MU, DoobFlow(s, 0.5, np.zeros((5, s.size)))),
+    "optimal_bridge mu0": lambda s: optimal_bridge(RING, Measure.uniform(s), NU, 0.5, 4),
+    "optimal_bridge mu1": lambda s: optimal_bridge(RING, MU, Measure.uniform(s), 0.5, 4),
+    "entropy_identity_check mu0": lambda s: entropy_identity_check(
+        RING, Measure.uniform(s), F, 0.5, 4),
+    "entropy_identity_check f": lambda s: entropy_identity_check(
+        RING, MU, Potential.zeros(s), 0.5, 4),
+    "zero_cost_path": lambda s: zero_cost_path(RING, Measure.uniform(s), 0.5, 4),
+    "empirical_trajectory": lambda s: empirical_trajectory(
+        RING, Measure.uniform(s), 10, 0.5, 4, 0),
+    "estimate_event_decay mu0": lambda s: estimate_event_decay(
+        RING, Measure.uniform(s), BallEvent(NU, 0.5, 0.4), [10, 20], 100, 0),
+    "estimate_event_decay target": lambda s: estimate_event_decay(
+        RING, MU, BallEvent(Measure.uniform(s), 0.5, 0.4), [10, 20], 100, 0),
+    "ball_infimum_rate mu0": lambda s: ball_infimum_rate(
+        RING, Measure.uniform(s), NU, 0.5, 0.1),
+    "ball_infimum_rate nu": lambda s: ball_infimum_rate(
+        RING, MU, Measure.uniform(s), 0.5, 0.1),
+}
+SPACE_TYPES = (Measure, Potential, PathGrid, DoobFlow, BallEvent, Speed)
+
+
+def _uniform_path(space):
+    return PathGrid(space, 0.0, 1.0, np.full((5, space.size), 1.0 / space.size))
+
+
+class TestOneStateSpace:
+    # same size, other labels (which nothing else would catch), and another size
+    @pytest.mark.parametrize("space", [StateSpace(("x", "y", "z")), StateSpace(("a", "b"))],
+                             ids=["labels", "size"])
+    @pytest.mark.parametrize("site", sorted(SPACE_SITES))
+    def test_foreign_space_rejected(self, site, space):
+        with pytest.raises(MalformedModel, match="different state spaces"):
+            SPACE_SITES[site](space)
+
+    def test_equal_spaces_are_one_space(self):
+        # a state space rebuilt from the same labels is the same space
+        assert evolve_law(RING, Measure.uniform(StateSpace(("a", "b", "c"))), 0.5).space \
+            == RING.space
+
+    def test_every_entry_point_is_in_the_table(self):
+        # any public function taking a generator and a value on a state space
+        sites = {key.split()[0] for key in SPACE_SITES}
+        for name in ctmc_ldp.__all__:
+            fn = getattr(ctmc_ldp, name)
+            if not inspect.isfunction(fn) or "gen" not in inspect.signature(fn).parameters:
+                continue
+            hints = typing.get_type_hints(fn)
+            hints.pop("return", None)
+            if any(hint in SPACE_TYPES for hint in hints.values()):
+                assert name in sites, f"{name} takes a {SPACE_TYPES} but has no space case"
+
+
+EVENT = BallEvent(NU, 0.5, 0.4)
+# every integer count: with the least value it admits
+COUNT_SITES = {
+    "doob_flow K": (lambda k: doob_flow(RING, F, 0.5, k), 1),
+    "zero_cost_path K": (lambda k: zero_cost_path(RING, MU, 0.5, k), 1),
+    "optimal_bridge K": (lambda k: optimal_bridge(RING, MU, NU, 0.5, k), 1),
+    "empirical_trajectory K": (lambda k: empirical_trajectory(RING, MU, 10, 0.5, k, 0), 1),
+    "empirical_trajectory n": (lambda n: empirical_trajectory(RING, MU, n, 0.5, 4, 0), 1),
+    "empirical_trajectory seed": (lambda s: empirical_trajectory(RING, MU, 10, 0.5, 4, s), 0),
+    "estimate_event_decay reps": (
+        lambda r: estimate_event_decay(RING, MU, EVENT, [10, 20], r, 0), 100),
+    "estimate_event_decay n": (
+        lambda n: estimate_event_decay(RING, MU, EVENT, [n, 20], 100, 0), 1),
+    "estimate_event_decay seed": (
+        lambda s: estimate_event_decay(RING, MU, EVENT, [10, 20], 100, s), 0),
+}
+
+
+class TestIntegerCounts:
+    @pytest.mark.parametrize("below", [False, True], ids=["fraction", "below"])
+    @pytest.mark.parametrize("site", sorted(COUNT_SITES))
+    def test_count_rejected(self, site, below):
+        call, least = COUNT_SITES[site]
+        with pytest.raises(InvalidParameter):
+            call(min(0, least - 1) if below else max(2.5, least + 0.5))
+
+    def test_numpy_integers_count_as_integers(self):
+        k, n, seed = np.int64(4), np.int32(10), np.uint16(3)
+        np.testing.assert_array_equal(doob_flow(RING, F, 0.5, k).h,
+                                      doob_flow(RING, F, 0.5, 4).h)
+        np.testing.assert_array_equal(empirical_trajectory(RING, MU, n, 0.5, k, seed).measures,
+                                      empirical_trajectory(RING, MU, 10, 0.5, 4, 3).measures)
+        est = estimate_event_decay(RING, MU, BallEvent(NU, 0.5, 1.0), np.array([10, 20]),
+                                   np.int64(100), seed)
+        assert est.n_values == (10, 20) and all(type(v) is int for v in est.n_values)
