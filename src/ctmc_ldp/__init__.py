@@ -79,4 +79,6 @@ from .montecarlo import (
     estimate_event_decay,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the classes and functions, not the submodules the imports bind
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_") and callable(obj))

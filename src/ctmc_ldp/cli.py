@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import InsufficientSampling, ToolkitError
+from .errors import InsufficientSampling, InvalidParameter, ToolkitError
 from .hamiltonian import (
     _hamiltonian_raw,
     _pre_lagrangian,
@@ -319,6 +319,8 @@ def _invariant_checks(gen: Generator):
 
 
 def cmd_check(args, gen, mu0):
+    if not 0.0 <= args.tol < math.inf:  # NaN fails
+        raise InvalidParameter(f"--tol must be nonnegative and finite, got {args.tol}")
     rows = []
     for name, residual, tol in _invariant_checks(gen):
         ok = residual <= tol + args.tol

@@ -30,11 +30,13 @@ import numpy as np
 from .errors import InfeasibleSpeed, MalformedModel, NumericalFailure
 from .hamiltonian import _tilted_rates, tilted_generator
 from .markov import (
-    Generator, Measure, Potential, StateSpace, _admit, _on, _reachable, _transport)
+    Generator, Measure, Potential, StateSpace, _admit, _on, _positive, _reachable,
+    _transport)
 
 SPEED_SUM_TOL = 1e-10
 
 STEP_CAP = 10.0              # largest move of one coordinate in one Newton step
+MAX_ITERS = 200              # Newton iterations before a cell is left unsettled
 # Newton stacks of at least this many cells are solved by ``_eliminate``,
 # smaller ones by one stacked LAPACK call. Timed on pinned Laplacian minors
 # (timeit, best of 45 x 100 calls, one BLAS thread, Xeon), LAPACK against
@@ -62,10 +64,14 @@ class Speed:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances for the concave maximizations."""
+    """The gradient tolerance of the concave maximizations, positive and
+    finite; each stops within MAX_ITERS Newton iterations."""
 
     gradient_tol: float = 1e-9
-    max_iters: int = 200
+
+    def __post_init__(self):
+        object.__setattr__(self, "gradient_tol",
+                           _positive(self.gradient_tol, "gradient tolerance"))
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -129,7 +135,7 @@ def _eliminate(A, g):
     return x
 
 
-def _newton_ascent(objective, hessian, x, free, opts, tol=None):
+def _newton_ascent(objective, hessian, x, free, tol):
     """Damped Newton ascent of a batch of concave maximizations, each finite
     and attained, the cells on the last axis of every array (C-contiguous,
     so NumPy loops over cells, not states; ``take`` and ``compress`` keep it).
@@ -139,22 +145,21 @@ def _newton_ascent(objective, hessian, x, free, opts, tol=None):
     ``hessian(state)`` minus the (m, m, b) Hessians, solved by
     ``_eliminate`` for ELIMINATION_CELLS cells or more, else as one LAPACK
     stack on a (b, m, m) view, or by ``_eliminate`` when a cell there is
-    singular. Only the ``free`` coordinates move. Per cell: its gradient
-    tolerance ``tol`` (default opts.gradient_tol), compressed with the cell;
-    the Newton step (the gradient if it is singular, non-finite or no
-    ascent), scaled to move no coordinate by more than STEP_CAP, taken whole
-    when it halves the gradient sup-norm, which keeps converging below the
-    noise floor of the objective, and does not lower the value by more than
-    rounding, else backtracked by Armijo halvings; one retry along the
-    gradient on a stall.
+    singular. Only the ``free`` coordinates move. Per cell, for at most
+    MAX_ITERS iterations: its gradient tolerance ``tol`` (b,), compressed
+    with the cell; the Newton step (the gradient if it is singular,
+    non-finite or no ascent), scaled to move no coordinate by more than
+    STEP_CAP, taken whole when it halves the gradient sup-norm, which keeps
+    converging below the noise floor of the objective, and does not lower
+    the value by more than rounding, else backtracked by Armijo halvings;
+    one retry along the gradient on a stall.
 
     Returns per-cell arrays: status, x, value, iterations, gradient norm.
     """
     cells = np.arange(x.shape[1])
     status = np.full(cells.size, _Status.MAX_ITERS)
     out_x, out_value, out_norm = x.copy(), np.empty(cells.size), np.empty(cells.size)
-    iters = np.full(cells.size, opts.max_iters)
-    tol = np.full(cells.size, opts.gradient_tol) if tol is None else tol
+    iters = np.full(cells.size, MAX_ITERS)
     block = (free[:, None], free)
 
     def sup_norm(grad):
@@ -195,7 +200,7 @@ def _newton_ascent(objective, hessian, x, free, opts, tol=None):
     live = None  # every cell, until one settles
     value, grad, state = objective(x, live)
     norm = sup_norm(grad)
-    for it in range(1, opts.max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         done = norm <= tol
         n_done = np.count_nonzero(done)
         if n_done == len(cells) and live is None:  # the whole batch at once: no copies
@@ -249,13 +254,13 @@ def _newton_ascent(objective, hessian, x, free, opts, tol=None):
     return status, out_x, out_value, iters, out_norm
 
 
-def _settled(status, opts):
+def _settled(status):
     """Raise NumericalFailure unless ``_newton_ascent`` settled the cell."""
     if status == _Status.STALLED:
         raise NumericalFailure(
             "line search stalled before reaching the gradient tolerance")
     if status == _Status.MAX_ITERS:
-        raise NumericalFailure(f"no convergence within {opts.max_iters} iterations")
+        raise NumericalFailure(f"no convergence within {MAX_ITERS} iterations")
 
 
 def _lagrangian_objective(flux, us, base):
@@ -391,8 +396,8 @@ def _lagrangian_cells(flux, us, offset, opts, initial=None, zero=STRUCTURAL_TOL,
     again and reported unattained. Warm starts are shifted so that each
     component's pin reads 0. Forests go to ``_forest_cells``, other groups
     through one ``_newton_ascent``, each cell stopping at opts.gradient_tol
-    or its gradient's rounding floor 8 eps sum|u|; a warm start that does
-    not converge is solved again from 0. Relative to max(1, sum|u|), sums
+    (DEFAULT_OPTIONS's if opts is None) or its gradient's rounding floor
+    8 eps sum|u|; a warm start that does not converge is solved again from 0. Relative to max(1, sum|u|), sums
     and currents within ``zero``, and mass left unrouted within ``slack``,
     if given, are rounding. A group of every cell in order is not copied.
     Returns per-cell status, maximizers (n, K), value, iterations and
@@ -404,7 +409,8 @@ def _lagrangian_cells(flux, us, offset, opts, initial=None, zero=STRUCTURAL_TOL,
     us = us - us.sum(axis=0) / n  # mass conserved despite rounding
     scale = np.abs(us).sum(axis=0)
     balance_tol = SPEED_SUM_TOL * np.maximum(1.0, scale)  # spread over every state
-    gradient_tol = np.maximum(opts.gradient_tol, 8 * np.finfo(float).eps * scale)
+    gradient_tol = np.maximum((opts or DEFAULT_OPTIONS).gradient_tol,
+                              8 * np.finfo(float).eps * scale)
     base = flux.sum(axis=(0, 1)) + offset
     live = flux > 0.0
     x = np.zeros((n, K)) if initial is None else np.array(initial, dtype=float)
@@ -453,7 +459,7 @@ def _lagrangian_cells(flux, us, offset, opts, initial=None, zero=STRUCTURAL_TOL,
             objective, hessian = _lagrangian_objective(
                 *(pick(a, at) for a in (flux, us, base - shut)))
             status[at], x[:, at], value[at], iters[at], norm[at] = _newton_ascent(
-                objective, hessian, start, shape.free, opts, pick(gradient_tol, at))
+                objective, hessian, start, shape.free, pick(gradient_tol, at))
             todo = todo.compress((status[at] != _Status.CONVERGED) & start.any(axis=0))
             start = np.zeros((n, todo.size))
     if flux is not given:  # channels were dropped
@@ -463,10 +469,9 @@ def _lagrangian_cells(flux, us, offset, opts, initial=None, zero=STRUCTURAL_TOL,
 
 
 def lagrangian_value(gen: Generator, mu: Measure, u,
-                     opts: SolverOptions | None = None,
-                     initial: np.ndarray | None = None) -> LagrangianResult:
+                     opts: SolverOptions | None = None) -> LagrangianResult:
     """Evaluate L(mu, u) = sup_f { <f, u> - <Hf, mu> } for a Speed or a raw
-    array u (validated), from the warm start ``initial`` if given.
+    array u (validated), from f = 0.
 
     Raises
     ------
@@ -477,18 +482,16 @@ def lagrangian_value(gen: Generator, mu: Measure, u,
         gradient, before the gradient tolerance is met, or if the iteration
         cap is hit without convergence.
     """
-    opts = opts or DEFAULT_OPTIONS
     if not isinstance(u, Speed):
         u = Speed(gen.space, u)
     _on(gen.space, mu, u)
     flux = mu.p[:, None] * gen.off_diagonal
     unfed = (mu.p == 0.0) & (flux.sum(axis=0) <= 0.0)
     status, f, value, iters, gnorm, _ = (a[..., 0] for a in _lagrangian_cells(
-        flux[..., None], u.u[:, None], 0.0, opts,
-        None if initial is None else np.reshape(initial, (-1, 1))))
+        flux[..., None], u.u[:, None], 0.0, opts))
     if status == _Status.INFINITE:
         return LagrangianResult(math.inf, None, 0, math.inf)
-    _settled(status, opts)
+    _settled(status)
     maximizer = Potential(gen.space, f) if status == _Status.CONVERGED else None
     return LagrangianResult(max(float(value), 0.0), maximizer, int(iters), float(gnorm),
                             tuple(np.flatnonzero(unfed).tolist()))
@@ -506,7 +509,6 @@ def _dual_residuals(gen: Generator, mus, fs, opts=None) -> np.ndarray:
     """The duality residual of each row of (b, n) laws and potentials: the
     left side in closed form, the Lagrangians as cells of one evaluator
     call, warm-started at f; NumericalFailure if one does not settle."""
-    opts = opts or DEFAULT_OPTIONS
     mus, fs = (np.ascontiguousarray(a.T) for a in (mus, fs))  # (n, b), cells last
     M = _tilted_rates(gen.off_diagonal[..., None], fs)
     out = M.sum(axis=1)
@@ -514,6 +516,6 @@ def _dual_residuals(gen: Generator, mus, fs, opts=None) -> np.ndarray:
     status, _, value, _, _, _ = _lagrangian_cells(
         mus[:, None] * gen.off_diagonal[..., None], rho, 0.0, opts, fs)
     for verdict in status:
-        _settled(verdict, opts)
+        _settled(verdict)
     lhs = ((out - gen.exit_rates[:, None]) * mus).sum(axis=0)
     return np.abs(lhs - (fs * rho).sum(axis=0) + np.maximum(value, 0.0))

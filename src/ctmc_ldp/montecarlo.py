@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InsufficientSampling, InvalidParameter, MalformedModel
 from .lagrangian import SolverOptions
-from .markov import Generator, Measure, _count, _expm_generator, _on, _positive, _time
+from .markov import Generator, Measure, _count, _expm_generator, _on, _positive
 from .rates import PathGrid, _conditional_rates
 
 # copies simulated at once: bounds the sampler's memory whatever the number
@@ -100,19 +100,15 @@ def _run_copies(law, mu0: Measure, n: int, batches: int, nodes, rng,
 
 
 def empirical_trajectory(gen: Generator, mu0: Measure, n: int,
-                         t1: float, K: int, seed: int,
-                         t0: float = 0.0) -> PathGrid:
-    """Empirical measure of n independent copies at K+1 uniform grid nodes.
-
-    Every copy starts from mu0 at time 0 and runs up to t1, so the node at
-    t0 carries the law mu0 P(t0). All copies draw from the stream keyed by
-    n; the result is deterministic given the seed.
+                         t1: float, K: int, seed: int) -> PathGrid:
+    """Empirical measure of n independent copies at K+1 uniform grid nodes
+    on [0, t1], every copy started from mu0 at time 0. All copies draw from
+    the stream keyed by n; the result is deterministic given the seed.
     """
     n = _count(n, "need at least one copy, got {}", 1)
     K = _count(K, "need at least one time interval, got K={}", 1)
     _on(gen.space, mu0)
-    t0 = _time(t0)
-    nodes = t0 + _positive(t1 - t0, "t1 - t0") / K * np.arange(K + 1)
+    nodes = _positive(t1, "t1") / K * np.arange(K + 1)
     law = _jump_law(gen, n, nodes[-1])
     rng = _stream(seed, n)
     tally = np.zeros((K + 1) * gen.size, dtype=np.int64)
@@ -120,7 +116,7 @@ def empirical_trajectory(gen: Generator, mu0: Measure, n: int,
         m = min(_BLOCK_COPIES, n - first)
         _run_copies(law, mu0, m, 1, nodes, rng, tally)
     counts = tally.reshape(K + 1, gen.size).cumsum(axis=0)
-    return PathGrid(gen.space, t0, t1, counts / n)
+    return PathGrid(gen.space, 0.0, t1, counts / n)
 
 
 @dataclass(frozen=True)
@@ -206,16 +202,11 @@ def estimate_event_decay(gen: Generator, mu0: Measure, event: BallEvent,
 
     log_probs = [math.log(h / reps) for h in hits]
     sigmas = np.array([_wilson_log_sigma(h, reps) for h in hits])
-    x = np.array(n_values, dtype=float)
-    y = -np.array(log_probs)
-    w = 1.0 / sigmas**2
-    xbar = float((w * x).sum() / w.sum())
-    ybar = float((w * y).sum() / w.sum())
-    sxx = float((w * (x - xbar) ** 2).sum())
-    slope = float((w * (x - xbar) * (y - ybar)).sum() / sxx)
-    stderr = math.sqrt(1.0 / sxx)
-    return DecayEstimate(n_values, tuple(log_probs), slope, stderr,
-                         tuple(hits), reps, seed)
+    # the n values are distinct, so the fit has full rank (no RankWarning)
+    (slope, _), cov = np.polyfit(n_values, -np.array(log_probs), 1, w=1.0 / sigmas,
+                                 cov="unscaled")
+    return DecayEstimate(n_values, tuple(log_probs), float(slope),
+                         math.sqrt(cov[0, 0]), tuple(hits), reps, seed)
 
 
 def ball_infimum_rate(gen: Generator, mu0: Measure, nu: Measure, t: float,

@@ -31,7 +31,6 @@ import numpy as np
 from .errors import InvalidParameter, MalformedModel
 from .hamiltonian import _log_matrix_apply
 from .lagrangian import (
-    DEFAULT_OPTIONS,
     SolverOptions,
     _lagrangian_cells,
     _settled,
@@ -173,7 +172,6 @@ def _conditional_rates(mus, nus, Ps, opts):
     if that is every step. Returns per-step value, status, maximizer rows
     (pinned on the support), levels, iterations and gradient norm through
     the first +infinite step; NumericalFailure if one before is unsettled."""
-    opts = opts or DEFAULT_OPTIONS
     k, n = mus.shape
     mus, nus = (a / a.sum(axis=1, keepdims=True) for a in (mus, nus))
     started, support = mus > 0.0, nus > 0.0
@@ -215,7 +213,7 @@ def _conditional_rates(mus, nus, Ps, opts):
     out = np.maximum(value, 0.0), status, f, levels, iters, gnorm
     stop = (status >= _Status.INFINITE).nonzero()[0]
     if stop.size:  # the first is unsettled (raise) or infinite (the last step)
-        _settled(status[stop[0]], opts)
+        _settled(status[stop[0]])
         return tuple(a[:stop[0] + 1] for a in out)
     return out
 
@@ -306,21 +304,21 @@ def path_action(gen: Generator, path: PathGrid,
     finite-difference speed), evaluated as ``lagrangian_value`` does, with
     its screens and pins, for all cells at once, built cells last. Newton
     starts in each cell at f = 0, or at the (K+1, n) node potentials
-    ``initial`` taken at w in e^f, where a Doob flow is linear, as
-    c + log((1 - w) e^{f_k - c} + w e^{f_{k+1} - c}), c = max(f_k, f_{k+1})
-    (a start that does not converge is retried from f = 0). The first cell
-    in cell order that is infinite ends the sweep and is named in the
-    result; if a cell before it does not settle, NumericalFailure is raised.
+    ``initial`` (finite, else MalformedModel) taken at w in e^f, where a
+    Doob flow is linear, as c + log((1 - w) e^{f_k - c} + w e^{f_{k+1} - c}),
+    c = max(f_k, f_{k+1}) (a start that does not converge is retried from
+    f = 0). The first cell in cell order that is infinite ends the sweep and
+    is named in the result; if a cell before it does not settle,
+    NumericalFailure is raised.
     """
     _on(gen.space, path)
-    opts = opts or DEFAULT_OPTIONS
     dt = path.dt
     m = np.ascontiguousarray(path.measures.T)  # (n, K + 1): cells last
     w = QUADRATURE_NODE
     mids = (1.0 - w) * m[:, :-1] + w * m[:, 1:]
     start = None
     if initial is not None:
-        h = np.ascontiguousarray(np.asarray(initial, dtype=float).T)
+        h = np.ascontiguousarray(_admit(initial, "warm start", (path.K + 1, gen.size)).T)
         c = np.maximum(h[:, :-1], h[:, 1:])
         start = c + np.log((1.0 - w) * np.exp(h[:, :-1] - c) + w * np.exp(h[:, 1:] - c))
     status, _, values, _, _, _ = _lagrangian_cells(
@@ -330,7 +328,7 @@ def path_action(gen: Generator, path: PathGrid,
     stop = np.flatnonzero((status >= _Status.STALLED) | ~np.isfinite(cells))
     if stop.size:
         k = int(stop[0])
-        _settled(status[k], opts)
+        _settled(status[k])
         return ActionResult(math.inf, cells[:k + 1], infeasible_cell=k)
     return ActionResult(float(cells.sum()), cells)
 

@@ -176,6 +176,7 @@ def optimal_bridge(gen: Generator, mu0: Measure, mu1: Measure, t: float,
     the reported ``action_gap`` then estimates the distance to the true
     rate.
     """
+    K = _count(K, INTERVALS, 1)
     rate = conditional_rate(gen, mu0, mu1, t, opts=opts)
     if not math.isfinite(rate.value):
         raise InfeasibleBridge(

@@ -124,6 +124,17 @@ class TestCheck:
         assert code == 0
         assert "10/10 checks passed" in capsys.readouterr().out
 
+    def test_model_without_jumps_skips_the_barrel_row(self, tmp_path, capsys):
+        # all rates 0: no barrel radius, so its row is left out, and the
+        # other nine checks pass
+        code = main(["check", "--model", _write_model(tmp_path, [[0.0, 0.0], [0.0, 0.0]]),
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert "9/9 checks passed" in capsys.readouterr().out
+        rows = load_report(tmp_path / "check_report.json")["outputs"]["checks"]
+        assert len(rows) == 9 and all(row["pass"] for row in rows)
+        assert not any("barrel" in row["name"] for row in rows)
+
     def test_perturbed_hamiltonian_fails(self, tmp_path, capsys, monkeypatch):
         exact = cli.apply_hamiltonian
         monkeypatch.setattr(cli, "apply_hamiltonian", lambda gen, f: Potential(
@@ -344,6 +355,16 @@ class TestRate:
         assert report["outputs"]["value"] == pytest.approx(0.5, abs=1e-8)
         assert report["outputs"]["attained"] is False
 
+    def test_zero_tol_is_the_default_tolerance(self, tmp_path):
+        # --tol 0 stands for 1e-9: the same solve as no --tol at all
+        argv = ["rate", "--model", RING, "--t", "0.5", "--target", "0.5,0.3,0.2"]
+        outputs = []
+        for extra in ([], ["--tol", "0"], ["--tol", "1e-9"]):
+            assert main([*argv, *extra, "--out", str(tmp_path)]) == 0
+            outputs.append(load_report(tmp_path / "rate_report.json")["outputs"])
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0]["value"] == pytest.approx(0.07452270682, abs=1e-10)
+
 
 class TestBridgeAndAction:
     def test_zero_cost_bridge_and_csv_round_trip(self, tmp_path):
@@ -544,6 +565,32 @@ class TestMalformedInput:
             [sub, "--model", str(MODELS / f"{model}.json"), *rest], tmp_path)
         bound = "2^53" if sub == "semigroup" else "rounds" if "--n 1 " in argv else "jumps"
         assert bound in err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize("sub", ["check", "rate", "bridge", "action"])
+    def test_inadmissible_tol_exits_3(self, tmp_path, capsys, sub, tol):
+        # a gradient tolerance must be positive and finite (0 stands for the
+        # default), a check slack nonnegative and finite; nothing is written
+        path = tmp_path / "p.csv"
+        path.write_text(DRIFTING_PATH)
+        argv = {"check": ["--model", RING],
+                "rate": ["--model", RING, "--t", "0.5", "--target", "0.5,0.3,0.2"],
+                "bridge": ["--model", RING, "--t", "0.5", "--target", "0.5,0.3,0.2"],
+                "action": ["--model", SYMMETRIC, "--path", str(path)]}[sub]
+        out = tmp_path / "out"
+        code = main([sub, *argv, "--tol", tol, "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert re.search(r"tol\w* must be \w+ and finite, got", err)
+        assert list(out.iterdir()) == []
+
+    def test_one_state_model_exits_3(self, tmp_path, capsys):
+        code = main(["check", "--model", _write_model(tmp_path, [[0.0]]),
+                     "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: a state space needs at least two states\n"
 
     def test_bad_target_exits_2(self, tmp_path, capsys):
         code = main(["rate", "--model", ABSORBING, "--t", "0.5",

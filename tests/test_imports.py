@@ -2,6 +2,7 @@
 imports is the standard library's, NumPy's or the package's own."""
 
 import ast
+import inspect
 import sys
 from pathlib import Path
 
@@ -39,3 +40,13 @@ def test_imports_only_the_standard_library_and_numpy(path):
     roots |= {node.module.split(".")[0] for node in ast.walk(tree)
               if isinstance(node, ast.ImportFrom) and node.level == 0}
     assert roots - allowed == set()
+
+
+def test_star_export_holds_only_classes_and_functions():
+    # the submodules (``markov``, ``rates``, ...) are package attributes,
+    # not part of the public names ``from ctmc_ldp import *`` binds
+    others = [name for name in ctmc_ldp.__all__
+              if not (inspect.isclass(getattr(ctmc_ldp, name))
+                      or inspect.isfunction(getattr(ctmc_ldp, name)))]
+    assert others == []
+    assert "markov" not in ctmc_ldp.__all__ and "Generator" in ctmc_ldp.__all__

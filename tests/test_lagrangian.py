@@ -429,7 +429,8 @@ def _newton_reference(gen, p, u):
     objective, hessian = _lagrangian_objective(  # one cell, on the last axis
         flux[..., None], u[:, None], flux.sum()[None])
     status, f, value, _, _ = (a[..., 0] for a in _newton_ascent(
-        objective, hessian, np.zeros((n, 1)), free, DEFAULT_OPTIONS))
+        objective, hessian, np.zeros((n, 1)), free,
+        np.full(1, DEFAULT_OPTIONS.gradient_tol)))
     if status == _Status.CONVERGED and idle.any():
         status = _Status.BOUNDARY
     return status, f, value + p @ gen.exit_rates - flux.sum()

@@ -185,6 +185,25 @@ class TestEstimateEventDecay:
             slopes.append(est.slope)
         assert slopes[0] < slopes[1] < slopes[2]
 
+    @pytest.mark.parametrize("n_values", [(10, 20), (10, 20, 40)])
+    def test_slope_is_the_weighted_least_squares_fit(self, n_values):
+        # the fit of -log p_hat against n, weighted by 1/sigma^2 with sigma
+        # the Wilson half-width, in closed form: slope sum w (x - xbar)(y -
+        # ybar) / sxx, standard error 1/sqrt(sxx); two points fit exactly
+        gen = absorbing_chain()
+        da = Measure.dirac(gen.space, "a")
+        est = estimate_event_decay(gen, da, BallEvent(da, 0.5, 0.6), list(n_values),
+                                   2000, seed=17)
+        x, y = np.array(n_values, dtype=float), -np.array(est.log_probs)
+        w = np.array([montecarlo._wilson_log_sigma(h, 2000) for h in est.hits]) ** -2.0
+        xbar, ybar = (w * x).sum() / w.sum(), (w * y).sum() / w.sum()
+        sxx = (w * (x - xbar) ** 2).sum()
+        assert est.slope == pytest.approx((w * (x - xbar) * (y - ybar)).sum() / sxx,
+                                          rel=1e-12, abs=0.0)
+        assert est.stderr == pytest.approx(sxx ** -0.5, rel=1e-12, abs=0.0)
+        if len(n_values) == 2:
+            assert est.slope == pytest.approx((y[1] - y[0]) / (x[1] - x[0]), rel=1e-12)
+
     def test_zero_hits_raises_with_partial(self):
         gen = absorbing_chain()
         da = Measure.dirac(gen.space, "a")
@@ -285,14 +304,14 @@ class TestSamplerConsistency:
         assert abs(grid.measures[-1][0] - expected[0]) <= 3 * sigma
 
     def test_every_node_matches_evolved_law(self):
-        # a chain with no absorbing state, observed from t0 > 0: each
-        # node's marginal within 5 sigma plus one copy of mu0 P(t)
+        # a chain with no absorbing state: each node's marginal within
+        # 5 sigma plus one copy of mu0 P(t)
         gen = validate_generator(["x", "y", "z"], [[0.0, 1.0, 0.5],
                                                    [0.3, 0.0, 2.0],
                                                    [1.5, 0.4, 0.0]])
         mu0 = Measure(gen.space, [0.6, 0.3, 0.1])
         n = 20_000
-        grid = empirical_trajectory(gen, mu0, n, 1.5, 6, seed=23, t0=0.3)
+        grid = empirical_trajectory(gen, mu0, n, 1.5, 6, seed=23)
         for t, emp in zip(grid.node_times, grid.measures):
             p = evolve_law(gen, mu0, t).p
             sigma = np.sqrt(p * (1 - p) / n)
@@ -346,25 +365,21 @@ class TestSamplerConsistency:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
-           kind=st.sampled_from(("random", "stiff", "sparse")),
-           late=st.booleans())
-    def test_every_node_counts_every_copy(self, seed, kind, late):
-        # n times each node's measure is a tally of the n copies; from
-        # t0 = 0 the first node is the start tally, so no jump is binned
-        # a node early
+           kind=st.sampled_from(("random", "stiff", "sparse")))
+    def test_every_node_counts_every_copy(self, seed, kind):
+        # n times each node's measure is a tally of the n copies; the first
+        # node is the start tally, so no jump is binned a node early
         rng = np.random.default_rng(seed)
         gen = random_chain(rng, kind)
         mu0 = random_law(rng, gen)
         n = int(rng.integers(1, 60))
         t1 = float(rng.uniform(0.05, 0.5))
-        t0 = float(rng.uniform(0.0, 0.9 * t1)) if late else 0.0
         grid = empirical_trajectory(gen, mu0, n, t1, int(rng.integers(1, 12)),
-                                    seed=seed, t0=t0)
+                                    seed=seed)
         counts = np.rint(grid.measures * n)
         assert np.allclose(grid.measures * n, counts, rtol=0.0, atol=1e-9)
         assert np.all(counts >= 0) and np.all(counts.sum(axis=1) == n)
-        if not late:
-            # the stream's first draw is the start counts
-            rng = montecarlo._stream(seed, n)
-            starts = rng.multinomial(n, mu0.p / mu0.p.sum())
-            assert np.array_equal(counts[0], starts)
+        # the stream's first draw is the start counts
+        rng = montecarlo._stream(seed, n)
+        starts = rng.multinomial(n, mu0.p / mu0.p.sum())
+        assert np.array_equal(counts[0], starts)

@@ -17,7 +17,6 @@ from ctmc_ldp import (
     Partition,
     PathGrid,
     Potential,
-    SolverOptions,
     StateSpace,
     conditional_rate,
     doob_flow,
@@ -693,18 +692,19 @@ class TestJointRate:
             np.testing.assert_allclose(batch.tilt_potential(sp).f,
                                        one.tilt_potential(sp).f, rtol=1e-9, atol=1e-9)
 
-    def test_steps_after_an_infinite_one_neither_count_nor_raise(self):
+    def test_steps_after_an_infinite_one_neither_count_nor_raise(self, monkeypatch):
         # nothing reaches c, so the first step is +infinity; the second needs
         # several Newton iterations and alone fails to settle in one
         gen = validate_generator(["a", "b", "c"], [[0.0, 1.0, 0.0],
                                                    [0.7, 0.0, 0.0],
                                                    [0.6, 0.4, 0.0]])
-        sp, one = gen.space, SolverOptions(max_iters=1)
+        sp = gen.space
         laws = [Measure(sp, p) for p in ([0.5, 0.5, 0.0], [0.4, 0.4, 0.2],
                                          [0.5, 0.45, 0.05])]
+        monkeypatch.setattr(lagrangian, "MAX_ITERS", 1)
         with pytest.raises(NumericalFailure):
-            conditional_rate(gen, laws[1], laws[2], 0.4, one)
-        res = joint_rate(gen, Measure.uniform(sp), Partition((0.5, 0.9)), laws, one)
+            conditional_rate(gen, laws[1], laws[2], 0.4)
+        res = joint_rate(gen, Measure.uniform(sp), Partition((0.5, 0.9)), laws)
         assert res.value == math.inf and res.iterations == 0
 
 
@@ -795,6 +795,17 @@ def _settled(status):
 
 
 class TestBatchedPathAction:
+    @pytest.mark.parametrize("case", ["K rows", "n + 1 columns", "flat", "text", "nan"])
+    def test_malformed_warm_start_rejected(self, case):
+        # the warm start is (K + 1, n) node potentials of finite floats
+        gen = symmetric_chain()
+        grid = zero_cost_path(gen, Measure.dirac(gen.space, "a"), 1.0, 4)
+        start = {"K rows": np.zeros((4, 2)), "n + 1 columns": np.zeros((5, 3)),
+                 "flat": np.zeros(10), "text": [["0", "x"]] * 5,
+                 "nan": np.where(np.eye(5, 2) > 0, np.nan, 0.0)}[case]
+        with pytest.raises(MalformedModel, match="warm start"):
+            path_action(gen, grid, initial=start)
+
     def test_warm_start_is_the_logaddexp_form(self, monkeypatch):
         # the start at the quadrature node w, c + log((1 - w) e^{f_k - c} +
         # w e^{f_{k+1} - c}) with c = max(f_k, f_{k+1}), against
@@ -893,9 +904,9 @@ class TestBatchedPathAction:
         ascents = []
         ascent = lagrangian._newton_ascent
 
-        def counted(objective, hessian, x, free, opts, tol):
+        def counted(objective, hessian, x, free, tol):
             ascents.append(x.shape[1])  # the cells on the last axis
-            return ascent(objective, hessian, x, free, opts, tol)
+            return ascent(objective, hessian, x, free, tol)
 
         monkeypatch.setattr(lagrangian, "_newton_ascent", counted)
         k = 4
@@ -937,13 +948,14 @@ class TestBatchedPathAction:
         assert 0.0 <= res.value <= 1e-8
         assert calls == []
 
-    def test_unsettled_cell_raises(self, rng):
+    def test_unsettled_cell_raises(self, rng, monkeypatch):
         # one Newton iteration cannot settle the cells of a tilted path
         gen = random_model(rng, n_max=3)
         flow = doob_flow(gen, random_potential(rng, gen, bound=1.0), 1.0, 50)
         grid, _ = doob_forward(gen, random_measure(rng, gen), flow)
+        monkeypatch.setattr(lagrangian, "MAX_ITERS", 1)
         with pytest.raises(NumericalFailure, match="within 1 iterations"):
-            path_action(gen, grid, SolverOptions(max_iters=1))
+            path_action(gen, grid)
 
 
 class TestPartitionRate:

@@ -241,8 +241,8 @@ class TestDoobForward:
         gen, mu0, target, t = _boundary_bridge_inputs()
         ascent, calls = lagrangian._newton_ascent, []
 
-        def recorded(objective, hessian, x, free, opts, tol=None):
-            out = ascent(objective, hessian, x, free, opts, tol)
+        def recorded(objective, hessian, x, free, tol):
+            out = ascent(objective, hessian, x, free, tol)
             calls.append((x.shape[1], x.any(), out[3]))
             return out
 
@@ -361,6 +361,18 @@ class TestDoobForward:
 
 
 class TestOptimalBridge:
+    @pytest.mark.parametrize("K", [0, 2.5])
+    def test_interval_count_checked_before_the_rate(self, monkeypatch, K):
+        # an inadmissible K is refused before the conditional-rate solve
+        def refused(*args, **kwargs):
+            raise AssertionError("the rate was solved for an inadmissible K")
+
+        monkeypatch.setattr(trajectory, "conditional_rate", refused)
+        gen = symmetric_chain()
+        with pytest.raises(InvalidParameter):
+            optimal_bridge(gen, Measure.dirac(gen.space, "a"),
+                           Measure.uniform(gen.space), 0.5, K)
+
     def test_evolved_target_zero_cost(self, rng):
         gen = random_model(rng)
         mu0 = random_measure(rng, gen)
