@@ -123,16 +123,13 @@ def write_path_csv(path, grid: PathGrid) -> None:
         for t, row in zip(grid.node_times.tolist(), grid.measures.tolist())))
 
 
-def read_path_csv(path, space=None, data=None) -> PathGrid:
+def read_path_csv(path, space: StateSpace, data=None) -> PathGrid:
     text = _text(path, data)
     reader = csv.reader(io.StringIO(text, newline=None))
     header = next(reader, [])
     if len(header) < 3 or header[0] != "t":
         raise ToolkitError("path CSV must have header 't,<label>...'")
-    labels = tuple(header[1:])
-    if space is None:
-        space = StateSpace(labels)
-    elif tuple(space.labels) != labels:
+    if space.labels != tuple(header[1:]):
         raise ToolkitError("path CSV labels do not match the model")
     rows = [row for row in reader if row]
     try:  # all cells at once; NumPy parses a str as float() does

@@ -25,7 +25,8 @@ import math
 import numpy as np
 
 from .errors import DegenerateModel, InvalidParameter
-from .markov import Generator, Potential, _expm_generator, _on, _time, resolvent_matrix
+from .markov import (
+    Generator, Potential, _count, _expm_generator, _on, _time, resolvent_matrix)
 
 EXPONENT_CLIP = 700.0  # |exponent| bound that keeps e^x finite (overflow at 709.8)
 
@@ -122,13 +123,13 @@ def resolvent_iterate(gen: Generator, f: Potential, t: float, n: int) -> Potenti
     Each step is log(J_+ e^f) with J = (I - Q/n)^{-1} and J_+ = max(J, 0)
     (rounding can leave J slightly negative), so the k steps are one
     log-space apply of J_+^k, which np.linalg.matrix_power forms by
-    repeated squaring. InvalidParameter unless n >= 1 and n t < 2^53,
-    below which step counts are exact integers.
+    repeated squaring. InvalidParameter unless n is an integer >= 1 and
+    n t < 2^53, below which step counts are exact integers.
     """
     _on(gen.space, f)
-    steps = n * _time(t)
-    if not (n >= 1 and steps < 2.0 ** 53):
-        raise InvalidParameter(f"need n >= 1 and n t below 2^53, got n = {n}, t = {t}")
+    steps = _count(n, "need an integer n >= 1, got n = {}", 1) * _time(t)
+    if not steps < 2.0 ** 53:
+        raise InvalidParameter(f"need n t below 2^53, got n = {n}, t = {t}")
     steps = int(math.floor(steps + 1e-9))
     J = resolvent_matrix(gen, 1.0 / n)
     g = f.f

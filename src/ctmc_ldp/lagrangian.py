@@ -468,8 +468,7 @@ def _lagrangian_cells(flux, us, offset, opts, initial=None, zero=STRUCTURAL_TOL,
     return status, x, value, iters, norm, live
 
 
-def lagrangian_value(gen: Generator, mu: Measure, u,
-                     opts: SolverOptions | None = None) -> LagrangianResult:
+def lagrangian_value(gen: Generator, mu: Measure, u) -> LagrangianResult:
     """Evaluate L(mu, u) = sup_f { <f, u> - <Hf, mu> } for a Speed or a raw
     array u (validated), from f = 0.
 
@@ -488,7 +487,7 @@ def lagrangian_value(gen: Generator, mu: Measure, u,
     flux = mu.p[:, None] * gen.off_diagonal
     unfed = (mu.p == 0.0) & (flux.sum(axis=0) <= 0.0)
     status, f, value, iters, gnorm, _ = (a[..., 0] for a in _lagrangian_cells(
-        flux[..., None], u.u[:, None], 0.0, opts))
+        flux[..., None], u.u[:, None], 0.0, None))
     if status == _Status.INFINITE:
         return LagrangianResult(math.inf, None, 0, math.inf)
     _settled(status)
@@ -497,15 +496,14 @@ def lagrangian_value(gen: Generator, mu: Measure, u,
                             tuple(np.flatnonzero(unfed).tolist()))
 
 
-def dual_check(gen: Generator, mu: Measure, f: Potential,
-               opts: SolverOptions | None = None) -> float:
+def dual_check(gen: Generator, mu: Measure, f: Potential) -> float:
     """Residual of the duality identity <Hf,mu> = <f,rho(mu,f)> - L(mu,rho(mu,f)):
     the one-row case of ``_dual_residuals``."""
     _on(gen.space, mu, f)
-    return float(_dual_residuals(gen, mu.p[None], f.f[None], opts)[0])
+    return float(_dual_residuals(gen, mu.p[None], f.f[None])[0])
 
 
-def _dual_residuals(gen: Generator, mus, fs, opts=None) -> np.ndarray:
+def _dual_residuals(gen: Generator, mus, fs) -> np.ndarray:
     """The duality residual of each row of (b, n) laws and potentials: the
     left side in closed form, the Lagrangians as cells of one evaluator
     call, warm-started at f; NumericalFailure if one does not settle."""
@@ -514,7 +512,7 @@ def _dual_residuals(gen: Generator, mus, fs, opts=None) -> np.ndarray:
     out = M.sum(axis=1)
     rho = (mus[:, None] * M).sum(axis=0) - mus * out
     status, _, value, _, _, _ = _lagrangian_cells(
-        mus[:, None] * gen.off_diagonal[..., None], rho, 0.0, opts, fs)
+        mus[:, None] * gen.off_diagonal[..., None], rho, 0.0, None, fs)
     for verdict in status:
         _settled(verdict)
     lhs = ((out - gen.exit_rates[:, None]) * mus).sum(axis=0)

@@ -9,7 +9,7 @@ read-only uniformization table and its last e^{tQ}, as one (t, e^{tQ})
 tuple handed out as copies, so a race at worst computes either twice.
 
 Each input is admitted by one check of its kind: ``_time`` and ``_positive``
-a time or a scale, finite (NaN fails); ``_admit`` an array, as read-only
+a time or a scale, a finite real number; ``_admit`` an array, as read-only
 finite floats of its shape; ``_on`` objects used together, on one state
 space; ``_count`` an integer count. ``_power_rows`` forms y0 M^j by
 doubling, for the table of e^{tQ} and the Doob rows alike.
@@ -18,6 +18,7 @@ doubling, for the table of e^{tQ} and the Doob rows alike.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,25 +71,32 @@ def _on(space: StateSpace, *objects) -> None:
 
 
 def _count(x, what: str, least: int) -> int:
-    """x as an int, if a Python or NumPy integer of at least ``least``;
-    else InvalidParameter(what), with x formatted into its ``{}``."""
-    if isinstance(x, (int, np.integer)) and x >= least:
+    """x as an int, if a Python or NumPy integer (not a bool) of at least
+    ``least``; else InvalidParameter(what), with x formatted into its ``{}``."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= least:
         return int(x)
     raise InvalidParameter(what.format(x))
 
 
+def _real(x) -> float:
+    """x as a float, if a Python or NumPy real (not a bool) in float range; else NaN."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        return math.nan
+    return math.nan if isinstance(x, int) and abs(x) > sys.float_info.max else float(x)
+
+
 def _time(t) -> float:
-    """t as a float, if 0 <= t < inf (NaN fails); else InvalidTime."""
-    if not 0.0 <= float(t) < math.inf:
+    """t as a float, if a real number 0 <= t < inf (NaN fails); else InvalidTime."""
+    if not 0.0 <= (v := _real(t)) < math.inf:
         raise InvalidTime(f"time must be nonnegative and finite, got {t}")
-    return float(t)
+    return v
 
 
 def _positive(x, what: str) -> float:
-    """x as a float, if 0 < x < inf (NaN fails); else InvalidParameter."""
-    if not 0.0 < float(x) < math.inf:
+    """x as a float, if a real number 0 < x < inf (NaN fails); else InvalidParameter."""
+    if not 0.0 < (v := _real(x)) < math.inf:
         raise InvalidParameter(f"{what} must be positive and finite, got {x}")
-    return float(x)
+    return v
 
 
 def _power_rows(y0: np.ndarray, M: np.ndarray, K: int) -> np.ndarray:

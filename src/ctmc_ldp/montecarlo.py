@@ -22,7 +22,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InsufficientSampling, InvalidParameter, MalformedModel
-from .lagrangian import SolverOptions
 from .markov import Generator, Measure, _count, _expm_generator, _on, _positive
 from .rates import PathGrid, _conditional_rates
 
@@ -210,8 +209,7 @@ def estimate_event_decay(gen: Generator, mu0: Measure, event: BallEvent,
 
 
 def ball_infimum_rate(gen: Generator, mu0: Measure, nu: Measure, t: float,
-                      delta: float,
-                      opts: SolverOptions | None = None) -> float:
+                      delta: float) -> float:
     """Upper bound for the infimum of I_t(.|mu0) over the l1 ball around nu.
 
     The rate is convex and vanishes at the evolved law, so evaluating it at
@@ -227,4 +225,4 @@ def ball_infimum_rate(gen: Generator, mu0: Measure, nu: Measure, t: float,
     if dist <= delta:
         return 0.0
     boundary = nu.p + delta / dist * (center - nu.p)
-    return float(_conditional_rates(mu0.p[None], boundary[None], P[None], opts)[0][0])
+    return float(_conditional_rates(mu0.p[None], boundary[None], P[None], None)[0][0])

@@ -53,7 +53,7 @@ from .markov import (
     relative_entropy,
 )
 
-DEFAULT_TILT_CAP = 30.0
+TILT_CAP = 30.0  # a boundary tilt realizes its limit to within e^{-TILT_CAP}
 GRID_NODE_TOL = 1e-9  # relative distance at which a partition time is a grid node
 MEASURE_ZERO = 1e-15  # a coupling speed holds law entries: rounding only below this
 
@@ -110,15 +110,12 @@ class Partition:
 
 @dataclass(frozen=True)
 class ConditionalRateResult:
-    """Value and (when attained) maximizer of a conditional rate.
-    ``support_levels`` counts the components of kept pairs upstream of each
-    support state's own, through dropped pairs."""
+    """Value, maximizer (when attained) and bridge tilt of a conditional rate;
+    the tilt is the maximizer, else ``_capped_tilt`` if the rate is finite, else None."""
 
     value: float
     maximizer: Potential | None
-    support: tuple[int, ...]
-    support_potential: np.ndarray | None
-    support_levels: np.ndarray | None
+    tilt: Potential | None
     iterations: int
     gradient_norm: float
 
@@ -126,19 +123,19 @@ class ConditionalRateResult:
     def attained(self) -> bool:
         return self.maximizer is not None
 
-    def tilt_potential(self, space: StateSpace,
-                       cap: float = DEFAULT_TILT_CAP) -> Potential:
-        """Best available terminal tilt, realizing the limiting tilt to
-        within e^{-cap}: the support potential clipped to [-cap, cap], each
-        component sunk cap below those feeding it, off-support states at
-        -cap, and at least cap below every sunk state."""
-        f = np.full(space.size, -cap)
-        if self.support_potential is not None:
-            g = np.clip(self.support_potential, -cap, cap)
-            g = g - self.support_levels * (np.ptp(g) + cap)
-            f[:] = min(-cap, g[self.support_levels > 0].min(initial=cap) - cap)
-            f[list(self.support)] = g
-        return Potential(space, f)
+
+def _capped_tilt(f: np.ndarray, levels: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """The terminal tilt of a boundary bridge, realizing the limiting tilt to
+    within e^{-TILT_CAP}: the maximizer row f on the support ``on`` clipped to
+    [-cap, cap], each component sunk cap below those feeding it (``levels``
+    counts those upstream, through dropped pairs), off-support states at
+    -cap, and at least cap below every sunk state."""
+    cap, levels = TILT_CAP, levels[on]
+    g = np.clip(f[on], -cap, cap)
+    g = g - levels * (np.ptp(g) + cap)
+    out = np.full(len(f), min(-cap, g[levels > 0].min(initial=cap) - cap))
+    out[on] = g
+    return out
 
 
 def conditional_rate(gen: Generator, mu: Measure, nu: Measure, t: float,
@@ -149,7 +146,7 @@ def conditional_rate(gen: Generator, mu: Measure, nu: Measure, t: float,
     supremum is attained at a finite potential on every state; when nu has
     zero mass on some state, or a live pair carries mass in no coupling,
     the value is exact but reported as unattained (the optimal tilt
-    diverges there).
+    diverges there, and the result's tilt is capped).
     """
     t = _positive(t, "time")
     _on(gen.space, mu, nu)
@@ -157,11 +154,11 @@ def conditional_rate(gen: Generator, mu: Measure, nu: Measure, t: float,
     value, status, f, levels, iters, gnorm = (
         a[0] for a in _conditional_rates(mu.p[None], nu.p[None], P[None], opts))
     on = nu.p > 0.0
-    support = tuple(on.nonzero()[0].tolist())
-    pins = (None, None) if status == _Status.INFINITE else (f[on], levels[on])
-    attained = len(support) == gen.size and status == _Status.CONVERGED
-    return ConditionalRateResult(float(value), Potential(gen.space, f) if attained else None,
-                                 support, *pins, int(iters), float(gnorm))
+    attained = on.all() and status == _Status.CONVERGED
+    tilt = None if status == _Status.INFINITE else Potential(
+        gen.space, f if attained else _capped_tilt(f, levels, on))
+    return ConditionalRateResult(float(value), tilt if attained else None, tilt,
+                                 int(iters), float(gnorm))
 
 
 def _conditional_rates(mus, nus, Ps, opts):
@@ -233,7 +230,7 @@ class JointRateResult:
 
 
 def joint_rate(gen: Generator, mu0: Measure, partition: Partition,
-               marginals, opts: SolverOptions | None = None) -> JointRateResult:
+               marginals) -> JointRateResult:
     """Joint rate of observing the given marginals at times (0, t_1, ..., t_k).
 
     ``marginals`` holds k+1 measures, the first at time zero. Under the
@@ -259,7 +256,7 @@ def joint_rate(gen: Generator, mu0: Measure, partition: Partition,
         return JointRateResult(value, None, 0, math.inf)
     Ps = np.array([_expm_generator(gen, b - a) for a, b in zip(times, times[1:])])
     laws = np.array([nu.p for nu in nus])
-    steps, status, g, _, its, norms = _conditional_rates(laws[:-1], laws[1:], Ps, opts)
+    steps, status, g, _, its, norms = _conditional_rates(laws[:-1], laws[1:], Ps, None)
     value, iters, gnorm = value + float(steps.sum()), int(its.sum()), float(norms.max())
     if not (math.isfinite(value) and (status == _Status.CONVERGED).all()
             and (laws > 0.0).all() and (mu0.p > 0.0).all()):
@@ -334,7 +331,7 @@ def path_action(gen: Generator, path: PathGrid,
 
 
 def partition_rate(gen: Generator, path: PathGrid, partition: Partition,
-                   P0: Measure, opts: SolverOptions | None = None) -> float:
+                   P0: Measure) -> float:
     """``joint_rate(...).value`` of the grid nodes at the partition times,
     from P0: KL(node 0 | P0) plus the chain of conditional rates over the
     node rows, one ``_expm_generator`` call per distinct node gap.
@@ -359,4 +356,4 @@ def partition_rate(gen: Generator, path: PathGrid, partition: Partition,
     if not math.isfinite(value):
         return value
     Ps = np.array([_expm_generator(gen, g * dt) for g in gaps.tolist()])
-    return value + float(_conditional_rates(laws[:-1], laws[1:], Ps[step], opts)[0].sum())
+    return value + float(_conditional_rates(laws[:-1], laws[1:], Ps[step], None)[0].sum())

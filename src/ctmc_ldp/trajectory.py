@@ -37,13 +37,7 @@ from .markov import (
     _positive,
     _power_rows,
 )
-from .rates import (
-    ActionResult,
-    DEFAULT_TILT_CAP,
-    PathGrid,
-    conditional_rate,
-    path_action,
-)
+from .rates import ActionResult, PathGrid, conditional_rate, path_action
 
 HARMONIC_TOL = 1e-9  # last-interval mismatch relative to 1 + max|h_K|
 LINEAR_SPREAD = 600.0  # widest exponent spread the doubling takes out of log space
@@ -166,15 +160,14 @@ class BridgeResult:
 
 
 def optimal_bridge(gen: Generator, mu0: Measure, mu1: Measure, t: float,
-                   K: int, opts: SolverOptions | None = None,
-                   cap: float = DEFAULT_TILT_CAP) -> BridgeResult:
+                   K: int, opts: SolverOptions | None = None) -> BridgeResult:
     """Connect mu0 to mu1 in time t along the cost-minimizing trajectory.
 
-    The terminal tilt is the conditional-rate maximizer; the bridge is the
-    law of its Doob transform from mu0. For boundary targets (maximizer only in
-    a limit) a capped tilt is used and a BoundaryBridgeWarning is emitted;
-    the reported ``action_gap`` then estimates the distance to the true
-    rate.
+    The terminal tilt is the conditional rate's ``tilt``, its maximizer when
+    attained; the bridge is the law of its Doob transform from mu0. For
+    boundary targets (maximizer only in a limit) the tilt is capped (see
+    ``rates.TILT_CAP``) and a BoundaryBridgeWarning is emitted; the
+    reported ``action_gap`` then estimates the distance to the true rate.
     """
     K = _count(K, INTERVALS, 1)
     rate = conditional_rate(gen, mu0, mu1, t, opts=opts)
@@ -186,14 +179,11 @@ def optimal_bridge(gen: Generator, mu0: Measure, mu1: Measure, t: float,
         warnings.warn(
             "bridge optimizer is attained only in a limit; using a capped tilt",
             BoundaryBridgeWarning, stacklevel=2)
-        tilt = rate.tilt_potential(gen.space, cap=cap)
-    else:
-        tilt = rate.maximizer
-    flow = doob_flow(gen, tilt, t, K)
+    flow = doob_flow(gen, rate.tilt, t, K)
     path, action = doob_forward(gen, mu0, flow, opts=opts)
     delivery = float(np.abs(path.measures[-1] - mu1.p).sum())
     gap = abs(action.value - rate.value) if math.isfinite(action.value) else math.inf
-    return BridgeResult(path, action, rate.value, tilt, delivery, gap, boundary)
+    return BridgeResult(path, action, rate.value, rate.tilt, delivery, gap, boundary)
 
 
 def zero_cost_path(gen: Generator, mu0: Measure, t: float, K: int) -> PathGrid:
@@ -207,8 +197,7 @@ def zero_cost_path(gen: Generator, mu0: Measure, t: float, K: int) -> PathGrid:
 
 
 def entropy_identity_check(gen: Generator, mu0: Measure, f: Potential,
-                           t: float, K: int,
-                           opts: SolverOptions | None = None) -> float:
+                           t: float, K: int) -> float:
     """Residual of the entropy decomposition along the f-tilted trajectory.
 
     With the transformed initial law pinned to mu0, the path entropy equals
@@ -217,7 +206,7 @@ def entropy_identity_check(gen: Generator, mu0: Measure, f: Potential,
     grid refines.
     """
     flow = doob_flow(gen, f, t, K)
-    path, action = doob_forward(gen, mu0, flow, opts=opts)
+    path, action = doob_forward(gen, mu0, flow)
     terminal = float(f.f @ path.measures[-1])
     start = float(v_apply(gen, f, t).f @ mu0.p)
     return abs((terminal - start) - action.value)

@@ -392,8 +392,8 @@ class TestBridgeAndAction:
                      "--target", "0.2,0.4,0.4", "--out", str(tmp_path)])
         assert code == 0
         report = load_report(tmp_path / "bridge_report.json")
-        grid = read_path_csv(tmp_path / "bridge_path.csv")
         gen, _, _ = load_model(RING)
+        grid = read_path_csv(tmp_path / "bridge_path.csv", gen.space)
         recomputed = path_action(gen, grid).value
         assert recomputed == pytest.approx(report["outputs"]["action"], abs=1e-9)
 
@@ -485,18 +485,30 @@ class TestVerifyLdp:
         assert "seed" in capsys.readouterr().err
 
 
-def _exits_3_in_a_subprocess(argv, tmp_path):
-    """Run the CLI in a subprocess with a 30 s timeout, so that a run that
-    never returns fails instead of hanging the suite; it must exit 3 with
-    one ``error:`` line, which is returned."""
+def _in_a_subprocess(argv, tmp_path):
+    """Run ``python -m ctmc_ldp.cli`` in a subprocess with a 30 s timeout, so
+    that a run that never returns fails instead of hanging the suite."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-m", "ctmc_ldp", *argv, "--out", str(tmp_path)],
-                         capture_output=True, text=True, env=env, timeout=30)
+    return subprocess.run([sys.executable, "-m", "ctmc_ldp.cli", *argv, "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=30)
+
+
+def _exits_3_in_a_subprocess(argv, tmp_path):
+    """Run the CLI in a subprocess; it must exit 3 with one ``error:`` line,
+    which is returned."""
+    run = _in_a_subprocess(argv, tmp_path)
     assert run.returncode == 3
     assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
     return run.stderr
+
+
+def test_module_entry_point_writes_the_report(tmp_path):
+    # the one module entry point README documents
+    run = _in_a_subprocess(["check", "--model", RING], tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert load_report(tmp_path / "check_report.json")["outputs"]["failed"] == 0
 
 
 class TestMalformedInput:
@@ -858,7 +870,7 @@ class TestPathCsvRoundTrip:
         "t,a,b\r\n0,0.5,0.5\r\n\r\n0.5,0.6,0.4\n1,0.7,0.3\r\n\r\n",
     ], ids=["CRLF", "quoted cells", "trailing blank lines", "mixed"])
     def test_pinned_parses_match_the_reference(self, text):
-        grid = read_path_csv("p.csv", data=text.encode())
+        grid = read_path_csv("p.csv", StateSpace(("a", "b")), text.encode())
         table = reference_rows(text)
         assert grid.measures.tobytes() == table[:, 1:].tobytes()
         assert (grid.t0, grid.t1, grid.K) == (table[0, 0], table[-1, 0], len(table) - 1)

@@ -50,3 +50,30 @@ def test_star_export_holds_only_classes_and_functions():
                       or inspect.isfunction(getattr(ctmc_ldp, name)))]
     assert others == []
     assert "markov" not in ctmc_ldp.__all__ and "Generator" in ctmc_ldp.__all__
+
+
+# every defaulted parameter of a public function or method, with the caller
+# outside the tests that sets it; a knob no such caller sets should go
+KNOBS = {
+    "conditional_rate.opts",  # cli.cmd_rate (--tol)
+    "doob_forward.opts",      # trajectory.optimal_bridge
+    "optimal_bridge.opts",    # cli.cmd_bridge (--tol)
+    "path_action.opts",       # cli.cmd_action (--tol) and trajectory.doob_forward
+    "path_action.initial",    # trajectory.doob_forward's warm start
+}
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    # the functions, and the methods and class methods written in Python
+    routines = []
+    for name in ctmc_ldp.__all__:
+        obj = getattr(ctmc_ldp, name)
+        if inspect.isclass(obj):
+            members = ((attr, getattr(obj, attr)) for attr in dir(obj) if attr[0] != "_")
+            routines += [(f"{name}.{attr}", fn) for attr, fn in members
+                         if inspect.isfunction(fn) or inspect.ismethod(fn)]
+        else:
+            routines.append((name, obj))
+    knobs = {f"{name}.{p.name}" for name, fn in routines
+             for p in inspect.signature(fn).parameters.values() if p.default is not p.empty}
+    assert knobs == KNOBS

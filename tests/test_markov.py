@@ -21,6 +21,7 @@ from ctmc_ldp import (
     Partition,
     PathGrid,
     Potential,
+    SolverOptions,
     Speed,
     StateSpace,
     StochasticMatrix,
@@ -377,7 +378,15 @@ SCALAR_SITES = {
                                  InvalidParameter),
     "empirical_trajectory t1": (lambda x: empirical_trajectory(RING, MU, 10, x, 4, 0),
                                 InvalidParameter),
+    "SolverOptions": (lambda x: SolverOptions(x), InvalidParameter),
 }
+# inputs that are not real numbers, refused like NaN by the sites that admit
+# their scalar through ``markov``: all but a partition, a path grid and a
+# Doob flow, which check their times themselves
+NOT_NUMBERS = {"text": "x", "numeric text": "1e-6", "None": None, "bool": True,
+               "NumPy bool": np.True_}
+ADMITTED_BY_MARKOV = sorted(set(SCALAR_SITES) - {"joint_rate", "PathGrid t0",
+                                                  "PathGrid t1", "DoobFlow"})
 
 
 class TestAdmissibleScalars:
@@ -387,6 +396,26 @@ class TestAdmissibleScalars:
         call, error = SCALAR_SITES[site]
         with pytest.raises(error):
             call(x)
+
+    @pytest.mark.parametrize("x", NOT_NUMBERS.values(), ids=NOT_NUMBERS.keys())
+    @pytest.mark.parametrize("site", ADMITTED_BY_MARKOV)
+    def test_non_numbers_rejected(self, site, x):
+        call, error = SCALAR_SITES[site]
+        with pytest.raises(error):
+            call(x)
+
+    def test_integer_past_the_float_range_rejected(self):
+        with pytest.raises(InvalidTime):
+            transition_matrix(RING, 10 ** 400)
+        with pytest.raises(InvalidParameter):
+            SolverOptions(-10 ** 400)
+
+    def test_numpy_reals_are_admitted(self):
+        assert SolverOptions(np.float32(0.5)).gradient_tol == 0.5
+        np.testing.assert_array_equal(transition_matrix(RING, np.float16(0.5)).P,
+                                      transition_matrix(RING, 0.5).P)
+        np.testing.assert_array_equal(transition_matrix(RING, np.int8(2)).P,
+                                      transition_matrix(RING, 2.0).P)
 
     def test_time_past_the_largest_scaled_rate(self):
         # c t overflows on the ring (c = 1.8); at c = 1 it does not, and the
@@ -561,6 +590,7 @@ COUNT_SITES = {
         lambda n: estimate_event_decay(RING, MU, EVENT, [n, 20], 100, 0), 1),
     "estimate_event_decay seed": (
         lambda s: estimate_event_decay(RING, MU, EVENT, [10, 20], 100, s), 0),
+    "resolvent_iterate n": (lambda n: resolvent_iterate(RING, F, 0.5, n), 1),
 }
 
 
@@ -571,6 +601,12 @@ class TestIntegerCounts:
         call, least = COUNT_SITES[site]
         with pytest.raises(InvalidParameter):
             call(min(0, least - 1) if below else max(2.5, least + 0.5))
+
+    @pytest.mark.parametrize("site", sorted(COUNT_SITES))
+    def test_bool_is_not_a_count(self, site):
+        call, _ = COUNT_SITES[site]
+        with pytest.raises(InvalidParameter):
+            call(True)
 
     def test_numpy_integers_count_as_integers(self):
         k, n, seed = np.int64(4), np.int32(10), np.uint16(3)

@@ -36,7 +36,7 @@ from ctmc_ldp import lagrangian, rates
 from ctmc_ldp.lagrangian import DEFAULT_OPTIONS, _lagrangian_cells, _Status
 from ctmc_ldp.markov import _expm_generator, _transport
 from ctmc_ldp.hamiltonian import EXPONENT_CLIP
-from ctmc_ldp.rates import DEFAULT_TILT_CAP, QUADRATURE_NODE
+from ctmc_ldp.rates import QUADRATURE_NODE, TILT_CAP
 from conftest import (
     absorbing_chain,
     random_chain,
@@ -127,8 +127,7 @@ class TestConditionalRate:
         gen = symmetric_chain()
         da = Measure.dirac(gen.space, "a")
         res = conditional_rate(gen, da, da, 1.0)
-        tilt = res.tilt_potential(gen.space)
-        flow = doob_flow(gen, tilt, 1.0, 8000)
+        flow = doob_flow(gen, res.tilt, 1.0, 8000)
         path, action = doob_forward(gen, da, flow)
         assert abs(action.value - res.value) <= 1e-3
         assert np.abs(path.measures[-1] - da.p).sum() <= 2e-3
@@ -685,12 +684,15 @@ class TestJointRate:
             assert (status[i] == _Status.CONVERGED and on.all()) == one.attained
             if one.attained:
                 np.testing.assert_allclose(f[i], one.maximizer.f, rtol=1e-9, atol=1e-9)
-            np.testing.assert_allclose(f[i, on], one.support_potential, rtol=1e-9, atol=1e-9)
-            np.testing.assert_array_equal(levels[i, on], one.support_levels)
-            batch = rates.ConditionalRateResult(value[i], None, one.support, f[i, on],
-                                                levels[i, on], iters[i], gnorm[i])
-            np.testing.assert_allclose(batch.tilt_potential(sp).f,
-                                       one.tilt_potential(sp).f, rtol=1e-9, atol=1e-9)
+            _, _, f1, levels1, _, _ = rates._conditional_rates(
+                mus[i:i + 1], nus[i:i + 1], Ps[i:i + 1], None)
+            np.testing.assert_allclose(f[i, on], f1[0, on], rtol=1e-9, atol=1e-9)
+            np.testing.assert_array_equal(levels[i, on], levels1[0, on])
+            if one.attained:
+                assert one.tilt is one.maximizer
+            else:
+                np.testing.assert_allclose(one.tilt.f, rates._capped_tilt(f[i], levels[i], on),
+                                           rtol=1e-9, atol=1e-9)
 
     def test_steps_after_an_infinite_one_neither_count_nor_raise(self, monkeypatch):
         # nothing reaches c, so the first step is +infinity; the second needs
@@ -820,7 +822,7 @@ class TestBatchedPathAction:
         h[:, 0] = rng.normal(0.0, 3.0, K + 1)
         h[:, 1] = rng.uniform(-0.5, 0.5, K + 1) * EXPONENT_CLIP
         h[:4, 1] = [0.0, EXPONENT_CLIP, 0.0, -EXPONENT_CLIP]
-        h[:, 2] = np.where(np.arange(K + 1) % 2, -DEFAULT_TILT_CAP,
+        h[:, 2] = np.where(np.arange(K + 1) % 2, -TILT_CAP,
                            rng.uniform(-2.0, 2.0, K + 1))
         h[:, 3] = 800.0 + np.cumsum(rng.normal(0.0, 1e-3, K + 1))
         gen = validate_generator(list("abcd"), np.ones((4, 4)))

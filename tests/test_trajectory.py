@@ -35,7 +35,7 @@ from conftest import (
     random_potential,
     symmetric_chain,
 )
-from ctmc_ldp import lagrangian, trajectory
+from ctmc_ldp import lagrangian, rates, trajectory
 from ctmc_ldp.hamiltonian import _log_matrix_apply
 from ctmc_ldp.markov import _expm_generator
 
@@ -398,15 +398,16 @@ class TestOptimalBridge:
             assert bridge.action_gap <= 1e-3
             assert not bridge.boundary
 
-    def test_boundary_bridge_warns_and_approaches_rate(self):
+    def test_boundary_bridge_warns_and_approaches_rate(self, monkeypatch):
         gen = absorbing_chain()
         da = Measure.dirac(gen.space, "a")
         t = 0.5
         gaps = []
         for cap in (10.0, 20.0, 30.0):
+            monkeypatch.setattr(rates, "TILT_CAP", cap)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                bridge = optimal_bridge(gen, da, da, t, 2000, cap=cap)
+                bridge = optimal_bridge(gen, da, da, t, 2000)
             assert any(issubclass(w.category, BoundaryBridgeWarning)
                        for w in caught)
             assert bridge.boundary
@@ -431,7 +432,7 @@ class TestOptimalBridge:
         assert bridge.delivery_error <= 1e-9
         assert bridge.action_gap <= 1e-4
 
-    def test_tilt_sinks_a_fed_component_below_its_feeder_at_any_cap(self):
+    def test_tilt_sinks_a_fed_component_below_its_feeder_at_any_cap(self, monkeypatch):
         # b <-> d is closed and nu keeps its mass 0.5, so a may send nothing
         # to b or d: the component {b, d}, whose own tilt spreads over
         # 1.1, sinks a spread plus cap below {a, c}, which feeds it. The
@@ -443,9 +444,10 @@ class TestOptimalBridge:
         mu = Measure(gen.space, [0.5, 0.3, 0.0, 0.2])
         nu = Measure(gen.space, [0.2, 0.1, 0.3, 0.4])
         for cap, delivery in ((12.0, 1e-5), (30.0, 1e-9)):
+            monkeypatch.setattr(rates, "TILT_CAP", cap)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", BoundaryBridgeWarning)
-                bridge = optimal_bridge(gen, mu, nu, 0.8, 400, cap=cap)
+                bridge = optimal_bridge(gen, mu, nu, 0.8, 400)
             assert bridge.boundary
             assert bridge.rate == pytest.approx(0.386922228, abs=1e-8)
             assert bridge.tilt.f[[1, 3]].max() <= bridge.tilt.f[[0, 2]].min() - cap
